@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from skygs import rng
+from skygs import hungarian, rng
 from skygs.model import Scenario, ScenarioError
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
@@ -204,7 +204,9 @@ class IlpHpqPolicy:
     achievable real cost, so the min-cost matching downlinks it whenever an
     antenna is in view. The per-slot feasible region is an assignment
     polytope, so matching solves the slot problem exactly without an external
-    programming solver.
+    programming solver. Real costs are never negative, so only high-priority
+    satellites reach the matching kernel; a free downlink ties with doing
+    nothing, and the tie goes to doing nothing.
     """
 
     name = "ilp_hpq"
@@ -218,8 +220,6 @@ class IlpHpqPolicy:
         self.best_dc = _best_dc_by_cost(self.arrays, list(range(len(self.arrays.dc_ids))))
 
     def schedule(self, states, q, slot, table):
-        from skygs import hungarian
-
         arrays = self.arrays
         scenario = self.scenario
         n_s = len(arrays.sat_ids)
@@ -255,14 +255,12 @@ class IlpHpqPolicy:
             weights[si, c0:c0 + arrays.antenna_counts[g_pos]] = cost
             info[(si, g_pos)] = (cost, dtil)
 
-        col4row = hungarian.min_cost_assignment(weights)
+        col4row = hungarian.match_with_fallbacks(weights)
         triples = []
         for si, col in enumerate(col4row.tolist()):
             if col >= n_real:
                 continue
             g_pos = int(arrays.antenna_station[col])
-            if (si, g_pos) not in info:
-                continue  # matcher can only land here if no feasible option existed
             _, dtil = info[(si, g_pos)]
             triples.append(AssignmentTriple(
                 satellite_id=arrays.sat_ids[si],

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -126,15 +126,16 @@ def _dump_weights(base, record, out_dir: str) -> None:
             advance_backlog(states[sat.id], arrivals.arrivals_for_slot(sat.id, t), t)
 
 
-def _grid_row(scenario, policy: str, seed: int, v, xi) -> dict:
-    row = {"policy": policy, "seed": seed, "status": "ok"}
+def _grid_row(scenario, policy: str, table, v, xi) -> dict:
+    """One cell of the compare grid; `table()` returns the seed's contact table."""
+    row = {"policy": policy, "seed": scenario.seed, "status": "ok"}
     try:
-        record, metrics = engine.run(scenario, policy=policy, seed=seed, v=v, xi=xi)
+        record, metrics = engine.run(scenario, policy=policy, v=v, xi=xi, table=table())
         summary = engine.summary_dict(record, metrics)
         for k in SUMMARY_FIELDS:
             row[k] = summary[k]
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the grid
-        log.warning("run %s/seed %s failed: %s", policy, seed, exc)
+        log.warning("run %s/seed %s failed: %s", policy, scenario.seed, exc)
         row["status"] = "failed"
         for k in SUMMARY_FIELDS:
             row[k] = ""
@@ -150,12 +151,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    grid = [(policy, seed) for policy in policies for seed in seeds]
-    # runs share no mutable state; rows come back in input order regardless of
-    # completion order
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(grid)))) as pool:
-        rows = list(pool.map(
-            lambda ps: _grid_row(scenario, ps[0], ps[1], args.v, args.xi), grid))
+    # the contact table depends on the world and the seed only: one build per
+    # seed serves every policy (a failed build is retried by the next cell)
+    cells = {}
+    for seed in seeds:
+        seeded = replace(scenario, seed=seed)
+        table = functools.cache(functools.partial(build_contact_table, seeded))
+        for policy in policies:
+            cells[policy, seed] = _grid_row(seeded, policy, table, args.v, args.xi)
+    rows = [cells[policy, seed] for policy in policies for seed in seeds]
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["policy", "seed", "status"] + SUMMARY_FIELDS)
         writer.writeheader()
@@ -172,9 +176,12 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
+    scenario = replace(scenario, seed=args.seed)
+    table = build_contact_table(scenario)
+
     def sweep_row(v: float) -> dict:
-        _record, metrics = engine.run(scenario, policy="skygs", seed=args.seed,
-                                      v=v, xi=args.xi)
+        _record, metrics = engine.run(scenario, policy="skygs", v=v, xi=args.xi,
+                                      table=table)
         return {
             "v": repr(float(v)),
             "total_cost": repr(float(metrics.total_cost)),
@@ -184,8 +191,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             "mean_q": repr(float(metrics.mean_q)),
         }
 
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(v_list)))) as pool:
-        rows = list(pool.map(sweep_row, v_list))
+    rows = [sweep_row(v) for v in v_list]
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["v", "total_cost", "avg_latency_min_per_mb",

@@ -119,6 +119,21 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     return slot_records
 
 
+def _check_table(table: ContactTable, scenario: Scenario) -> None:
+    """A caller's table must span the horizon and name only the scenario's entities."""
+    if table.n_slots != scenario.horizon:
+        raise ScenarioError(f"contact table has {table.n_slots} slots, "
+                            f"scenario horizon is {scenario.horizon}")
+    contacts = table.all_contacts()
+    for kind, named, known in (
+            ("satellite", {c.satellite_id for c in contacts}, scenario.satellites),
+            ("ground station", {c.ground_station_id for c in contacts},
+             scenario.ground_stations)):
+        unknown = sorted(named - {e.id for e in known})
+        if unknown:
+            raise ScenarioError(f"contact table names unknown {kind} {unknown[0]!r}")
+
+
 def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
         v: float | None = None, xi: float | None = None,
         table: ContactTable | None = None) -> tuple[RunRecord, RunMetrics]:
@@ -139,6 +154,8 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
         scenario = replace(scenario, **overrides)
     if table is None or seed is not None:
         table = build_contact_table(scenario)
+    else:
+        _check_table(table, scenario)
 
     arrays = ScenarioArrays.from_scenario(scenario)
     arrivals = ArrivalModel(scenario)

@@ -1,11 +1,10 @@
 """Min-cost rectangular assignment (shortest augmenting path with potentials).
 
-This is the per-slot hot kernel: it runs once per slot on a dense
-satellites-by-antennas weight matrix. Two interchangeable implementations are
-provided: a scalar-loop version compiled with numba, and a vectorized numpy
-version used when numba is unavailable or disabled via SKYGS_DISABLE_NUMBA=1.
-Both produce identical assignments (same deterministic lowest-index
-tie-breaking); benchmarks/bench_hungarian.py compares their speed.
+This is the per-slot hot kernel: a vectorized numpy port of the shortest
+augmenting path algorithm with deterministic lowest-index tie-breaking.
+Slot matrices share one layout, which match_with_fallbacks exploits: real
+antenna columns first, then one private fallback column per row on the
+diagonal. Only the rows that can beat their fallback reach the kernel.
 
 Costs may be negative. Rows must not outnumber columns, and every row must be
 matchable (callers guarantee this by giving each row a private fallback
@@ -14,92 +13,30 @@ column). Forbidden pairs are encoded as a large finite cost.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_DISABLE = os.environ.get("SKYGS_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
 
-try:
-    from numba import njit
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Row-to-column assignment minimizing total cost.
 
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    _HAS_NUMBA = False
-
-NUMBA_ENABLED = _HAS_NUMBA and not _ENV_DISABLE
-
-
-def _solve_loops(cost):
-    """Scalar-loop augmenting-path solver (numba-friendly)."""
+    cost: (n_rows, n_cols) with n_rows <= n_cols, finite entries.
+    Returns col4row, the assigned column index for each row.
+    """
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError("cost matrix must be 2-D")
     n_rows, n_cols = cost.shape
-    u = np.zeros(n_rows, dtype=np.float64)
-    v = np.zeros(n_cols, dtype=np.float64)
-    col4row = np.full(n_rows, -1, dtype=np.int64)
-    row4col = np.full(n_cols, -1, dtype=np.int64)
-    shortest = np.empty(n_cols, dtype=np.float64)
-    path = np.empty(n_cols, dtype=np.int64)
-    on_tree_col = np.zeros(n_cols, dtype=np.bool_)
-    on_tree_row = np.zeros(n_rows, dtype=np.bool_)
+    if n_rows == 0:
+        return np.empty(0, dtype=np.int64)
+    if n_rows > n_cols:
+        raise ValueError(f"more rows than columns ({n_rows} > {n_cols})")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
 
-    for cur_row in range(n_rows):
-        for j in range(n_cols):
-            shortest[j] = np.inf
-            path[j] = -1
-            on_tree_col[j] = False
-        for i in range(n_rows):
-            on_tree_row[i] = False
-        min_val = 0.0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            on_tree_row[i] = True
-            lowest = np.inf
-            j_low = -1
-            for j in range(n_cols):
-                if on_tree_col[j]:
-                    continue
-                reduced = min_val + cost[i, j] - u[i] - v[j]
-                if reduced < shortest[j]:
-                    shortest[j] = reduced
-                    path[j] = i
-                if shortest[j] < lowest:
-                    lowest = shortest[j]
-                    j_low = j
-            j = j_low
-            min_val = lowest
-            on_tree_col[j] = True
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-        u[cur_row] += min_val
-        for k in range(n_rows):
-            if on_tree_row[k] and k != cur_row:
-                u[k] += min_val - shortest[col4row[k]]
-        for j in range(n_cols):
-            if on_tree_col[j]:
-                v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            swap = col4row[i]
-            col4row[i] = j
-            if i == cur_row:
-                break
-            j = swap
-    return col4row
-
-
-def _solve_numpy(cost):
-    """Vectorized variant of _solve_loops; identical output."""
-    n_rows, n_cols = cost.shape
     u = np.zeros(n_rows)
     v = np.zeros(n_cols)
     col4row = np.full(n_rows, -1, dtype=np.int64)
     row4col = np.full(n_cols, -1, dtype=np.int64)
-
     for cur_row in range(n_rows):
         shortest = np.full(n_cols, np.inf)
         path = np.full(n_cols, -1, dtype=np.int64)
@@ -141,32 +78,27 @@ def _solve_numpy(cost):
     return col4row
 
 
-if NUMBA_ENABLED:
-    _solve_loops_jit = njit(cache=True)(_solve_loops)
+def match_with_fallbacks(cost: np.ndarray) -> np.ndarray:
+    """min_cost_assignment for a slot-layout matrix, on its useful part only.
 
-    def _solve_active(cost):
-        return _solve_loops_jit(cost)
-else:
-    _solve_active = _solve_numpy
-
-
-def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Row-to-column assignment minimizing total cost.
-
-    cost: (n_rows, n_cols) with n_rows <= n_cols, finite entries.
-    Returns col4row, the assigned column index for each row.
+    cost: (n_rows, n_real + n_rows); row i's private fallback is column
+    n_real + i, and its other fallback cells must be forbidden. A row whose
+    fallback is no worse than its best real cell takes the fallback, since
+    swapping it there never raises the total. The kernel sees only the other
+    rows and the real columns where at least one of them beats its fallback;
+    no optimal matching uses any other real cell. Returns col4row over the
+    full matrix. Without exact fallback ties the result equals the kernel's
+    on the full matrix.
     """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError("cost matrix must be 2-D")
     n_rows, n_cols = cost.shape
-    if n_rows == 0:
-        return np.empty(0, dtype=np.int64)
-    if n_rows > n_cols:
-        raise ValueError(f"more rows than columns ({n_rows} > {n_cols})")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
-    return _solve_active(cost)
+    n_real = n_cols - n_rows
+    fallback_cols = n_real + np.arange(n_rows)
+    gains = cost[:, :n_real] < cost[np.arange(n_rows), fallback_cols][:, None]
+    rows = np.nonzero(gains.any(axis=1))[0]
+    cols = np.concatenate([np.nonzero(gains[rows].any(axis=0))[0], fallback_cols[rows]])
+    col4row = fallback_cols.copy()
+    col4row[rows] = cols[min_cost_assignment(cost[np.ix_(rows, cols)])]
+    return col4row
 
 
 def assignment_cost(cost: np.ndarray, col4row: np.ndarray) -> float:

@@ -20,13 +20,22 @@ downlink, whatever the age of the backlog. Terms independent of the decision
 of a satellite, which leaves the argmin matching unchanged. A min-cost
 left-perfect matching then yields the slot's assignment.
 
+Only satellites that can gain reach the matching kernel. A satellite whose
+best real edge weighs no less than its virtual antenna (no contact, or every
+edge at or above zero) does not downlink, and only the antennas that some
+remaining satellite would rather use than hold its data stay in the kernel's
+matrix (hungarian.match_with_fallbacks). The total weight is still the
+minimum. An exact tie between a satellite's best edge and its virtual antenna
+goes to "do not downlink".
+
 brute_force_schedule enumerates every feasible assignment on small instances
 and is the test oracle for the matching path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,16 +136,9 @@ class ScenarioArrays:
 
 @dataclass(frozen=True)
 class EdgeCandidate:
-    satellite_id: str
-    ground_station_id: str
     data_center_id: str
     weight: float
     dtil_mb: float
-    lt1: float
-    lt2: float
-    lc: float
-    cost_rental: float
-    cost_compute: float
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,46 @@ class Assignment:
 
 @dataclass
 class SlotGraph:
+    """The slot's weight matrix and its edges, one per (satellite, station) contact."""
+
     slot: int
     arrays: ScenarioArrays
-    weights: np.ndarray                   # [n_s, n_real + n_s]
-    candidates: dict[tuple[int, int], EdgeCandidate] = field(default_factory=dict)
+    weights: np.ndarray        # [n_s, n_real + n_s]
+    edge_of: np.ndarray        # [n_s, n_g] edge position of each pair, -1 without a contact
+    edge_weight: np.ndarray    # [n_edges]
+    edge_dtil: np.ndarray      # [n_edges]
+    edge_dc: np.ndarray        # [n_edges] data center position
 
     @property
     def n_real(self) -> int:
         return self.arrays.n_real_antennas
+
+    @property
+    def candidates(self) -> Mapping[tuple[int, int], EdgeCandidate]:
+        return _Candidates(self)
+
+
+class _Candidates(Mapping):
+    """(satellite position, station position) -> EdgeCandidate, read from a graph's edges."""
+
+    def __init__(self, graph: SlotGraph):
+        self._graph = graph
+
+    def __getitem__(self, key: tuple[int, int]) -> EdgeCandidate:
+        g = self._graph
+        si, gi = key
+        n_s, n_g = g.edge_of.shape
+        k = g.edge_of[si, gi] if 0 <= si < n_s and 0 <= gi < n_g else -1
+        if k < 0:
+            raise KeyError(key)
+        return EdgeCandidate(data_center_id=g.arrays.dc_ids[g.edge_dc[k]],
+                             weight=float(g.edge_weight[k]), dtil_mb=float(g.edge_dtil[k]))
+
+    def __iter__(self):
+        return zip(*(idx.tolist() for idx in np.nonzero(self._graph.edge_of >= 0)))
+
+    def __len__(self) -> int:
+        return len(self._graph.edge_weight)
 
 
 def queue_weight(q: float, scenario: Scenario) -> float:
@@ -172,36 +206,21 @@ def queue_weight(q: float, scenario: Scenario) -> float:
     return q / (scenario.tau * scenario.xi)
 
 
-def _satellite_edges(state: SatelliteState, gi: np.ndarray, rate: np.ndarray,
-                     best_dc: np.ndarray, qw: float, scenario: Scenario,
-                     arrays: ScenarioArrays) -> list[EdgeCandidate]:
-    """Candidates for one satellite's contacts with stations `gi` at `rate`.
-
-    `qw` is the slot's queue weight and `best_dc` the data center per station.
-    """
+def _edge_terms(backlog: np.ndarray, gi: np.ndarray, rate: np.ndarray, q: float,
+                scenario: Scenario, arrays: ScenarioArrays):
+    """(weight, dtil, data center position) of edges to stations `gi` at `rate`
+    from satellites holding `backlog` MB, each with its weight-minimizing data
+    center."""
     v, tau = scenario.v, scenario.tau
-    backlog = state.total_mb
+    qw = queue_weight(q, scenario)
+    di = arrays.best_dc_per_station(v, qw)[gi]
     dtil = np.minimum(rate * tau, backlog)
-    di = best_dc[gi]
     lt1 = dtil / rate
     lt2 = dtil * arrays.inv_backhaul[gi, di]
     lc = arrays.dc_kappa[di] * dtil
-    cc = arrays.dc_cost_per_mb[di] * dtil
-    c_total = arrays.price_slot[gi] + cc
+    c_total = arrays.price_slot[gi] + arrays.dc_cost_per_mb[di] * dtil
     weight = v * c_total - (backlog + qw * tau) * dtil + qw * (lt1 + lt2 + lc)
-    return [
-        EdgeCandidate(
-            satellite_id=state.satellite_id,
-            ground_station_id=arrays.gs_ids[int(gi[k])],
-            data_center_id=arrays.dc_ids[int(di[k])],
-            weight=float(weight[k]),
-            dtil_mb=float(dtil[k]),
-            lt1=float(lt1[k]), lt2=float(lt2[k]), lc=float(lc[k]),
-            cost_rental=float(arrays.price_slot[gi[k]]),
-            cost_compute=float(cc[k]),
-        )
-        for k in range(len(gi))
-    ]
+    return weight, dtil, di
 
 
 def edge_weight(state: SatelliteState, station_id: str, slot: int, q: float,
@@ -213,10 +232,11 @@ def edge_weight(state: SatelliteState, station_id: str, slot: int, q: float,
     if rate is None:
         raise ValueError(
             f"no contact between {state.satellite_id!r} and {station_id!r} at slot {slot}")
-    qw = queue_weight(q, scenario)
-    best_dc = arrays.best_dc_per_station(scenario.v, qw)
-    gi = np.array([arrays.gs_index[station_id]])
-    return _satellite_edges(state, gi, np.array([rate]), best_dc, qw, scenario, arrays)[0]
+    weight, dtil, di = _edge_terms(np.array([state.total_mb]),
+                                   np.array([arrays.gs_index[station_id]]),
+                                   np.array([rate]), q, scenario, arrays)
+    return EdgeCandidate(data_center_id=arrays.dc_ids[di[0]], weight=float(weight[0]),
+                         dtil_mb=float(dtil[0]))
 
 
 def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
@@ -226,47 +246,42 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
 
     Pairs without a contact carry a large finite penalty so the matcher never
     uses them; each satellite's private virtual column carries weight zero.
+    Every edge of the slot is computed in one pass over the contact arrays.
     """
     arrays = arrays or ScenarioArrays.from_scenario(scenario)
-    n_s = len(arrays.sat_ids)
+    n_s, n_g = len(arrays.sat_ids), len(arrays.gs_ids)
     n_real = arrays.n_real_antennas
 
     contacts = table.contacts_at(slot)
-    candidates: dict[tuple[int, int], EdgeCandidate] = {}
-    rows: list[tuple[int, int, float]] = []  # (sat pos, station pos, weight)
-    if contacts:
-        qw = queue_weight(q, scenario)
-        best_dc = arrays.best_dc_per_station(scenario.v, qw)
-        by_sat: dict[str, list] = {}
-        for c in contacts:
-            by_sat.setdefault(c.satellite_id, []).append(c)
-        for sat_id, sat_contacts in by_sat.items():
-            si = arrays.sat_index[sat_id]
-            gi = np.array([arrays.gs_index[c.ground_station_id] for c in sat_contacts])
-            rate = np.array([c.rate_mb_per_min for c in sat_contacts])
-            edges = _satellite_edges(states[sat_id], gi, rate, best_dc, qw, scenario, arrays)
-            for g_pos, cand in zip(gi.tolist(), edges):
-                rows.append((si, g_pos, cand.weight))
-                candidates[(si, g_pos)] = cand
+    si = np.array([arrays.sat_index[c.satellite_id] for c in contacts], dtype=np.int64)
+    gi = np.array([arrays.gs_index[c.ground_station_id] for c in contacts], dtype=np.int64)
+    rate = np.array([c.rate_mb_per_min for c in contacts], dtype=float)
+    backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
+    weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
 
-    big = 4.0 * (1.0 + sum(abs(w) for _, _, w in rows))
+    big = 4.0 * (1.0 + sum(np.abs(weight).tolist()))
     weights = np.full((n_s, n_real + n_s), big)
-    for i in range(n_s):
-        weights[i, n_real + i] = 0.0
-    for si, g_pos, w in rows:
-        c0 = arrays.station_col0[g_pos]
-        weights[si, c0:c0 + arrays.antenna_counts[g_pos]] = w
-    return SlotGraph(slot=slot, arrays=arrays, weights=weights, candidates=candidates)
+    weights[np.arange(n_s), n_real + np.arange(n_s)] = 0.0
+    # one cell per antenna of each contacted station: repeat every edge over
+    # its station's antenna span
+    span = arrays.antenna_counts[gi]
+    first_col = np.repeat(arrays.station_col0[gi] - (np.cumsum(span) - span), span)
+    weights[np.repeat(si, span), first_col + np.arange(span.sum())] = np.repeat(weight, span)
+    edge_of = np.full((n_s, n_g), -1, dtype=np.int64)
+    edge_of[si, gi] = np.arange(len(contacts))
+    return SlotGraph(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of,
+                     edge_weight=weight, edge_dtil=dtil, edge_dc=di)
 
 
 def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     """Minimum-weight left-perfect matching on the slot graph."""
     arrays = graph.arrays
     n_real = graph.n_real
-    col4row = hungarian.min_cost_assignment(graph.weights)
+    col4row = hungarian.match_with_fallbacks(graph.weights)
     triples: list[AssignmentTriple] = []
     unassigned: list[str] = []
     objective = 0.0
+    # rows follow the sorted satellite ids, so both lists come out sorted
     for si, col in enumerate(col4row.tolist()):
         if col >= n_real:
             if col - n_real != si:
@@ -274,19 +289,18 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
             unassigned.append(arrays.sat_ids[si])
             continue
         g_pos = int(arrays.antenna_station[col])
-        cand = graph.candidates.get((si, g_pos))
-        if cand is None:
+        k = graph.edge_of[si, g_pos]
+        if k < 0:
             raise RuntimeError("matching used a non-contact edge")
-        objective += cand.weight
+        objective += float(graph.edge_weight[k])
         triples.append(AssignmentTriple(
             satellite_id=arrays.sat_ids[si],
             ground_station_id=arrays.gs_ids[g_pos],
             antenna=int(arrays.antenna_no[col]),
-            data_center_id=cand.data_center_id,
-            dtil_mb=cand.dtil_mb,
+            data_center_id=arrays.dc_ids[graph.edge_dc[k]],
+            dtil_mb=float(graph.edge_dtil[k]),
         ))
-    triples.sort(key=lambda tr: tr.satellite_id)
-    return (Assignment(slot=graph.slot, triples=tuple(triples), unassigned=tuple(sorted(unassigned))),
+    return (Assignment(slot=graph.slot, triples=tuple(triples), unassigned=tuple(unassigned)),
             objective)
 
 

@@ -85,6 +85,18 @@ class TestStepSemantics:
         with pytest.raises(ScenarioError, match="xi"):
             run(tiny_scenario(horizon=1), xi=0.0, table=empty_table(1))
 
+    def test_rejects_table_of_another_horizon(self):
+        with pytest.raises(ScenarioError, match="3 slots, scenario horizon is 2"):
+            run(tiny_scenario(horizon=2), table=empty_table(3))
+
+    @pytest.mark.parametrize("sat_id, gs_id, unknown", [
+        ("sat-9", "gs-0", "unknown satellite 'sat-9'"),
+        ("sat-0", "gs-9", "unknown ground station 'gs-9'")])
+    def test_rejects_table_naming_unknown_entities(self, sat_id, gs_id, unknown):
+        table = ContactTable(2, [Contact(1, sat_id, gs_id, 45.0, 1000.0)])
+        with pytest.raises(ScenarioError, match=unknown):
+            run(tiny_scenario(horizon=2), table=table)
+
     def test_records_reference_real_contacts(self):
         sc = validate_scenario(desk_scenario(seed=2, horizon=120, v=1e3))
         table = build_contact_table(sc)

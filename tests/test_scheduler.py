@@ -26,10 +26,11 @@ class TestEdgeWeight:
         states = states_for(sc, {})
         cand = edge_weight(states["sat-0"], "gs-0", 0, 0.0, sc, table)
         assert cand.dtil_mb == 0.0
-        assert cand.lt1 == cand.lt2 == cand.lc == 0.0
         assert cand.weight == pytest.approx(1.0 * 22.0)
         # best data center by lowest kappa * price
         assert cand.data_center_id == "dc-1"
+        # an empty downlink has no service latency for Q to price
+        assert edge_weight(states["sat-0"], "gs-0", 0, 1e6, sc, table).weight == cand.weight
 
     def test_degenerate_all_zero_matches_virtual(self):
         sc = make_scenario(n_sats=1, v=0.0)
@@ -98,6 +99,32 @@ class TestMatching:
         states = states_for(sc, {s.id: [(0, 4000.0)] for s in sc.satellites})
         assignment = schedule_slot(states, 0.0, 0, sc, table)
         assert check_assignment(assignment, sc, table) == []
+
+
+def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
+    # sat-0 and sat-1 hold data in view of a station; sat-2 is in view with
+    # an empty backlog, so its only edge costs the rental; sat-3 sees nothing
+    sc = make_scenario(n_sats=4, stations=((2, 22.0), (1, 18.0)), v=1.0)
+    table = table_for(sc, [("sat-0", "gs-0", 5000.0), ("sat-1", "gs-0", 5000.0),
+                           ("sat-1", "gs-1", 3000.0), ("sat-2", "gs-1", 3000.0)])
+    states = states_for(sc, {"sat-0": [(0, 4000.0)], "sat-1": [(0, 2000.0)]})
+    seen = []
+    kernel = hungarian.min_cost_assignment
+
+    def spy(cost):
+        seen.append(cost.shape)
+        return kernel(cost)
+
+    monkeypatch.setattr(hungarian, "min_cost_assignment", spy)
+    graph = build_bipartite(states, 0.0, 0, sc, table)
+    n_real = graph.n_real
+    gains = (graph.weights[:, :n_real] < 0.0).any(axis=1)
+    assert gains.tolist() == [True, True, False, False]
+    assignment, _ = hungarian_min_matching(graph)
+    # two rows; the three gs-0/gs-1 antennas both rows can use, and their fallbacks
+    assert seen == [(2, 3 + 2)]
+    assert [tr.satellite_id for tr in assignment.triples] == ["sat-0", "sat-1"]
+    assert assignment.unassigned == ("sat-2", "sat-3")
 
 
 class TestValidator:
@@ -213,8 +240,6 @@ def test_scalar_and_vectorized_weights_agree(seed):
         assert cand.weight == pytest.approx(batched.weight, rel=1e-12, abs=1e-9)
         assert cand.data_center_id == batched.data_center_id
         assert cand.dtil_mb == pytest.approx(batched.dtil_mb, rel=1e-12, abs=1e-12)
-        assert (cand.lt1, cand.lt2, cand.lc) == pytest.approx(
-            (batched.lt1, batched.lt2, batched.lc), rel=1e-12, abs=1e-9)
         col = int(arrays.station_col0[gi])
         assert graph.weights[si, col] == pytest.approx(cand.weight, rel=1e-12, abs=1e-9)
 
