@@ -55,15 +55,10 @@ def queuing_latency(popped: list[DataChunk], slot: int, tau: float) -> float:
     return total
 
 
-def transmission_latency_gsl(dtil_mb: float, rate_mb_per_min: float) -> float:
+def transmission_latency(dtil_mb: float, rate_mb_per_min: float) -> float:
+    """Minutes to send dtil MB over one hop (ground link or backhaul)."""
     if rate_mb_per_min <= 0:
-        raise ValueError("GSL rate must be > 0")
-    return dtil_mb / rate_mb_per_min
-
-
-def transmission_latency_backhaul(dtil_mb: float, rate_mb_per_min: float) -> float:
-    if rate_mb_per_min <= 0:
-        raise ValueError("backhaul rate must be > 0")
+        raise ValueError("link rate must be > 0")
     return dtil_mb / rate_mb_per_min
 
 

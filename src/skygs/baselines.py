@@ -14,12 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from skygs import hungarian, rng
+from skygs import rng
 from skygs.model import Scenario, ScenarioError
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
-from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays,
-                             schedule_slot)
+from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
+                             contact_arrays, hungarian_min_matching, schedule_slot)
 
 
 class PolicyKind(str, Enum):
@@ -107,9 +107,7 @@ class _GreedyCore:
                 dtil_mb=dtil,
             ))
         triples.sort(key=lambda tr: tr.satellite_id)
-        assigned = {tr.satellite_id for tr in triples}
-        unassigned = tuple(sorted(set(arrays.sat_ids) - assigned))
-        return Assignment(slot=slot, triples=tuple(triples), unassigned=unassigned)
+        return Assignment(slot=slot, triples=tuple(triples))
 
 
 class BGPolicy:
@@ -191,22 +189,22 @@ class BRPolicy:
                 dtil_mb=dtil,
             ))
         triples.sort(key=lambda tr: tr.satellite_id)
-        assigned = {tr.satellite_id for tr in triples}
-        unassigned = tuple(sorted(set(arrays.sat_ids) - assigned))
-        return Assignment(slot=slot, triples=tuple(triples), unassigned=unassigned)
+        return Assignment(slot=slot, triples=tuple(triples))
 
 
 class IlpHpqPolicy:
     """Per-slot cost minimizer with a forced high-priority downlink queue.
 
-    A satellite whose oldest backlogged data has waited at least rho * xi
-    minutes becomes high priority: its do-nothing option is priced above any
-    achievable real cost, so the min-cost matching downlinks it whenever an
-    antenna is in view. The per-slot feasible region is an assignment
-    polytope, so matching solves the slot problem exactly without an external
-    programming solver. Real costs are never negative, so only high-priority
-    satellites reach the matching kernel; a free downlink ties with doing
-    nothing, and the tie goes to doing nothing.
+    It prices the edges and fallbacks of the broker's slot graph: each edge
+    costs its rental plus compute at the cheapest data center, and a
+    satellite whose oldest backlogged data has waited at least rho * xi
+    minutes becomes high priority, its fallback priced above the slot's edges
+    combined, so the min-cost matching downlinks it whenever an antenna is in
+    view. The per-slot feasible region is an assignment polytope, so matching
+    solves the slot problem exactly without an external programming solver.
+    Real costs are never negative, so only high-priority satellites reach the
+    matching kernel; a free downlink ties with doing nothing, and the tie goes
+    to doing nothing.
     """
 
     name = "ilp_hpq"
@@ -221,58 +219,23 @@ class IlpHpqPolicy:
 
     def schedule(self, states, q, slot, table):
         arrays = self.arrays
-        scenario = self.scenario
-        n_s = len(arrays.sat_ids)
-        n_real = arrays.n_real_antennas
-        tau, xi = scenario.tau, scenario.xi
+        tau, xi = self.scenario.tau, self.scenario.xi
+        backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
+        si, gi, rate = contact_arrays(table, slot, arrays)
+        held = backlog[si] > 0
+        si, gi = si[held], gi[held]
+        dtil = np.minimum(rate[held] * tau, backlog[si])
+        cost = arrays.price_slot[gi] + arrays.dc_cost_per_mb[self.best_dc] * dtil
 
-        high_priority = np.zeros(n_s, dtype=bool)
-        for si, sat_id in enumerate(arrays.sat_ids):
+        m_forced = sum(np.abs(cost).tolist()) + 1.0
+        fallback = np.zeros(len(backlog))
+        for k, sat_id in enumerate(arrays.sat_ids):
             oldest = states[sat_id].oldest_arrival_slot()
             if oldest is not None and (slot - oldest) * tau >= self.rho * xi:
-                high_priority[si] = True
-
-        entries = []  # (si, g_pos, cost, dtil)
-        for c in table.contacts_at(slot):
-            si = arrays.sat_index[c.satellite_id]
-            state = states[c.satellite_id]
-            if state.total_mb <= 0:
-                continue
-            g_pos = arrays.gs_index[c.ground_station_id]
-            dtil = min(c.rate_mb_per_min * tau, state.total_mb)
-            cost = float(arrays.price_slot[g_pos]
-                         + arrays.dc_cost_per_mb[self.best_dc] * dtil)
-            entries.append((si, g_pos, cost, dtil))
-
-        m_forced = sum(abs(cost) for _, _, cost, _ in entries) + 1.0
-        big = 4.0 * (m_forced + 1.0)
-        weights = np.full((n_s, n_real + n_s), big)
-        for si in range(n_s):
-            weights[si, n_real + si] = m_forced if high_priority[si] else 0.0
-        info: dict[tuple[int, int], tuple[float, float]] = {}
-        for si, g_pos, cost, dtil in entries:
-            c0 = arrays.station_col0[g_pos]
-            weights[si, c0:c0 + arrays.antenna_counts[g_pos]] = cost
-            info[(si, g_pos)] = (cost, dtil)
-
-        col4row = hungarian.match_with_fallbacks(weights)
-        triples = []
-        for si, col in enumerate(col4row.tolist()):
-            if col >= n_real:
-                continue
-            g_pos = int(arrays.antenna_station[col])
-            _, dtil = info[(si, g_pos)]
-            triples.append(AssignmentTriple(
-                satellite_id=arrays.sat_ids[si],
-                ground_station_id=arrays.gs_ids[g_pos],
-                antenna=int(arrays.antenna_no[col]),
-                data_center_id=arrays.dc_ids[self.best_dc],
-                dtil_mb=dtil,
-            ))
-        triples.sort(key=lambda tr: tr.satellite_id)
-        assigned = {tr.satellite_id for tr in triples}
-        unassigned = tuple(sorted(set(arrays.sat_ids) - assigned))
-        return Assignment(slot=slot, triples=tuple(triples), unassigned=unassigned)
+                fallback[k] = m_forced
+        graph = SlotGraph.from_edges(slot, arrays, si, gi, cost, dtil,
+                                     np.repeat(self.best_dc, len(cost)), fallback)
+        return hungarian_min_matching(graph)[0]
 
 
 class SkyGSPolicy:
@@ -283,7 +246,7 @@ class SkyGSPolicy:
         self.scenario = scenario
 
     def schedule(self, states, q, slot, table):
-        return schedule_slot(states, q, slot, self.scenario, table, arrays=self.arrays)
+        return schedule_slot(states, q, slot, self.scenario, table, arrays=self.arrays)[0]
 
 
 _POLICY_CLASSES = {

@@ -66,22 +66,12 @@ def cmd_gen_contacts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolved_scenario(scenario, args):
-    """Apply command-line overrides so every consumer sees the same world."""
-    overrides = {}
-    for attr, field_name in (("policy", "policy"), ("seed", "seed"),
-                             ("v", "v"), ("xi", "xi")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    return replace(scenario, **overrides) if overrides else scenario
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    # the weight dump replays this same overridden scenario
+    scenario = engine.with_overrides(load_scenario(args.scenario), policy=args.policy,
+                                     seed=args.seed, v=args.v, xi=args.xi)
     if args.contacts is not None:
         scenario = replace(scenario, contact_plan_path=args.contacts)
-    scenario = _resolved_scenario(scenario, args)
     record, metrics = engine.run(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,11 +116,11 @@ def _dump_weights(base, record, out_dir: str) -> None:
             advance_backlog(states[sat.id], arrivals.arrivals_for_slot(sat.id, t), t)
 
 
-def _grid_row(scenario, policy: str, table, v, xi) -> dict:
+def _grid_row(scenario, policy: str, table) -> dict:
     """One cell of the compare grid; `table()` returns the seed's contact table."""
     row = {"policy": policy, "seed": scenario.seed, "status": "ok"}
     try:
-        record, metrics = engine.run(scenario, policy=policy, v=v, xi=xi, table=table())
+        record, metrics = engine.run(scenario, policy=policy, table=table())
         summary = engine.summary_dict(record, metrics)
         for k in SUMMARY_FIELDS:
             row[k] = summary[k]
@@ -143,7 +133,7 @@ def _grid_row(scenario, policy: str, table, v, xi) -> dict:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = engine.with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
     policies = [p.strip().lower() for p in args.policies.split(",") if p.strip()]
     for p in policies:
         if p not in POLICIES:
@@ -158,7 +148,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         seeded = replace(scenario, seed=seed)
         table = functools.cache(functools.partial(build_contact_table, seeded))
         for policy in policies:
-            cells[policy, seed] = _grid_row(seeded, policy, table, args.v, args.xi)
+            cells[policy, seed] = _grid_row(seeded, policy, table)
     rows = [cells[policy, seed] for policy in policies for seed in seeds]
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["policy", "seed", "status"] + SUMMARY_FIELDS)
@@ -171,17 +161,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_v(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = engine.with_overrides(load_scenario(args.scenario), seed=args.seed, xi=args.xi)
     v_list = _parse_float_list(args.v_list, "--v-list")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    scenario = replace(scenario, seed=args.seed)
     table = build_contact_table(scenario)
 
     def sweep_row(v: float) -> dict:
-        _record, metrics = engine.run(scenario, policy="skygs", v=v, xi=args.xi,
-                                      table=table)
+        _record, metrics = engine.run(scenario, policy="skygs", v=v, table=table)
         return {
             "v": repr(float(v)),
             "total_cost": repr(float(metrics.total_cost)),

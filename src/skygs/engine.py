@@ -42,7 +42,6 @@ class SimState:
     records: list[DownlinkRecord] = field(default_factory=list)
     q_trace: list[float] = field(default_factory=list)        # Q(t+1) per slot
     backlog_trace: list[float] = field(default_factory=list)  # total backlog after arrivals
-    cost_trace: list[float] = field(default_factory=list)
     phi_trace: list[float] = field(default_factory=list)      # sum of the slot's phi_s
 
 
@@ -56,7 +55,6 @@ class RunRecord:
     records: tuple[DownlinkRecord, ...]
     q_trace: tuple[float, ...]
     backlog_trace: tuple[float, ...]
-    cost_trace: tuple[float, ...]
     phi_trace: tuple[float, ...]
     final_backlogs: dict[str, float]
     total_arrivals: dict[str, float]
@@ -82,8 +80,8 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
         gi = arrays.gs_index[tr.ground_station_id]
         di = arrays.dc_index[tr.data_center_id]
         lq = accounting.queuing_latency(popped, t, scenario.tau)
-        lt1 = accounting.transmission_latency_gsl(moved, rate)
-        lt2 = accounting.transmission_latency_backhaul(moved, float(arrays.backhaul[gi, di]))
+        lt1 = accounting.transmission_latency(moved, rate)
+        lt2 = accounting.transmission_latency(moved, float(arrays.backhaul[gi, di]))
         lc = accounting.computation_latency(moved, float(arrays.dc_kappa[di]))
         l_total = lq + lt1 + lt2 + lc
         cr, cc, c_total = accounting.costs(moved, float(arrays.price_slot[gi]),
@@ -113,7 +111,6 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     sim.records.extend(slot_records)
     sim.q_trace.append(sim.q)
     sim.backlog_trace.append(backlog)
-    sim.cost_trace.append(sum(r.c_total for r in slot_records))
     sim.phi_trace.append(phi_total)
     sim.slot += 1
     return slot_records
@@ -134,10 +131,10 @@ def _check_table(table: ContactTable, scenario: Scenario) -> None:
             raise ScenarioError(f"contact table names unknown {kind} {unknown[0]!r}")
 
 
-def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
-        v: float | None = None, xi: float | None = None,
-        table: ContactTable | None = None) -> tuple[RunRecord, RunMetrics]:
-    """Execute one full simulation, with optional overrides."""
+def with_overrides(scenario: Scenario, *, policy: str | None = None,
+                   seed: int | None = None, v: float | None = None,
+                   xi: float | None = None) -> Scenario:
+    """The scenario with the given fields replaced, checked like a scenario file's."""
     overrides: dict[str, Any] = {}
     if policy is not None:
         overrides["policy"] = policy.lower()
@@ -145,13 +142,21 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
     if seed is not None:
         overrides["seed"] = seed
     if v is not None:
+        if not v >= 0:
+            raise ScenarioError("v: must be >= 0")
         overrides["v"] = v
     if xi is not None:
         if not xi > 0:
             raise ScenarioError("xi: must be > 0")
         overrides["xi"] = xi
-    if overrides:
-        scenario = replace(scenario, **overrides)
+    return replace(scenario, **overrides) if overrides else scenario
+
+
+def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
+        v: float | None = None, xi: float | None = None,
+        table: ContactTable | None = None) -> tuple[RunRecord, RunMetrics]:
+    """Execute one full simulation, with optional overrides (see with_overrides)."""
+    scenario = with_overrides(scenario, policy=policy, seed=seed, v=v, xi=xi)
     if table is None or seed is not None:
         table = build_contact_table(scenario)
     else:
@@ -180,7 +185,6 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
         records=tuple(sim.records),
         q_trace=tuple(sim.q_trace),
         backlog_trace=tuple(sim.backlog_trace),
-        cost_trace=tuple(sim.cost_trace),
         phi_trace=tuple(sim.phi_trace),
         final_backlogs={sid: st.total_mb for sid, st in sim.states.items()},
         total_arrivals=total_arrivals,

@@ -134,23 +134,11 @@ class Scenario:
     noise: tuple[float, float] = DEFAULT_NOISE
     contact_plan_path: str | None = None
 
-    def satellite(self, sat_id: str) -> Satellite:
-        for s in self.satellites:
-            if s.id == sat_id:
-                return s
-        raise KeyError(sat_id)
-
     def station(self, gs_id: str) -> GroundStation:
         for g in self.ground_stations:
             if g.id == gs_id:
                 return g
         raise KeyError(gs_id)
-
-    def data_center(self, dc_id: str) -> DataCenter:
-        for d in self.data_centers:
-            if d.id == dc_id:
-                return d
-        raise KeyError(dc_id)
 
     def to_json_dict(self) -> dict[str, Any]:
         """Canonical JSON form (all values in canonical units).

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from skygs import rng
-from skygs.model import Satellite, Scenario
+from skygs.model import Scenario
 
 MINUTES_PER_DAY = 1440.0
 
@@ -138,8 +138,3 @@ class ArrivalModel:
         if self._mask[satellite_id][slot]:
             return self._per_slot[satellite_id]
         return 0.0
-
-
-def arrivals_for_slot(satellite: Satellite, slot: int, model: ArrivalModel) -> float:
-    """Arrival MB for one satellite-slot under a run's arrival model."""
-    return model.arrivals_for_slot(satellite.id, slot)

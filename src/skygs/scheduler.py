@@ -20,6 +20,15 @@ downlink, whatever the age of the backlog. Terms independent of the decision
 of a satellite, which leaves the argmin matching unchanged. A min-cost
 left-perfect matching then yields the slot's assignment.
 
+The slot graph is the one representation of a slot's matching problem for
+every matching policy. SlotGraph.from_edges takes the slot's edges (satellite,
+station, weight, dtil, data center) and a per-satellite fallback vector, the
+weight of each satellite's virtual antenna: zero for the broker, a forcing
+price for ilp_hpq's high-priority satellites. Each station's antenna columns
+repeat its edge weights, and pairs without a contact carry a finite bound
+above every edge and fallback. hungarian_min_matching decodes the matching of
+any such graph into an Assignment.
+
 Only satellites that can gain reach the matching kernel. A satellite whose
 best real edge weighs no less than its virtual antenna (no contact, or every
 edge at or above zero) does not downlink, and only the antennas that some
@@ -154,7 +163,6 @@ class AssignmentTriple:
 class Assignment:
     slot: int
     triples: tuple[AssignmentTriple, ...]
-    unassigned: tuple[str, ...] = ()
 
 
 @dataclass
@@ -168,6 +176,29 @@ class SlotGraph:
     edge_weight: np.ndarray    # [n_edges]
     edge_dtil: np.ndarray      # [n_edges]
     edge_dc: np.ndarray        # [n_edges] data center position
+
+    @classmethod
+    def from_edges(cls, slot: int, arrays: ScenarioArrays, si: np.ndarray, gi: np.ndarray,
+                   weight: np.ndarray, dtil: np.ndarray, dc: np.ndarray,
+                   fallback: np.ndarray) -> "SlotGraph":
+        """The graph of edges (si[k], gi[k]) with `fallback[s]` on satellite s's
+        virtual antenna.
+
+        Every antenna of a station repeats the station's edge weight. Pairs
+        without a contact carry a bound above any sum of edges and fallbacks,
+        so no minimum matching uses them.
+        """
+        n_s, n_g = len(arrays.sat_ids), len(arrays.gs_ids)
+        n_real = arrays.n_real_antennas
+        edge_of = np.full((n_s, n_g), -1, dtype=np.int64)
+        edge_of[si, gi] = np.arange(len(weight))
+        big = 4.0 * (1.0 + sum(np.abs(weight).tolist()) + sum(np.abs(fallback).tolist()))
+        weights = np.full((n_s, n_real + n_s), big)
+        # edge_of is -1 without a contact, which picks the appended bound
+        weights[:, :n_real] = np.append(weight, big)[edge_of[:, arrays.antenna_station]]
+        weights[:, n_real:].flat[::n_s + 1] = fallback  # the virtual block's diagonal
+        return cls(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of,
+                   edge_weight=weight, edge_dtil=dtil, edge_dc=dc)
 
     @property
     def n_real(self) -> int:
@@ -239,54 +270,43 @@ def edge_weight(state: SatelliteState, station_id: str, slot: int, q: float,
                          dtil_mb=float(dtil[0]))
 
 
-def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
-                    scenario: Scenario, table: ContactTable,
-                    arrays: ScenarioArrays | None = None) -> SlotGraph:
-    """Weight matrix over satellites x (real antennas + private virtuals).
-
-    Pairs without a contact carry a large finite penalty so the matcher never
-    uses them; each satellite's private virtual column carries weight zero.
-    Every edge of the slot is computed in one pass over the contact arrays.
-    """
-    arrays = arrays or ScenarioArrays.from_scenario(scenario)
-    n_s, n_g = len(arrays.sat_ids), len(arrays.gs_ids)
-    n_real = arrays.n_real_antennas
-
+def contact_arrays(table: ContactTable, slot: int,
+                   arrays: ScenarioArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(satellite position, station position, rate) of each of the slot's contacts."""
     contacts = table.contacts_at(slot)
     si = np.array([arrays.sat_index[c.satellite_id] for c in contacts], dtype=np.int64)
     gi = np.array([arrays.gs_index[c.ground_station_id] for c in contacts], dtype=np.int64)
     rate = np.array([c.rate_mb_per_min for c in contacts], dtype=float)
+    return si, gi, rate
+
+
+def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
+                    scenario: Scenario, table: ContactTable,
+                    arrays: ScenarioArrays | None = None) -> SlotGraph:
+    """The broker's slot graph: drift-plus-penalty edges, zero-weight virtuals.
+
+    Every edge of the slot is computed in one pass over the contact arrays.
+    """
+    arrays = arrays or ScenarioArrays.from_scenario(scenario)
+    si, gi, rate = contact_arrays(table, slot, arrays)
     backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
     weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
-
-    big = 4.0 * (1.0 + sum(np.abs(weight).tolist()))
-    weights = np.full((n_s, n_real + n_s), big)
-    weights[np.arange(n_s), n_real + np.arange(n_s)] = 0.0
-    # one cell per antenna of each contacted station: repeat every edge over
-    # its station's antenna span
-    span = arrays.antenna_counts[gi]
-    first_col = np.repeat(arrays.station_col0[gi] - (np.cumsum(span) - span), span)
-    weights[np.repeat(si, span), first_col + np.arange(span.sum())] = np.repeat(weight, span)
-    edge_of = np.full((n_s, n_g), -1, dtype=np.int64)
-    edge_of[si, gi] = np.arange(len(contacts))
-    return SlotGraph(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of,
-                     edge_weight=weight, edge_dtil=dtil, edge_dc=di)
+    return SlotGraph.from_edges(slot, arrays, si, gi, weight, dtil, di, np.zeros(len(backlog)))
 
 
 def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
-    """Minimum-weight left-perfect matching on the slot graph."""
+    """Minimum-weight left-perfect matching on the slot graph, with its total
+    edge weight."""
     arrays = graph.arrays
     n_real = graph.n_real
     col4row = hungarian.match_with_fallbacks(graph.weights)
     triples: list[AssignmentTriple] = []
-    unassigned: list[str] = []
     objective = 0.0
-    # rows follow the sorted satellite ids, so both lists come out sorted
+    # rows follow the sorted satellite ids, so the triples come out sorted
     for si, col in enumerate(col4row.tolist()):
         if col >= n_real:
             if col - n_real != si:
                 raise RuntimeError("matching used another satellite's virtual antenna")
-            unassigned.append(arrays.sat_ids[si])
             continue
         g_pos = int(arrays.antenna_station[col])
         k = graph.edge_of[si, g_pos]
@@ -300,20 +320,14 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
             data_center_id=arrays.dc_ids[graph.edge_dc[k]],
             dtil_mb=float(graph.edge_dtil[k]),
         ))
-    return (Assignment(slot=graph.slot, triples=tuple(triples), unassigned=tuple(unassigned)),
-            objective)
+    return Assignment(slot=graph.slot, triples=tuple(triples)), objective
 
 
 def schedule_slot(states: dict[str, SatelliteState], q: float, slot: int,
                   scenario: Scenario, table: ContactTable,
-                  arrays: ScenarioArrays | None = None,
-                  return_objective: bool = False):
-    """One slot of the drift-plus-penalty policy."""
-    graph = build_bipartite(states, q, slot, scenario, table, arrays)
-    assignment, objective = hungarian_min_matching(graph)
-    if return_objective:
-        return assignment, objective
-    return assignment
+                  arrays: ScenarioArrays | None = None) -> tuple[Assignment, float]:
+    """One slot of the drift-plus-penalty policy: (assignment, objective)."""
+    return hungarian_min_matching(build_bipartite(states, q, slot, scenario, table, arrays))
 
 
 def dump_weight_matrix(graph: SlotGraph, path: str) -> None:
@@ -477,5 +491,4 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
             data_center_id=arrays.dc_ids[d_pos],
             dtil_mb=dtil,
         ))
-    unassigned = tuple(sorted(set(arrays.sat_ids) - {tr.satellite_id for tr in triples}))
-    return Assignment(slot=slot, triples=tuple(triples), unassigned=unassigned), float(best_obj)
+    return Assignment(slot=slot, triples=tuple(triples)), float(best_obj)

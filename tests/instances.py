@@ -93,6 +93,6 @@ def oracle_agreement(seed):
     """(matching objective, enumeration objective) on one random instance."""
     rng = np.random.default_rng(seed)
     scenario, table, states, slot, q = random_instance(rng)
-    _, fast = schedule_slot(states, q, slot, scenario, table, return_objective=True)
+    _, fast = schedule_slot(states, q, slot, scenario, table)
     _, exact = brute_force_schedule(states, q, slot, scenario, table)
     return fast, exact

@@ -2,8 +2,7 @@ import pytest
 
 from skygs.accounting import (DownlinkRecord, aggregate_metrics,
                               computation_latency, costs, excess_latency,
-                              queuing_latency, transmission_latency_backhaul,
-                              transmission_latency_gsl)
+                              queuing_latency, transmission_latency)
 from skygs.queues import DataChunk
 
 
@@ -33,23 +32,23 @@ class TestQueuingLatency:
 
 class TestTransmission:
     def test_gsl(self):
-        assert transmission_latency_gsl(600.0, 100.0) == 6.0
+        assert transmission_latency(600.0, 100.0) == 6.0
 
     def test_gsl_zero_data(self):
-        assert transmission_latency_gsl(0.0, 100.0) == 0.0
+        assert transmission_latency(0.0, 100.0) == 0.0
 
     def test_gsl_full_slot(self):
-        assert transmission_latency_gsl(12_000.0, 12_000.0) == 1.0
+        assert transmission_latency(12_000.0, 12_000.0) == 1.0
 
     def test_backhaul_one_gbps(self):
-        assert transmission_latency_backhaul(7_500.0, 7_500.0) == 1.0
+        assert transmission_latency(7_500.0, 7_500.0) == 1.0
 
     def test_backhaul_half(self):
-        assert transmission_latency_backhaul(3_750.0, 7_500.0) == 0.5
+        assert transmission_latency(3_750.0, 7_500.0) == 0.5
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
-            transmission_latency_gsl(1.0, 0.0)
+            transmission_latency(1.0, 0.0)
 
 
 class TestComputation:

@@ -210,12 +210,15 @@ class TestIlpHpq:
 
     def test_serves_maximum_high_priority_coverage(self):
         # every high-priority satellite that a feasible matching could serve
-        # must be served; verified against an independent max-matching count
-        import itertools
-
+        # must be served, at the least rental-plus-compute cost among the
+        # assignments that serve that many, and no other satellite is served;
+        # verified against an independent enumeration of all assignments
         rng = np.random.default_rng(11)
         sc = make_scenario([("gs-a", "p1", 1, 18.0), ("gs-b", "p1", 2, 26.0)],
                            n_sats=4, policy="ilp_hpq")
+        price = {g.id: g.price_per_slot for g in sc.ground_stations}
+        per_mb = {d.id: d.price_per_min * d.intensity_min_per_mb for d in sc.data_centers}
+        antennas = [(g.id, a) for g in sc.ground_stations for a in range(g.antennas)]
         for trial in range(40):
             slot = 60
             contacts = []
@@ -231,23 +234,33 @@ class TestIlpHpq:
             hp = {sid for sid, st in states.items()
                   if st.chunks and (slot - st.chunks[0].arrival_slot) >= 0.8 * 60}
             asg = IlpHpqPolicy(sc).schedule(states, 0.0, slot, table)
-            served_hp = {t.satellite_id for t in asg.triples} & hp
+            served = {t.satellite_id for t in asg.triples}
+            cost = sum(price[t.ground_station_id] + per_mb[t.data_center_id] * t.dtil_mb
+                       for t in asg.triples)
 
-            # brute-force the max number of simultaneously servable HP sats
-            antennas = [(g.id, a) for g in sc.ground_stations for a in range(g.antennas)]
-            best = 0
-            for r in range(min(len(hp), len(antennas)), 0, -1):
-                for combo in itertools.permutations(antennas, r):
-                    for sats in itertools.combinations(sorted(hp), r):
-                        if all(table.rate(slot, s, ant[0]) is not None
-                               for s, ant in zip(sats, combo)):
-                            best = r
-                            break
-                    if best:
-                        break
-                if best:
-                    break
-            assert len(served_hp) == best, (trial, hp, served_hp, best)
+            # least cost of the assignments serving each number of HP sats
+            least: dict[int, float] = {}
+
+            def extend(sats, used, n_hp, total):
+                if not sats:
+                    least[n_hp] = min(least.get(n_hp, np.inf), total)
+                    return
+                sid, rest = sats[0], sats[1:]
+                extend(rest, used, n_hp, total)
+                for ant in antennas:
+                    rate = table.rate(slot, sid, ant[0])
+                    if ant in used or rate is None:
+                        continue
+                    dtil = min(rate * sc.tau, states[sid].total_mb)
+                    extend(rest, used | {ant}, n_hp + (sid in hp),
+                           total + price[ant[0]] + min(per_mb.values()) * dtil)
+
+            extend(sorted(sid for sid, st in states.items() if st.total_mb > 0),
+                   frozenset(), 0, 0.0)
+            most = max(least)
+            assert len(served & hp) == most, (trial, hp, served, most)
+            assert served <= hp, (trial, hp, served)
+            assert cost == pytest.approx(least[most], rel=1e-12), trial
 
 
 class TestCommon:

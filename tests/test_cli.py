@@ -90,6 +90,14 @@ class TestSimulate:
                      "--v", "5000000", "--xi", "60"]) == 0
         assert (out / "summary_skygs_seed1.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--xi", "0"), ("--xi", "-5"), ("--v", "-1")])
+    def test_invalid_override_exits_one(self, scenario_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
+                     flag, value]) == 1
+        assert f"error: {flag[2:]}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_contact_plan_flag(self, scenario_file, tmp_path):
         plan = tmp_path / "plan.csv"
         main(["gen-contacts", "--scenario", scenario_file, "--out", str(plan)])
@@ -177,6 +185,14 @@ class TestCompare:
         assert main(["compare", "--scenario", scenario_file, "--policies", "zzz",
                      "--out", str(tmp_path / "c.csv")]) == 1
 
+    def test_invalid_override_exits_one(self, scenario_file, tmp_path, capsys):
+        # checked once up front, not reported as a grid of failed rows
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--scenario", scenario_file, "--xi", "0",
+                     "--out", str(out)]) == 1
+        assert "error: xi: must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_run_marked_others_proceed(self, tmp_path):
         # provider p1 owns stations but no data centers, so the sg row cannot
         # be scheduled; bg must still produce a valid row
@@ -211,3 +227,10 @@ class TestSweepV:
         assert lines[0] == "v,total_cost,avg_latency_min_per_mb,violation_rate,mean_q"
         assert len(lines) == 4
         assert lines[1].startswith("0.0,")
+
+    def test_negative_v_exits_one(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-v", "--scenario", scenario_file,
+                     "--v-list=-1e5", "--out", str(out)]) == 1
+        assert "error: v: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()

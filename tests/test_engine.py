@@ -85,6 +85,10 @@ class TestStepSemantics:
         with pytest.raises(ScenarioError, match="xi"):
             run(tiny_scenario(horizon=1), xi=0.0, table=empty_table(1))
 
+    def test_rejects_negative_v_override(self):
+        with pytest.raises(ScenarioError, match="v: must be >= 0"):
+            run(tiny_scenario(horizon=1), v=-1.0, table=empty_table(1))
+
     def test_rejects_table_of_another_horizon(self):
         with pytest.raises(ScenarioError, match="3 slots, scenario horizon is 2"):
             run(tiny_scenario(horizon=2), table=empty_table(3))

@@ -161,10 +161,3 @@ class TestArrivals:
         b = ArrivalModel(sc)
         assert [a.arrivals_for_slot("sat-a", t) for t in range(200)] == \
                [b.arrivals_for_slot("sat-a", t) for t in range(200)]
-
-    def test_satellite_wrapper(self):
-        from skygs.queues import arrivals_for_slot
-        sc = arrivals_scenario(1.0)
-        model = ArrivalModel(sc)
-        sat = sc.satellites[0]
-        assert arrivals_for_slot(sat, 3, model) == model.arrivals_for_slot("sat-a", 3)

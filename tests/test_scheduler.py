@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from instances import make_scenario, oracle_agreement, random_instance, states_for, table_for
@@ -62,7 +62,6 @@ class TestBuildBipartite:
         assignment, objective = hungarian_min_matching(graph)
         assert assignment.triples == ()
         assert objective == 0.0
-        assert set(assignment.unassigned) == {"sat-0", "sat-1", "sat-2"}
 
     def test_antenna_copies_share_weight(self):
         sc = make_scenario(n_sats=1, stations=((2, 22.0),))
@@ -88,7 +87,7 @@ class TestMatching:
         sc = make_scenario(n_sats=2, stations=((1, 22.0),), v=0.0)
         table = table_for(sc, [("sat-0", "gs-0", 12_000.0), ("sat-1", "gs-0", 12_000.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 70.0)]})
-        assignment = schedule_slot(states, 0.0, 0, sc, table)
+        assignment, _ = schedule_slot(states, 0.0, 0, sc, table)
         assert len(assignment.triples) == 1
         assert assignment.triples[0].satellite_id == "sat-0"
 
@@ -97,7 +96,7 @@ class TestMatching:
         table = table_for(sc, [("sat-0", "gs-0", 5000.0), ("sat-1", "gs-0", 5000.0),
                                ("sat-1", "gs-1", 3000.0), ("sat-2", "gs-1", 1000.0)])
         states = states_for(sc, {s.id: [(0, 4000.0)] for s in sc.satellites})
-        assignment = schedule_slot(states, 0.0, 0, sc, table)
+        assignment, _ = schedule_slot(states, 0.0, 0, sc, table)
         assert check_assignment(assignment, sc, table) == []
 
 
@@ -124,7 +123,6 @@ def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
     # two rows; the three gs-0/gs-1 antennas both rows can use, and their fallbacks
     assert seen == [(2, 3 + 2)]
     assert [tr.satellite_id for tr in assignment.triples] == ["sat-0", "sat-1"]
-    assert assignment.unassigned == ("sat-2", "sat-3")
 
 
 class TestValidator:
@@ -171,7 +169,7 @@ class TestBruteForce:
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
         assignment, objective = brute_force_schedule(states, 0.0, 0, sc, table)
         # oracle must match the matcher exactly on this trivial instance
-        _, matched = schedule_slot(states, 0.0, 0, sc, table, return_objective=True)
+        _, matched = schedule_slot(states, 0.0, 0, sc, table)
         assert objective == pytest.approx(matched, rel=1e-12)
 
     def test_guard_refuses_large_instances(self):
@@ -200,12 +198,15 @@ def _station_level(graph, cols):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
+@example(2097152)  # two satellites tie exactly between two stations
 def test_constant_shift_invariance(seed):
     """A per-satellite constant on all its edges leaves the argmin unchanged.
 
     Every left-perfect matching uses exactly one edge per satellite, so all
     totals move by the same amount. Antenna copies within a station carry
-    equal weights, so invariance is asserted at the station level.
+    equal weights, so invariance is asserted at the station level. When two
+    optimal matchings tie exactly, the shift may pick the other one, which
+    must then cost the same on the original weights.
     """
     rng = np.random.default_rng(seed)
     scenario, table, states, slot, q = random_instance(rng)
@@ -217,8 +218,10 @@ def test_constant_shift_invariance(seed):
     for i in range(n_sats):
         shifted[i, :] += shifts[i]
     shifted_cols = hungarian.min_cost_assignment(shifted)
-    assert _station_level(graph, base_cols) == _station_level(graph, shifted_cols)
     base_total = hungarian.assignment_cost(graph.weights, base_cols)
+    if _station_level(graph, base_cols) != _station_level(graph, shifted_cols):
+        assert hungarian.assignment_cost(graph.weights, shifted_cols) == pytest.approx(
+            base_total, rel=1e-12)
     shifted_total = hungarian.assignment_cost(shifted, shifted_cols)
     assert shifted_total == pytest.approx(base_total + shifts.sum(), rel=1e-9, abs=1e-6)
 
@@ -253,7 +256,7 @@ def test_q_dominant_limit_matches_oracle():
     table = table_for(sc, [("sat-0", "gs-0", 500.0), ("sat-1", "gs-0", 1000.0)],
                       slot=50)
     states = states_for(sc, {"sat-0": [(0, 900.0)], "sat-1": [(49, 900.0)]})
-    assignment, fast = schedule_slot(states, 1e9, 50, sc, table, return_objective=True)
+    assignment, fast = schedule_slot(states, 1e9, 50, sc, table)
     oracle_assignment, exact = brute_force_schedule(states, 1e9, 50, sc, table)
     assert fast == pytest.approx(exact, rel=1e-9)
     assert assignment.triples[0].satellite_id == "sat-1"
@@ -269,7 +272,7 @@ def test_large_q_downlinks_backlog_older_than_threshold(q):
     sc = make_scenario(n_sats=1, stations=((1, 22.0),), v=1e6)
     table = table_for(sc, [("sat-0", "gs-0", 1000.0)], slot=200)
     states = states_for(sc, {"sat-0": [(0, 600.0), (10, 300.0)]})
-    assert schedule_slot(states, 0.0, 200, sc, table).triples == ()
-    assignment = schedule_slot(states, q, 200, sc, table)
+    assert schedule_slot(states, 0.0, 200, sc, table)[0].triples == ()
+    assignment, _ = schedule_slot(states, q, 200, sc, table)
     assert [tr.satellite_id for tr in assignment.triples] == ["sat-0"]
     assert assignment.triples[0].dtil_mb == 900.0
