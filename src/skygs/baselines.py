@@ -19,7 +19,7 @@ from skygs.model import Scenario, ScenarioError
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
 from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
-                             contact_arrays, hungarian_min_matching, schedule_slot)
+                             hungarian_min_matching, schedule_slot)
 
 
 class PolicyKind(str, Enum):
@@ -38,6 +38,15 @@ def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
         if arrays.dc_cost_per_mb[d] < arrays.dc_cost_per_mb[best]:
             best = d
     return best
+
+
+def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float]]]:
+    """Satellite position -> [(station position, rate)] of the slot's contacts,
+    in station id order. A desk slot has too few contacts for numpy to pay."""
+    links: dict[int, list[tuple[int, float]]] = {}
+    for s, g, rate in zip(*(c.tolist() for c in table.slot_contacts(slot))):
+        links.setdefault(s, []).append((g, rate))
+    return links
 
 
 class _GreedyCore:
@@ -72,19 +81,16 @@ class _GreedyCore:
                  table: ContactTable) -> Assignment:
         arrays = self.arrays
         tau = self.scenario.tau
-        free: dict[int, list[int]] = {}
-        for g_pos in range(len(arrays.gs_ids)):
-            free[g_pos] = list(range(int(arrays.antenna_counts[g_pos])))
+        free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
         ordered = sorted((s for s in states.values() if s.total_mb > 0),
                          key=lambda s: (-s.total_mb, s.satellite_id))
+        links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
         for state in ordered:
-            best = None  # (metric, gs_id, g_pos, dtil)
-            for gs_id in table.stations_for(slot, state.satellite_id):
-                g_pos = arrays.gs_index[gs_id]
+            best = None  # (metric, g_pos, dtil)
+            for g_pos, rate in links.get(arrays.sat_index[state.satellite_id], ()):
                 if g_pos not in self.gs_allowed or not free[g_pos]:
                     continue
-                rate = table.rate(slot, state.satellite_id, gs_id)
                 capacity = rate * tau
                 if self.require_full_slot and state.total_mb < capacity:
                     continue
@@ -92,16 +98,16 @@ class _GreedyCore:
                 cost = (arrays.price_slot[g_pos]
                         + arrays.dc_cost_per_mb[self.best_dc] * dtil)
                 value = cost / dtil if self.metric == "cost_per_mb" else cost
-                key = (value, gs_id)
-                if best is None or key < (best[0], best[1]):
-                    best = (value, gs_id, g_pos, dtil)
+                # station positions follow the ids, so ties go to the lowest id
+                if best is None or (value, g_pos) < best[:2]:
+                    best = (value, g_pos, dtil)
             if best is None:
                 continue
-            _, gs_id, g_pos, dtil = best
+            _, g_pos, dtil = best
             antenna = free[g_pos].pop(0)
             triples.append(AssignmentTriple(
                 satellite_id=state.satellite_id,
-                ground_station_id=gs_id,
+                ground_station_id=arrays.gs_ids[g_pos],
                 antenna=antenna,
                 data_center_id=arrays.dc_ids[self.best_dc],
                 dtil_mb=dtil,
@@ -163,27 +169,23 @@ class BRPolicy:
         gen = rng.stream(self.scenario.seed, rng.TAG_BR_POLICY, slot)
         eligible = sorted(s.satellite_id for s in states.values() if s.total_mb > 0)
         order = [eligible[i] for i in gen.permutation(len(eligible))]
-        free: dict[int, list[int]] = {
-            g_pos: list(range(int(arrays.antenna_counts[g_pos])))
-            for g_pos in range(len(arrays.gs_ids))
-        }
+        free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
+        links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
         for sat_id in order:
-            choices = []  # one entry per free compatible antenna
-            for gs_id in table.stations_for(slot, sat_id):
-                g_pos = arrays.gs_index[gs_id]
-                for antenna in free[g_pos]:
-                    choices.append((gs_id, g_pos, antenna))
+            # one entry per free compatible antenna
+            choices = [(g_pos, rate, antenna)
+                       for g_pos, rate in links.get(arrays.sat_index[sat_id], ())
+                       for antenna in free[g_pos]]
             if not choices:
                 continue
-            gs_id, g_pos, antenna = choices[int(gen.integers(len(choices)))]
+            g_pos, rate, antenna = choices[int(gen.integers(len(choices)))]
             free[g_pos].remove(antenna)
             d_pos = int(gen.integers(len(arrays.dc_ids)))
-            rate = table.rate(slot, sat_id, gs_id)
             dtil = min(rate * tau, states[sat_id].total_mb)
             triples.append(AssignmentTriple(
                 satellite_id=sat_id,
-                ground_station_id=gs_id,
+                ground_station_id=arrays.gs_ids[g_pos],
                 antenna=antenna,
                 data_center_id=arrays.dc_ids[d_pos],
                 dtil_mb=dtil,
@@ -221,7 +223,7 @@ class IlpHpqPolicy:
         arrays = self.arrays
         tau, xi = self.scenario.tau, self.scenario.xi
         backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
-        si, gi, rate = contact_arrays(table, slot, arrays)
+        si, gi, rate = table.slot_contacts(slot)
         held = backlog[si] > 0
         si, gi = si[held], gi[held]
         dtil = np.minimum(rate[held] * tau, backlog[si])

@@ -62,7 +62,7 @@ def cmd_gen_contacts(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_contact_plan(table, str(out))
-    print(f"wrote {len(table.all_contacts())} contacts to {out}")
+    print(f"wrote {len(table.sat)} contacts to {out}")
     return EXIT_OK
 
 
@@ -92,7 +92,6 @@ def _dump_weights(base, record, out_dir: str) -> None:
     virtual queue is read from the run's own q_trace, so each matrix is the
     one the run scheduled from.
     """
-    from skygs.orbit import build_contact_table
     from skygs.queues import ArrivalModel, SatelliteState, actual_downlink, advance_backlog
     from skygs.scheduler import ScenarioArrays, build_bipartite, dump_weight_matrix
 

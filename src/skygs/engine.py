@@ -19,7 +19,7 @@ from skygs import accounting, queues
 from skygs.accounting import DownlinkRecord, RunMetrics
 from skygs.baselines import make_policy
 from skygs.model import Scenario, ScenarioError
-from skygs.orbit import ContactTable, build_contact_table
+from skygs.orbit import ContactTable, build_contact_table, scenario_ids
 from skygs.queues import ArrivalModel, SatelliteState
 from skygs.scheduler import Assignment, ScenarioArrays, check_assignment
 
@@ -42,7 +42,6 @@ class SimState:
     records: list[DownlinkRecord] = field(default_factory=list)
     q_trace: list[float] = field(default_factory=list)        # Q(t+1) per slot
     backlog_trace: list[float] = field(default_factory=list)  # total backlog after arrivals
-    phi_trace: list[float] = field(default_factory=list)      # sum of the slot's phi_s
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class RunRecord:
     records: tuple[DownlinkRecord, ...]
     q_trace: tuple[float, ...]
     backlog_trace: tuple[float, ...]
-    phi_trace: tuple[float, ...]
     final_backlogs: dict[str, float]
     total_arrivals: dict[str, float]
 
@@ -70,7 +68,6 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
         raise InfeasibleAssignmentError(t, policy.name, violations)
 
     slot_records: list[DownlinkRecord] = []
-    phi_total = 0.0
     service_latency = 0.0
     for tr in assignment.triples:
         state = sim.states[tr.satellite_id]
@@ -88,7 +85,6 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
                                            float(arrays.dc_price[di]),
                                            float(arrays.dc_kappa[di]))
         phi_s = accounting.excess_latency(l_total, moved, scenario.xi)
-        phi_total += phi_s
         service_latency += lt1 + lt2 + lc
         slot_records.append(DownlinkRecord(
             slot=t, satellite_id=tr.satellite_id,
@@ -99,8 +95,7 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
         ))
 
     arrived = 0.0
-    for sat in scenario.satellites:
-        amount = arrivals.arrivals_for_slot(sat.id, t)
+    for sat, amount in zip(scenario.satellites, arrivals.mb[:, t].tolist()):
         queues.advance_backlog(sim.states[sat.id], amount, t)
         arrived += amount
     backlog = sum(s.total_mb for s in sim.states.values())
@@ -111,24 +106,21 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     sim.records.extend(slot_records)
     sim.q_trace.append(sim.q)
     sim.backlog_trace.append(backlog)
-    sim.phi_trace.append(phi_total)
     sim.slot += 1
     return slot_records
 
 
 def _check_table(table: ContactTable, scenario: Scenario) -> None:
-    """A caller's table must span the horizon and name only the scenario's entities."""
+    """A caller's table must span the horizon and be built for the scenario's entities."""
     if table.n_slots != scenario.horizon:
         raise ScenarioError(f"contact table has {table.n_slots} slots, "
                             f"scenario horizon is {scenario.horizon}")
-    contacts = table.all_contacts()
-    for kind, named, known in (
-            ("satellite", {c.satellite_id for c in contacts}, scenario.satellites),
-            ("ground station", {c.ground_station_id for c in contacts},
-             scenario.ground_stations)):
-        unknown = sorted(named - {e.id for e in known})
-        if unknown:
-            raise ScenarioError(f"contact table names unknown {kind} {unknown[0]!r}")
+    for kind, named, ids in zip(("satellite", "ground station"),
+                                (table.sat_ids, table.gs_ids), scenario_ids(scenario)):
+        if named != ids:
+            unknown = sorted(set(named) - set(ids))
+            raise ScenarioError(f"contact table names unknown {kind} {unknown[0]!r}" if unknown
+                                else f"contact table is not built for the scenario's {kind}s")
 
 
 def with_overrides(scenario: Scenario, *, policy: str | None = None,
@@ -173,11 +165,8 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
     for _ in range(scenario.horizon):
         step(sim, policy_obj, scenario, table, arrivals, arrays)
 
-    total_arrivals = {
-        sat.id: float(sum(arrivals.arrivals_for_slot(sat.id, t)
-                          for t in range(scenario.horizon)))
-        for sat in scenario.satellites
-    }
+    total_arrivals = dict(zip((sat.id for sat in scenario.satellites),
+                              arrivals.mb.sum(axis=1).tolist()))
     record = RunRecord(
         policy=scenario.policy,
         seed=scenario.seed,
@@ -185,7 +174,6 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
         records=tuple(sim.records),
         q_trace=tuple(sim.q_trace),
         backlog_trace=tuple(sim.backlog_trace),
-        phi_trace=tuple(sim.phi_trace),
         final_backlogs={sid: st.total_mb for sid, st in sim.states.items()},
         total_arrivals=total_arrivals,
     )

@@ -99,7 +99,3 @@ def match_with_fallbacks(cost: np.ndarray) -> np.ndarray:
     col4row = fallback_cols.copy()
     col4row[rows] = cols[min_cost_assignment(cost[np.ix_(rows, cols)])]
     return col4row
-
-
-def assignment_cost(cost: np.ndarray, col4row: np.ndarray) -> float:
-    return float(cost[np.arange(len(col4row)), col4row].sum())

@@ -134,12 +134,6 @@ class Scenario:
     noise: tuple[float, float] = DEFAULT_NOISE
     contact_plan_path: str | None = None
 
-    def station(self, gs_id: str) -> GroundStation:
-        for g in self.ground_stations:
-            if g.id == gs_id:
-                return g
-        raise KeyError(gs_id)
-
     def to_json_dict(self) -> dict[str, Any]:
         """Canonical JSON form (all values in canonical units).
 

@@ -4,13 +4,21 @@ Two sources: an analytic circular-orbit propagator (period from the orbit
 altitude, sub-satellite track over a rotating spherical Earth) or an external
 contact-plan CSV. Either way the result is an immutable ContactTable holding,
 for every slot, which satellites see which stations and at what link rate.
+
+The table is columnar, compressed sparse rows over slots. The columns `sat`,
+`gs`, `elevation_deg` and `rate_mb_per_min` hold one row per contact, sorted
+by (slot, satellite, station), and slot t's contacts are the rows
+slot_ptr[t]:slot_ptr[t + 1]. `sat` and `gs` are positions in the table's
+sorted satellite and station ids, the order of scheduler.ScenarioArrays, so
+every policy reads a slot's rows as they stand.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,41 +62,24 @@ def subsatellite_point(satellite, t_minutes, *, rotate_earth: bool = True):
     return lat, lon
 
 
-def propagate(satellite, slot: int, tau: float, *, rotate_earth: bool = True):
-    """Sub-satellite point at the slot midpoint."""
-    return subsatellite_point(satellite, (slot + 0.5) * tau, rotate_earth=rotate_earth)
-
-
 def elevation_deg(sub_lat, sub_lon, altitude_km, station_lat, station_lon):
     """Elevation of the satellite above the station's local horizon (spherical Earth).
 
-    Negative when the satellite is below the horizon. Vectorizes over the
-    sub-satellite point arguments.
+    Negative when the satellite is below the horizon. Broadcasts over its
+    arguments: station coordinates given as column vectors yield one row of
+    elevations per station.
     """
     lat1 = np.radians(np.asarray(sub_lat, dtype=float))
     lon1 = np.radians(np.asarray(sub_lon, dtype=float))
-    lat2 = math.radians(station_lat)
-    lon2 = math.radians(station_lon)
+    lat2 = np.radians(np.asarray(station_lat, dtype=float))
+    lon2 = np.radians(np.asarray(station_lon, dtype=float))
     cos_gamma = np.clip(
-        np.sin(lat1) * math.sin(lat2) + np.cos(lat1) * math.cos(lat2) * np.cos(lon1 - lon2),
+        np.sin(lat1) * np.sin(lat2) + np.cos(lat1) * np.cos(lat2) * np.cos(lon1 - lon2),
         -1.0, 1.0)
     sin_gamma = np.sqrt(1.0 - cos_gamma ** 2)
     k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     el = np.degrees(np.arctan2(cos_gamma - k, sin_gamma))
-    if np.ndim(sub_lat) == 0 and np.ndim(sub_lon) == 0:
-        return float(el)
-    return el
-
-
-def gsl_rate(elevation: float, noise_factor: float, r_max: float) -> float:
-    """Ground-satellite link rate in MB/min: r_max * sin(elevation) * noise.
-
-    Callers must only ask for rates above the elevation mask; a non-positive
-    elevation is a caller bug.
-    """
-    if elevation <= 0:
-        raise ValueError(f"gsl_rate called below the horizon (elevation {elevation})")
-    return r_max * math.sin(math.radians(elevation)) * noise_factor
+    return float(el) if el.ndim == 0 else el
 
 
 def rate_noise_factors(seed: int, sat_idx: int, gs_idx: int, n_slots: int,
@@ -102,8 +93,7 @@ def rate_noise_factors(seed: int, sat_idx: int, gs_idx: int, n_slots: int,
                        noise[0], noise[1])
 
 
-@dataclass(frozen=True)
-class Contact:
+class Contact(NamedTuple):
     slot: int
     satellite_id: str
     ground_station_id: str
@@ -112,38 +102,79 @@ class Contact:
 
 
 class ContactTable:
-    """Immutable per-slot visibility sets and rate lookup."""
+    """Immutable contacts of every slot as CSR columns (see the module docstring),
+    for the sorted satellite and station ids of one scenario."""
 
-    def __init__(self, n_slots: int, contacts: list[Contact]):
+    def __init__(self, n_slots: int, sat_ids: tuple[str, ...], gs_ids: tuple[str, ...],
+                 slot: np.ndarray, sat: np.ndarray, gs: np.ndarray,
+                 elevation: np.ndarray, rate: np.ndarray):
+        """Contacts as columns in any row order, `sat` and `gs` being positions in
+        the sorted `sat_ids` and `gs_ids`. Raises ValueError on a slot outside
+        [0, n_slots) or a second row for one (slot, satellite, station)."""
+        slot, sat, gs = (np.asarray(c, dtype=np.int64) for c in (slot, sat, gs))
+        outside = (slot < 0) | (slot >= n_slots)
+        if outside.any():
+            raise ValueError(f"slot {slot[outside][0]} outside [0, {n_slots})")
+        key = (slot * len(sat_ids) + sat) * len(gs_ids) + gs
+        order = np.argsort(key, kind="stable")
+        twice = np.nonzero(np.diff(key[order]) == 0)[0]
+        if twice.size:
+            k = order[twice[0]]
+            raise ValueError(f"duplicate contact "
+                             f"{(int(slot[k]), sat_ids[sat[k]], gs_ids[gs[k]])}")
         self.n_slots = n_slots
-        self._by_slot: list[list[Contact]] = [[] for _ in range(n_slots)]
-        for c in contacts:
-            self._by_slot[c.slot].append(c)
-        for bucket in self._by_slot:
-            bucket.sort(key=lambda c: (c.satellite_id, c.ground_station_id))
-        self._rate = {(c.slot, c.satellite_id, c.ground_station_id): c.rate_mb_per_min
-                      for c in contacts}
+        self.sat_ids, self.gs_ids = tuple(sat_ids), tuple(gs_ids)
+        self.slot_ptr = np.searchsorted(slot[order], np.arange(n_slots + 1))
+        self.sat, self.gs = sat[order], gs[order]
+        self.elevation_deg = np.asarray(elevation, dtype=float)[order]
+        self.rate_mb_per_min = np.asarray(rate, dtype=float)[order]
+        self._key = key[order]
+        self._sat_pos = {s: i for i, s in enumerate(self.sat_ids)}
+        self._gs_pos = {g: i for i, g in enumerate(self.gs_ids)}
 
-    def contacts_at(self, slot: int) -> tuple[Contact, ...]:
-        return tuple(self._by_slot[slot])
+    @classmethod
+    def from_contacts(cls, n_slots: int, sat_ids: Iterable[str], gs_ids: Iterable[str],
+                      contacts: Iterable[Contact]) -> "ContactTable":
+        """The table of these Contact rows for these satellite and station ids.
+        Raises ValueError on a row naming another id, as well as the constructor's."""
+        sat_ids, gs_ids = tuple(sorted(sat_ids)), tuple(sorted(gs_ids))
+        slot, sats, stations, elevation, rate = list(zip(*contacts)) or [()] * 5
+        for kind, named, ids in (("satellite", sats, sat_ids),
+                                 ("ground station", stations, gs_ids)):
+            unknown = set(named) - set(ids)
+            if unknown:
+                raise ValueError(f"unknown {kind} {min(unknown)!r}")
+        return cls(n_slots, sat_ids, gs_ids, slot, np.searchsorted(sat_ids, sats),
+                   np.searchsorted(gs_ids, stations), elevation, rate)
 
-    def visible_satellites(self, slot: int) -> tuple[str, ...]:
-        return tuple(sorted({c.satellite_id for c in self._by_slot[slot]}))
-
-    def stations_for(self, slot: int, satellite_id: str) -> tuple[str, ...]:
-        return tuple(c.ground_station_id for c in self._by_slot[slot]
-                     if c.satellite_id == satellite_id)
+    def slot_contacts(self, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(satellite position, station position, rate) views of the slot's rows."""
+        lo, hi = self.slot_ptr[slot], self.slot_ptr[slot + 1]
+        return self.sat[lo:hi], self.gs[lo:hi], self.rate_mb_per_min[lo:hi]
 
     def rate(self, slot: int, satellite_id: str, ground_station_id: str) -> float | None:
-        return self._rate.get((slot, satellite_id, ground_station_id))
+        """The pair's link rate at the slot, None without a contact."""
+        si, gi = self._sat_pos.get(satellite_id), self._gs_pos.get(ground_station_id)
+        if si is None or gi is None:
+            return None
+        # a slot outside the table gives a key outside its range, which no row holds
+        key = (slot * len(self.sat_ids) + si) * len(self.gs_ids) + gi
+        k = int(self._key.searchsorted(key))
+        found = k < len(self._key) and self._key[k] == key
+        return float(self.rate_mb_per_min[k]) if found else None
 
     def all_contacts(self) -> list[Contact]:
-        return [c for bucket in self._by_slot for c in bucket]
+        """Every row as a Contact, in (slot, satellite, station) order."""
+        columns = (np.repeat(np.arange(self.n_slots), np.diff(self.slot_ptr)), self.sat,
+                   self.gs, self.elevation_deg, self.rate_mb_per_min)
+        return [Contact(t, self.sat_ids[s], self.gs_ids[g], e, r)
+                for t, s, g, e, r in zip(*(c.tolist() for c in columns))]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ContactTable)
-                and self.n_slots == other.n_slots
-                and self.all_contacts() == other.all_contacts())
+
+def scenario_ids(scenario: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The scenario's satellite and station ids, sorted: a table's position order."""
+    return (tuple(sorted(s.id for s in scenario.satellites)),
+            tuple(sorted(g.id for g in scenario.ground_stations)))
 
 
 def build_contact_table(scenario: Scenario) -> ContactTable:
@@ -156,19 +187,23 @@ def build_contact_table(scenario: Scenario) -> ContactTable:
 def _propagate_contacts(scenario: Scenario) -> ContactTable:
     T = scenario.horizon
     t_mid = (np.arange(T) + 0.5) * scenario.tau
-    contacts: list[Contact] = []
+    sat_ids, gs_ids = scenario_ids(scenario)
+    stations = scenario.ground_stations
+    # one row of elevations per station, from the stations' column vectors
+    gs_lat = np.array([g.lat_deg for g in stations])[:, None]
+    gs_lon = np.array([g.lon_deg for g in stations])[:, None]
+    gs_pos = np.array([gs_ids.index(g.id) for g in stations], dtype=np.int64)
+    columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),) * 2]
     for si, sat in enumerate(scenario.satellites):
         lat, lon = subsatellite_point(sat, t_mid)
-        for gi, gs in enumerate(scenario.ground_stations):
-            el = elevation_deg(lat, lon, sat.altitude_km, gs.lat_deg, gs.lon_deg)
-            visible = np.nonzero(el >= scenario.elevation_mask_deg)[0]
-            if visible.size == 0:
-                continue
-            noise = rate_noise_factors(scenario.seed, si, gi, T, scenario.noise)
-            rate = scenario.r_max * np.sin(np.radians(el[visible])) * noise[visible]
-            for t, e, r in zip(visible.tolist(), el[visible].tolist(), rate.tolist()):
-                contacts.append(Contact(t, sat.id, gs.id, e, r))
-    return ContactTable(T, contacts)
+        el = elevation_deg(lat, lon, sat.altitude_km, gs_lat, gs_lon)
+        gi, t = np.nonzero(el >= scenario.elevation_mask_deg)
+        noise = np.empty_like(el)
+        for g in np.unique(gi).tolist():  # only the pairs ever in view draw noise
+            noise[g] = rate_noise_factors(scenario.seed, si, g, T, scenario.noise)
+        rate = scenario.r_max * np.sin(np.radians(el[gi, t])) * noise[gi, t]
+        columns.append((t, np.full(len(t), sat_ids.index(sat.id)), gs_pos[gi], el[gi, t], rate))
+    return ContactTable(T, sat_ids, gs_ids, *(np.concatenate(c) for c in zip(*columns)))
 
 
 def write_contact_plan(table: ContactTable, path: str) -> None:
@@ -182,8 +217,6 @@ def write_contact_plan(table: ContactTable, path: str) -> None:
 
 def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
     """Load and validate a contact-plan CSV against the scenario."""
-    sat_ids = {s.id for s in scenario.satellites}
-    gs_ids = {g.id for g in scenario.ground_stations}
     rate_cap = scenario.r_max * scenario.noise[1]
     contacts: list[Contact] = []
     try:
@@ -207,14 +240,6 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
                 rate = float(row[4])
             except ValueError as exc:
                 raise ContactPlanError(f"{path}: line {lineno}: {exc}") from None
-            sat_id, gs_id = row[1], row[2]
-            if sat_id not in sat_ids:
-                raise ContactPlanError(f"{path}: line {lineno}: unknown satellite {sat_id!r}")
-            if gs_id not in gs_ids:
-                raise ContactPlanError(f"{path}: line {lineno}: unknown ground station {gs_id!r}")
-            if not 0 <= slot < scenario.horizon:
-                raise ContactPlanError(
-                    f"{path}: line {lineno}: slot {slot} outside [0, {scenario.horizon})")
             if el < scenario.elevation_mask_deg:
                 raise ContactPlanError(
                     f"{path}: line {lineno}: elevation {el} below mask "
@@ -222,11 +247,8 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
             if not 0 < rate <= rate_cap:
                 raise ContactPlanError(
                     f"{path}: line {lineno}: rate {rate} outside (0, {rate_cap}]")
-            contacts.append(Contact(slot, sat_id, gs_id, el, rate))
-    seen = set()
-    for c in contacts:
-        key = (c.slot, c.satellite_id, c.ground_station_id)
-        if key in seen:
-            raise ContactPlanError(f"{path}: duplicate contact {key}")
-        seen.add(key)
-    return ContactTable(scenario.horizon, contacts)
+            contacts.append(Contact(slot, row[1], row[2], el, rate))
+    try:
+        return ContactTable.from_contacts(scenario.horizon, *scenario_ids(scenario), contacts)
+    except ValueError as exc:  # unknown ids, slots outside the horizon, duplicates
+        raise ContactPlanError(f"{path}: {exc}") from None

@@ -115,26 +115,23 @@ class ArrivalModel:
     collects during "on" slots of a duty-cycle mask; both derive from the
     master seed, so arrivals are identical across policies on the same seed.
     On slots carry daily_volume / (1440 * duty_cycle) MB, off slots zero.
+    The whole horizon is drawn up front: `mb[i, t]` is the MB that the
+    scenario's i-th satellite collects in slot t.
     """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
         seed = scenario.seed if seed is None else seed
-        self._per_slot: dict[str, float] = {}
-        self._mask: dict[str, np.ndarray] = {}
-        self.daily_volume_mb: dict[str, float] = {}
+        self._row = {sat.id: si for si, sat in enumerate(scenario.satellites)}
+        self.mb = np.zeros((len(scenario.satellites), scenario.horizon))
         for si, sat in enumerate(scenario.satellites):
             lo, hi = sat.daily_volume_mb
             volume = float(rng.uniform(seed, rng.TAG_DAILY_VOLUME, (si,), 1, lo, hi)[0])
-            self.daily_volume_mb[sat.id] = volume
-            self._per_slot[sat.id] = volume * scenario.tau / (MINUTES_PER_DAY * sat.duty_cycle)
+            per_slot = volume * scenario.tau / (MINUTES_PER_DAY * sat.duty_cycle)
             if sat.duty_cycle >= 1.0:
-                mask = np.ones(scenario.horizon, dtype=bool)
+                self.mb[si] = per_slot
             else:
                 draws = rng.uniform(seed, rng.TAG_ARRIVAL_MASK, (si,), scenario.horizon, 0.0, 1.0)
-                mask = draws < sat.duty_cycle
-            self._mask[sat.id] = mask
+                self.mb[si, draws < sat.duty_cycle] = per_slot
 
     def arrivals_for_slot(self, satellite_id: str, slot: int) -> float:
-        if self._mask[satellite_id][slot]:
-            return self._per_slot[satellite_id]
-        return 0.0
+        return float(self.mb[self._row[satellite_id], slot])

@@ -173,7 +173,7 @@ class SlotGraph:
     arrays: ScenarioArrays
     weights: np.ndarray        # [n_s, n_real + n_s]
     edge_of: np.ndarray        # [n_s, n_g] edge position of each pair, -1 without a contact
-    edge_weight: np.ndarray    # [n_edges]
+    edge_w: np.ndarray         # [n_edges] weight of each edge
     edge_dtil: np.ndarray      # [n_edges]
     edge_dc: np.ndarray        # [n_edges] data center position
 
@@ -198,7 +198,7 @@ class SlotGraph:
         weights[:, :n_real] = np.append(weight, big)[edge_of[:, arrays.antenna_station]]
         weights[:, n_real:].flat[::n_s + 1] = fallback  # the virtual block's diagonal
         return cls(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of,
-                   edge_weight=weight, edge_dtil=dtil, edge_dc=dc)
+                   edge_w=weight, edge_dtil=dtil, edge_dc=dc)
 
     @property
     def n_real(self) -> int:
@@ -223,13 +223,13 @@ class _Candidates(Mapping):
         if k < 0:
             raise KeyError(key)
         return EdgeCandidate(data_center_id=g.arrays.dc_ids[g.edge_dc[k]],
-                             weight=float(g.edge_weight[k]), dtil_mb=float(g.edge_dtil[k]))
+                             weight=float(g.edge_w[k]), dtil_mb=float(g.edge_dtil[k]))
 
     def __iter__(self):
         return zip(*(idx.tolist() for idx in np.nonzero(self._graph.edge_of >= 0)))
 
     def __len__(self) -> int:
-        return len(self._graph.edge_weight)
+        return len(self._graph.edge_w)
 
 
 def queue_weight(q: float, scenario: Scenario) -> float:
@@ -254,41 +254,15 @@ def _edge_terms(backlog: np.ndarray, gi: np.ndarray, rate: np.ndarray, q: float,
     return weight, dtil, di
 
 
-def edge_weight(state: SatelliteState, station_id: str, slot: int, q: float,
-                scenario: Scenario, table: ContactTable,
-                arrays: ScenarioArrays | None = None) -> EdgeCandidate:
-    """Weight of the (satellite, station) edge with its best data center."""
-    arrays = arrays or ScenarioArrays.from_scenario(scenario)
-    rate = table.rate(slot, state.satellite_id, station_id)
-    if rate is None:
-        raise ValueError(
-            f"no contact between {state.satellite_id!r} and {station_id!r} at slot {slot}")
-    weight, dtil, di = _edge_terms(np.array([state.total_mb]),
-                                   np.array([arrays.gs_index[station_id]]),
-                                   np.array([rate]), q, scenario, arrays)
-    return EdgeCandidate(data_center_id=arrays.dc_ids[di[0]], weight=float(weight[0]),
-                         dtil_mb=float(dtil[0]))
-
-
-def contact_arrays(table: ContactTable, slot: int,
-                   arrays: ScenarioArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(satellite position, station position, rate) of each of the slot's contacts."""
-    contacts = table.contacts_at(slot)
-    si = np.array([arrays.sat_index[c.satellite_id] for c in contacts], dtype=np.int64)
-    gi = np.array([arrays.gs_index[c.ground_station_id] for c in contacts], dtype=np.int64)
-    rate = np.array([c.rate_mb_per_min for c in contacts], dtype=float)
-    return si, gi, rate
-
-
 def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
                     scenario: Scenario, table: ContactTable,
                     arrays: ScenarioArrays | None = None) -> SlotGraph:
     """The broker's slot graph: drift-plus-penalty edges, zero-weight virtuals.
 
-    Every edge of the slot is computed in one pass over the contact arrays.
+    Every edge of the slot is computed in one pass over the slot's table rows.
     """
     arrays = arrays or ScenarioArrays.from_scenario(scenario)
-    si, gi, rate = contact_arrays(table, slot, arrays)
+    si, gi, rate = table.slot_contacts(slot)
     backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
     weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
     return SlotGraph.from_edges(slot, arrays, si, gi, weight, dtil, di, np.zeros(len(backlog)))
@@ -312,7 +286,7 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
         k = graph.edge_of[si, g_pos]
         if k < 0:
             raise RuntimeError("matching used a non-contact edge")
-        objective += float(graph.edge_weight[k])
+        objective += float(graph.edge_w[k])
         triples.append(AssignmentTriple(
             satellite_id=arrays.sat_ids[si],
             ground_station_id=arrays.gs_ids[g_pos],
@@ -430,7 +404,8 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
                          scenario: Scenario, table: ContactTable) -> tuple[Assignment, float]:
     """Exhaustive minimizer over all feasible assignments (test oracle only)."""
     arrays = ScenarioArrays.from_scenario(scenario)
-    visible = table.visible_satellites(slot)
+    row_sat, row_gs, row_rate = (c.tolist() for c in table.slot_contacts(slot))
+    visible = sorted(set(row_sat))
     n_real = arrays.n_real_antennas
     if len(visible) > BRUTE_FORCE_MAX_VISIBLE:
         raise InstanceTooLargeError(f"{len(visible)} visible satellites > "
@@ -441,52 +416,47 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
         raise InstanceTooLargeError(f"{len(arrays.dc_ids)} data centers > "
                                     f"{BRUTE_FORCE_MAX_DCS}")
 
-    options: dict[str, list[tuple[int, int, float]]] = {}  # sat -> [(ant col, dc pos, rate)]
-    for sat_id in visible:
-        opts = []
-        for gs_id in table.stations_for(slot, sat_id):
-            g_pos = arrays.gs_index[gs_id]
-            rate = table.rate(slot, sat_id, gs_id)
-            c0 = int(arrays.station_col0[g_pos])
-            for a in range(int(arrays.antenna_counts[g_pos])):
-                for d_pos in range(len(arrays.dc_ids)):
-                    opts.append((c0 + a, d_pos, rate))
-        options[sat_id] = opts
+    # sat position -> [(ant col, dc pos, rate)]
+    options: dict[int, list[tuple[int, int, float]]] = {s: [] for s in visible}
+    for s, g_pos, rate in zip(row_sat, row_gs, row_rate):
+        c0 = int(arrays.station_col0[g_pos])
+        for a in range(int(arrays.antenna_counts[g_pos])):
+            for d_pos in range(len(arrays.dc_ids)):
+                options[s].append((c0 + a, d_pos, rate))
 
     best_obj = np.inf
-    best_choice: dict[str, tuple[int, int, float]] = {}
-    order = list(visible)
+    best_choice: dict[int, tuple[int, int, float]] = {}
 
     def recurse(idx: int, used: set[int], obj: float, choice: dict):
         nonlocal best_obj, best_choice
-        if idx == len(order):
+        if idx == len(visible):
             if obj < best_obj:
                 best_obj = obj
                 best_choice = dict(choice)
             return
-        sat_id = order[idx]
+        s = visible[idx]
         recurse(idx + 1, used, obj, choice)  # virtual: contributes 0
-        state = states[sat_id]
-        for ant_col, d_pos, rate in options[sat_id]:
+        state = states[arrays.sat_ids[s]]
+        for ant_col, d_pos, rate in options[s]:
             if ant_col in used:
                 continue
             gi = int(arrays.antenna_station[ant_col])
             contrib = _triple_contribution(state, rate, gi, d_pos, q, scenario, arrays)
             used.add(ant_col)
-            choice[sat_id] = (ant_col, d_pos, rate)
+            choice[s] = (ant_col, d_pos, rate)
             recurse(idx + 1, used, obj + contrib, choice)
             used.discard(ant_col)
-            del choice[sat_id]
+            del choice[s]
 
     recurse(0, set(), 0.0, {})
 
     triples = []
-    for sat_id, (ant_col, d_pos, rate) in sorted(best_choice.items()):
-        gi = int(arrays.antenna_station[ant_col])
-        dtil = min(rate * scenario.tau, states[sat_id].total_mb)
+    for s, (ant_col, d_pos, rate) in sorted(best_choice.items()):
+        g_pos = int(arrays.antenna_station[ant_col])
+        dtil = min(rate * scenario.tau, states[arrays.sat_ids[s]].total_mb)
         triples.append(AssignmentTriple(
-            satellite_id=sat_id,
-            ground_station_id=arrays.gs_ids[gi],
+            satellite_id=arrays.sat_ids[s],
+            ground_station_id=arrays.gs_ids[g_pos],
             antenna=int(arrays.antenna_no[ant_col]),
             data_center_id=arrays.dc_ids[d_pos],
             dtil_mb=dtil,

@@ -32,9 +32,16 @@ def make_scenario(n_sats=2, stations=((2, 22.0),), n_dcs=2, v=0.0, xi=60.0,
     })
 
 
+def contact_table(scenario, rows, n_slots=None):
+    """The scenario's contact table holding `rows` (Contacts), over its horizon
+    unless `n_slots` says otherwise."""
+    return ContactTable.from_contacts(
+        scenario.horizon if n_slots is None else n_slots,
+        [s.id for s in scenario.satellites], [g.id for g in scenario.ground_stations], rows)
+
+
 def table_for(scenario, contacts, slot=0):
-    rows = [Contact(slot, s, g, 45.0, rate) for s, g, rate in contacts]
-    return ContactTable(scenario.horizon, rows)
+    return contact_table(scenario, [Contact(slot, s, g, 45.0, rate) for s, g, rate in contacts])
 
 
 def states_for(scenario, backlogs):
@@ -84,7 +91,7 @@ def random_instance(rng, max_sats=4, max_antennas=4, max_dcs=3):
             if rng.random() < 0.65:
                 contacts.append(Contact(slot, s.id, g.id, 45.0,
                                         float(rng.uniform(100.0, 14_000.0))))
-    table = ContactTable(scenario.horizon, contacts)
+    table = contact_table(scenario, contacts)
     q = float(rng.choice([0.0, rng.uniform(0, 1e6)]))
     return scenario, table, states, slot, q
 

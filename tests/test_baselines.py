@@ -4,7 +4,8 @@ import pytest
 from skygs.baselines import (BGPolicy, BRPolicy, BWGPolicy, IlpHpqPolicy,
                              PolicyKind, SGPolicy, make_policy)
 from skygs.model import ScenarioError, validate_scenario
-from skygs.orbit import Contact, ContactTable
+from instances import contact_table
+from skygs.orbit import Contact
 from skygs.queues import DataChunk, SatelliteState
 from skygs.scheduler import check_assignment
 
@@ -34,8 +35,7 @@ def make_scenario(stations, n_sats=2, n_dcs=2, policy="bg", policy_params=None,
 
 
 def table_for(scenario, contacts, slot=0):
-    return ContactTable(scenario.horizon,
-                        [Contact(slot, s, g, 45.0, rate) for s, g, rate in contacts])
+    return contact_table(scenario, [Contact(slot, s, g, 45.0, rate) for s, g, rate in contacts])
 
 
 def states_for(scenario, backlogs):
@@ -166,8 +166,8 @@ class TestBR:
         n = 10_000
         sc = validate_scenario({**sc.to_json_dict(),
                                 "sim": {**sc.to_json_dict()["sim"], "horizon": n}})
-        table = ContactTable(n, [Contact(t, "sat-0", "gs-a", 45.0, 1000.0)
-                                 for t in range(n)])
+        table = contact_table(sc, [Contact(t, "sat-0", "gs-a", 45.0, 1000.0)
+                                   for t in range(n)])
         policy = BRPolicy(sc)
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
         counts = [0, 0]

@@ -5,6 +5,7 @@ import pytest
 from skygs import engine
 from skygs.engine import InfeasibleAssignmentError, run
 from skygs.model import ScenarioError, validate_scenario
+from instances import contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
 from skygs.queues import ArrivalModel
 from skygs.scenarios import desk_scenario
@@ -32,7 +33,7 @@ def tiny_scenario(horizon=5, policy="skygs", v=0.0, contact_plan_path=None):
 
 
 def empty_table(horizon):
-    return ContactTable(horizon, [])
+    return contact_table(tiny_scenario(), [], n_slots=horizon)
 
 
 class TestStepSemantics:
@@ -47,15 +48,15 @@ class TestStepSemantics:
     def test_same_slot_arrivals_not_downlinkable(self):
         # a contact in slot 0 cannot move data that arrives in slot 0
         sc = tiny_scenario(horizon=1)
-        table = ContactTable(1, [Contact(0, "sat-0", "gs-0", 45.0, 1000.0)])
+        table = contact_table(sc, [Contact(0, "sat-0", "gs-0", 45.0, 1000.0)])
         record, metrics = run(sc, table=table)
         assert sum(r.mb for r in record.records) == 0.0
         assert metrics.final_backlog_mb == pytest.approx(100.0)
 
     def test_conservation_with_forced_downlinks(self):
         sc = tiny_scenario(horizon=40, policy="bg")
-        table = ContactTable(40, [Contact(t, "sat-0", "gs-0", 45.0, 300.0)
-                                  for t in range(0, 40, 3)])
+        table = contact_table(sc, [Contact(t, "sat-0", "gs-0", 45.0, 300.0)
+                                   for t in range(0, 40, 3)])
         record, _ = run(sc, table=table)
         moved = sum(r.mb for r in record.records)
         arrived = record.total_arrivals["sat-0"]
@@ -97,7 +98,9 @@ class TestStepSemantics:
         ("sat-9", "gs-0", "unknown satellite 'sat-9'"),
         ("sat-0", "gs-9", "unknown ground station 'gs-9'")])
     def test_rejects_table_naming_unknown_entities(self, sat_id, gs_id, unknown):
-        table = ContactTable(2, [Contact(1, sat_id, gs_id, 45.0, 1000.0)])
+        # a table built for another world's satellites and stations
+        table = ContactTable.from_contacts(2, [sat_id], [gs_id],
+                                           [Contact(1, sat_id, gs_id, 45.0, 1000.0)])
         with pytest.raises(ScenarioError, match=unknown):
             run(tiny_scenario(horizon=2), table=table)
 
@@ -106,10 +109,10 @@ class TestStepSemantics:
         table = build_contact_table(sc)
         record, _ = run(sc, table=table)
         assert record.records, "expected downlinks in 120 slots"
+        stations = {g.id: g for g in sc.ground_stations}
         for r in record.records:
             assert table.rate(r.slot, r.satellite_id, r.ground_station_id) is not None
-            gs = sc.station(r.ground_station_id)
-            assert 0 <= r.antenna < gs.antennas
+            assert 0 <= r.antenna < stations[r.ground_station_id].antennas
 
     def test_record_component_identities(self):
         sc = validate_scenario(desk_scenario(seed=2, horizon=120, v=1e3))

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skygs.hungarian import assignment_cost, match_with_fallbacks, min_cost_assignment
+from skygs.hungarian import match_with_fallbacks, min_cost_assignment
 
 scipy_opt = pytest.importorskip("scipy.optimize")
+
+
+def assignment_cost(cost, col4row):
+    """Total cost of the cells that col4row assigns."""
+    return float(cost[np.arange(len(col4row)), col4row].sum())
 
 
 def enumerate_min(cost):

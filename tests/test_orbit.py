@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skygs.model import Satellite, validate_scenario
-from skygs.orbit import (ContactPlanError, build_contact_table, elevation_deg,
-                         gsl_rate, orbital_period_minutes, propagate,
-                         rate_noise_factors, read_contact_plan,
-                         subsatellite_point, write_contact_plan)
+from skygs.orbit import (Contact, ContactPlanError, ContactTable, build_contact_table,
+                         elevation_deg, orbital_period_minutes, rate_noise_factors,
+                         read_contact_plan, subsatellite_point, write_contact_plan)
 
 EARTH_RADIUS = 6371.0
 
@@ -32,7 +31,7 @@ class TestPropagation:
     def test_equatorial_epoch_near_origin(self):
         # slot 0 samples the slot midpoint, half a slot of motion past epoch:
         # latitude is exactly 0 for zero inclination, longitude within ~2 deg
-        lat, lon = propagate(make_sat(), 0, 1.0)
+        lat, lon = subsatellite_point(make_sat(), (0 + 0.5) * 1.0)
         assert lat == pytest.approx(0.0, abs=1e-12)
         assert abs(lon) < 2.5
 
@@ -41,8 +40,9 @@ class TestPropagation:
         period = orbital_period_minutes(475.0)
         sat_a = make_sat(phase_deg=180.0, inclination_deg=97.4)
         sat_b = make_sat(phase_deg=0.0, inclination_deg=97.4)
-        pa = propagate(sat_a, 0, period / 2, rotate_earth=False)
-        pb = propagate(sat_b, 1, period / 2, rotate_earth=False)
+        # slot midpoints (slot + 0.5) * tau with tau = period / 2
+        pa = subsatellite_point(sat_a, (0 + 0.5) * period / 2, rotate_earth=False)
+        pb = subsatellite_point(sat_b, (1 + 0.5) * period / 2, rotate_earth=False)
         assert pa[0] == pytest.approx(pb[0], abs=1e-9)
         assert pa[1] == pytest.approx(pb[1], abs=1e-9)
 
@@ -68,17 +68,42 @@ class TestElevation:
     def test_antipode(self):
         assert elevation_deg(0.0, 0.0, 475.0, 0.0, -180.0) == pytest.approx(-90.0, abs=1e-6)
 
+    def test_station_column_broadcasts_one_row_per_station(self):
+        sub_lat, sub_lon = np.array([0.0, 5.0, 10.0]), np.array([0.0, 1.0, 2.0])
+        lat, lon = np.array([[0.0], [20.0]]), np.array([[0.0], [-3.0]])
+        el = elevation_deg(sub_lat, sub_lon, 475.0, lat, lon)
+        assert el.shape == (2, 3)
+        for g in range(2):
+            for t in range(3):
+                assert el[g, t] == elevation_deg(sub_lat[t], sub_lon[t], 475.0,
+                                                 lat[g, 0], lon[g, 0])
+
 
 class TestGslRate:
     def test_zenith_full_rate(self):
-        assert gsl_rate(90.0, 1.0, 12_000.0) == pytest.approx(12_000.0)
+        # a station under slot 0's sub-satellite point sees the satellite at zenith
+        lat, lon = subsatellite_point(make_sat(inclination_deg=97.4), (0 + 0.5) * 1.0)
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw(lat=lat, lon=lon)],
+                                            horizon=1))
+        noise = rate_noise_factors(sc.seed, 0, 0, 1, sc.noise)
+        [contact] = build_contact_table(sc).all_contacts()
+        assert contact.elevation_deg == pytest.approx(90.0)
+        assert contact.rate_mb_per_min == pytest.approx(12_000.0 * noise[0], rel=1e-12)
 
     def test_sin_scaling(self):
-        assert gsl_rate(30.0, 1.0, 12_000.0) == pytest.approx(6_000.0)
-
-    def test_below_horizon_is_callers_bug(self):
-        with pytest.raises(ValueError):
-            gsl_rate(-1.0, 1.0, 12_000.0)
+        # every propagated rate is r_max * sin(elevation) * the pair's noise draw
+        sc = validate_scenario(scenario_raw([sat_raw(), sat_raw("sat-b", phase=90.0)],
+                                            [gs_raw(lat=83.0), gs_raw("gs-b", lat=-83.0)]))
+        noise = {(si, gi): rate_noise_factors(sc.seed, si, gi, sc.horizon, sc.noise)
+                 for si in range(2) for gi in range(2)}
+        contacts = build_contact_table(sc).all_contacts()
+        assert len(contacts) > 10
+        for c in contacts:
+            si = ["sat-a", "sat-b"].index(c.satellite_id)
+            gi = ["gs-a", "gs-b"].index(c.ground_station_id)
+            expected = (sc.r_max * math.sin(math.radians(c.elevation_deg))
+                        * noise[si, gi][c.slot])
+            assert c.rate_mb_per_min == pytest.approx(expected, rel=1e-12)
 
     def test_noise_deterministic(self):
         a = rate_noise_factors(42, 1, 2, 100, (0.9, 1.1))
@@ -127,7 +152,8 @@ class TestContactTable:
 
     def test_determinism(self):
         sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw(lat=83.0)]))
-        assert build_contact_table(sc) == build_contact_table(sc)
+        a, b = build_contact_table(sc), build_contact_table(sc)
+        assert a.all_contacts() == b.all_contacts()
 
     def test_invariants(self):
         sc = validate_scenario(scenario_raw([sat_raw(), sat_raw("sat-b", phase=90.0)],
@@ -137,12 +163,13 @@ class TestContactTable:
         for c in table.all_contacts():
             assert c.elevation_deg >= sc.elevation_mask_deg
             assert 0 < c.rate_mb_per_min <= cap
+        assert table.slot_ptr[0] == 0 and table.slot_ptr[-1] == len(table.sat)
         for t in range(sc.horizon):
-            visible = table.visible_satellites(t)
-            for c in table.contacts_at(t):
-                assert c.satellite_id in visible
-            for s in visible:
-                assert table.stations_for(t, s)
+            si, gi, rate = table.slot_contacts(t)
+            pairs = list(zip(si.tolist(), gi.tolist()))
+            assert pairs == sorted(set(pairs))  # by satellite, then station, once each
+            for (s, g), r in zip(pairs, rate.tolist()):
+                assert table.rate(t, table.sat_ids[s], table.gs_ids[g]) == r
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(0, 359), st.floats(-80, 80))
@@ -163,7 +190,8 @@ class TestContactPlanFile:
         path = tmp_path / "plan.csv"
         write_contact_plan(table, str(path))
         loaded = read_contact_plan(str(path), sc)
-        assert loaded == table
+        assert (loaded.sat_ids, loaded.gs_ids) == (table.sat_ids, table.gs_ids)
+        assert loaded.all_contacts() == table.all_contacts()
 
     def test_empty_plan(self, tmp_path):
         sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
@@ -171,7 +199,7 @@ class TestContactPlanFile:
         path.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n")
         table = read_contact_plan(str(path), sc)
         for t in range(10):
-            assert table.visible_satellites(t) == ()
+            assert all(c.size == 0 for c in table.slot_contacts(t))
 
     def test_single_row(self, tmp_path):
         sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
@@ -179,9 +207,12 @@ class TestContactPlanFile:
         path.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
                         "3,sat-a,gs-a,45.0,500\n")
         table = read_contact_plan(str(path), sc)
-        assert table.visible_satellites(3) == ("sat-a",)
-        assert table.stations_for(3, "sat-a") == ("gs-a",)
+        si, gi, rate = table.slot_contacts(3)
+        assert [table.sat_ids[s] for s in si] == ["sat-a"]
+        assert [table.gs_ids[g] for g in gi] == ["gs-a"]
+        assert rate.tolist() == [500.0]
         assert table.rate(3, "sat-a", "gs-a") == 500.0
+        assert table.rate(2, "sat-a", "gs-a") is None
 
     def test_parse_error_reports_line(self, tmp_path):
         sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
@@ -197,6 +228,24 @@ class TestContactPlanFile:
         path.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
                         "3,ghost,gs-a,45.0,500\n")
         with pytest.raises(ContactPlanError, match="ghost"):
+            read_contact_plan(str(path), sc)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
+                        "3,sat-a,gs-a,45.0,500\n"
+                        "3,sat-a,gs-a,45.0,600\n")
+        with pytest.raises(ContactPlanError,
+                           match=r"plan\.csv: duplicate contact \(3, 'sat-a', 'gs-a'\)"):
+            read_contact_plan(str(path), sc)
+
+    def test_slot_outside_horizon_rejected(self, tmp_path):
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
+                        "10,sat-a,gs-a,45.0,500\n")
+        with pytest.raises(ContactPlanError, match=r"plan\.csv: slot 10 outside \[0, 10\)"):
             read_contact_plan(str(path), sc)
 
     def test_below_mask_rejected(self, tmp_path):
@@ -216,3 +265,37 @@ class TestContactPlanFile:
         sc = validate_scenario(raw)
         table = build_contact_table(sc)
         assert [c.slot for c in table.all_contacts()] == [2]
+
+
+class TestCallerBuiltTable:
+    """The constructor checks a caller's rows the way the plan reader's are checked."""
+
+    def test_duplicate_row_rejected(self):
+        rows = [Contact(1, "s", "g", 45.0, 500.0), Contact(1, "s", "g", 45.0, 600.0)]
+        with pytest.raises(ValueError, match=r"duplicate contact \(1, 's', 'g'\)"):
+            ContactTable.from_contacts(5, ["s"], ["g"], rows)
+
+    def test_negative_slot_rejected(self):
+        with pytest.raises(ValueError, match=r"slot -1 outside \[0, 5\)"):
+            ContactTable.from_contacts(5, ["s"], ["g"], [Contact(-1, "s", "g", 45.0, 500.0)])
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown ground station 'h'"):
+            ContactTable.from_contacts(5, ["s"], ["g"], [Contact(0, "s", "h", 45.0, 500.0)])
+
+    def test_rows_sorted_by_slot_satellite_station(self):
+        rows = [Contact(2, "b", "g", 30.0, 3.0), Contact(0, "b", "h", 40.0, 2.0),
+                Contact(2, "a", "h", 50.0, 1.0), Contact(0, "b", "g", 60.0, 4.0)]
+        table = ContactTable.from_contacts(3, ["b", "a"], ["h", "g"], rows)
+        assert table.sat_ids == ("a", "b") and table.gs_ids == ("g", "h")
+        assert table.slot_ptr.tolist() == [0, 2, 2, 4]
+        assert table.all_contacts() == sorted(rows)
+        assert [c.tolist() for c in table.slot_contacts(2)] == [[0, 1], [1, 0], [1.0, 3.0]]
+
+    @pytest.mark.parametrize("slot, sat_id, gs_id", [
+        (0, "a", "g"), (3, "b", "g"), (-1, "b", "g"), (2, "z", "g"), (2, "b", "z")])
+    def test_rate_is_none_without_a_contact(self, slot, sat_id, gs_id):
+        table = ContactTable.from_contacts(3, ["a", "b"], ["g"],
+                                           [Contact(2, "b", "g", 30.0, 3.0)])
+        assert table.rate(2, "b", "g") == 3.0
+        assert table.rate(slot, sat_id, gs_id) is None

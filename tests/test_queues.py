@@ -153,7 +153,8 @@ class TestArrivals:
 
     def test_volume_drawn_from_range(self):
         model = ArrivalModel(arrivals_scenario(1.0, volume=(900_000.0, 1_100_000.0)))
-        assert 900_000.0 <= model.daily_volume_mb["sat-a"] <= 1_100_000.0
+        # at full duty every one of the day's 1440 slots carries volume / 1440
+        assert 900_000.0 <= 1440 * model.arrivals_for_slot("sat-a", 0) <= 1_100_000.0
 
     def test_deterministic_across_instances(self):
         sc = arrivals_scenario(0.5)

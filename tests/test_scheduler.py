@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 
 from instances import make_scenario, oracle_agreement, random_instance, states_for, table_for
 from skygs import hungarian
-from skygs.scheduler import (InstanceTooLargeError, brute_force_schedule,
-                             build_bipartite, check_assignment, edge_weight,
+from skygs.scheduler import (InstanceTooLargeError, _triple_contribution,
+                             brute_force_schedule, build_bipartite, check_assignment,
                              hungarian_min_matching, schedule_slot)
+
+
+def edge(sc, table, states, q, si=0, gi=0):
+    """The candidate edge (satellite position si, station position gi) of the
+    broker's slot-0 graph."""
+    return build_bipartite(states, q, 0, sc, table).candidates[(si, gi)]
 
 
 class TestEdgeWeight:
@@ -16,7 +22,7 @@ class TestEdgeWeight:
         sc = make_scenario(n_sats=1, v=0.0)
         table = table_for(sc, [("sat-0", "gs-0", 12_000.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        cand = edge_weight(states["sat-0"], "gs-0", 0, 0.0, sc, table)
+        cand = edge(sc, table, states, 0.0)
         assert cand.dtil_mb == 100.0
         assert cand.weight == pytest.approx(-10_000.0)
 
@@ -24,33 +30,33 @@ class TestEdgeWeight:
         sc = make_scenario(n_sats=1, v=1.0, dc_prices=[2.0, 1.0], dc_kappas=[0.01, 0.01])
         table = table_for(sc, [("sat-0", "gs-0", 12_000.0)])
         states = states_for(sc, {})
-        cand = edge_weight(states["sat-0"], "gs-0", 0, 0.0, sc, table)
+        cand = edge(sc, table, states, 0.0)
         assert cand.dtil_mb == 0.0
         assert cand.weight == pytest.approx(1.0 * 22.0)
         # best data center by lowest kappa * price
         assert cand.data_center_id == "dc-1"
         # an empty downlink has no service latency for Q to price
-        assert edge_weight(states["sat-0"], "gs-0", 0, 1e6, sc, table).weight == cand.weight
+        assert edge(sc, table, states, 1e6).weight == cand.weight
 
     def test_degenerate_all_zero_matches_virtual(self):
         sc = make_scenario(n_sats=1, v=0.0)
         table = table_for(sc, [("sat-0", "gs-0", 12_000.0)])
         states = states_for(sc, {})
-        cand = edge_weight(states["sat-0"], "gs-0", 0, 0.0, sc, table)
+        cand = edge(sc, table, states, 0.0)
         assert cand.weight == 0.0
 
     def test_requires_contact(self):
         sc = make_scenario(n_sats=1)
         table = table_for(sc, [])
         states = states_for(sc, {})
-        with pytest.raises(ValueError, match="no contact"):
-            edge_weight(states["sat-0"], "gs-0", 0, 0.0, sc, table)
+        with pytest.raises(KeyError):
+            edge(sc, table, states, 0.0)
 
     def test_dc_tie_breaks_to_lowest_id(self):
         sc = make_scenario(n_sats=1, v=1.0, dc_prices=[1.0, 1.0], dc_kappas=[0.01, 0.01])
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        cand = edge_weight(states["sat-0"], "gs-0", 0, 0.0, sc, table)
+        cand = edge(sc, table, states, 0.0)
         assert cand.data_center_id == "dc-0"
 
 
@@ -196,6 +202,10 @@ def _station_level(graph, cols):
     return out
 
 
+def _total(weights, col4row):
+    return float(weights[np.arange(len(col4row)), col4row].sum())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 @example(2097152)  # two satellites tie exactly between two stations
@@ -218,33 +228,37 @@ def test_constant_shift_invariance(seed):
     for i in range(n_sats):
         shifted[i, :] += shifts[i]
     shifted_cols = hungarian.min_cost_assignment(shifted)
-    base_total = hungarian.assignment_cost(graph.weights, base_cols)
+    base_total = _total(graph.weights, base_cols)
     if _station_level(graph, base_cols) != _station_level(graph, shifted_cols):
-        assert hungarian.assignment_cost(graph.weights, shifted_cols) == pytest.approx(
-            base_total, rel=1e-12)
-    shifted_total = hungarian.assignment_cost(shifted, shifted_cols)
+        assert _total(graph.weights, shifted_cols) == pytest.approx(base_total, rel=1e-12)
+    shifted_total = _total(shifted, shifted_cols)
     assert shifted_total == pytest.approx(base_total + shifts.sum(), rel=1e-9, abs=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_scalar_and_vectorized_weights_agree(seed):
-    """edge_weight (reference path) must equal build_bipartite's batch math."""
+    """build_bipartite's batch math must equal the oracle's scalar evaluation of
+    each edge's downlink, at a data center no other one beats."""
     rng = np.random.default_rng(seed)
     scenario, table, states, slot, q = random_instance(rng)
     graph = build_bipartite(states, q, slot, scenario, table)
     arrays = graph.arrays
-    for contact in table.contacts_at(slot):
-        cand = edge_weight(states[contact.satellite_id], contact.ground_station_id,
-                           slot, q, scenario, table, arrays=arrays)
-        si = arrays.sat_index[contact.satellite_id]
-        gi = arrays.gs_index[contact.ground_station_id]
+    for si, gi, rate in zip(*(c.tolist() for c in table.slot_contacts(slot))):
+        state = states[arrays.sat_ids[si]]
         batched = graph.candidates[(si, gi)]
-        assert cand.weight == pytest.approx(batched.weight, rel=1e-12, abs=1e-9)
-        assert cand.data_center_id == batched.data_center_id
-        assert cand.dtil_mb == pytest.approx(batched.dtil_mb, rel=1e-12, abs=1e-12)
+        scalar = [_triple_contribution(state, rate, gi, d, q, scenario, arrays)
+                  for d in range(len(arrays.dc_ids))]
+        # the scalar form cancels terms as large as Q * backlog / xi
+        cost = arrays.price_slot[gi] + arrays.dc_cost_per_mb.max() * batched.dtil_mb
+        tol = 1e-12 * (scenario.v * cost + (state.total_mb + q / scenario.xi) * state.total_mb
+                       + 1.0)
+        assert batched.weight == pytest.approx(
+            scalar[arrays.dc_index[batched.data_center_id]], abs=tol)
+        assert batched.weight <= min(scalar) + tol
+        assert batched.dtil_mb == min(rate * scenario.tau, state.total_mb)
         col = int(arrays.station_col0[gi])
-        assert graph.weights[si, col] == pytest.approx(cand.weight, rel=1e-12, abs=1e-9)
+        assert graph.weights[si, col] == batched.weight
 
 
 def test_q_dominant_limit_matches_oracle():
