@@ -19,7 +19,7 @@ from skygs.model import Scenario, ScenarioError
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
 from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
-                             hungarian_min_matching, schedule_slot)
+                             build_bipartite, hungarian_min_matching)
 
 
 class PolicyKind(str, Enum):
@@ -40,17 +40,19 @@ def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
     return best
 
 
-def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float]]]:
-    """Satellite position -> [(station position, rate)] of the slot's contacts,
-    in station id order. A desk slot has too few contacts for numpy to pay."""
-    links: dict[int, list[tuple[int, float]]] = {}
-    for s, g, rate in zip(*(c.tolist() for c in table.slot_contacts(slot))):
-        links.setdefault(s, []).append((g, rate))
+def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float, int]]]:
+    """Satellite position -> [(station position, rate, table row)] of the slot's
+    contacts, in station id order. A desk slot has too few contacts for numpy
+    to pay."""
+    links: dict[int, list[tuple[int, float, int]]] = {}
+    rows = zip(*(c.tolist() for c in table.slot_contacts(slot)))
+    for k, (s, g, rate) in enumerate(rows, int(table.slot_ptr[slot])):
+        links.setdefault(s, []).append((g, rate, k))
     return links
 
 
 class _GreedyCore:
-    """Shared machinery for SG/BG/BWG: cost-effective pair selection.
+    """Base of SG/BG/BWG: cost-effective pair selection.
 
     Satellites with data are served in descending backlog order; each takes
     the free antenna and data center minimizing the configured metric
@@ -87,8 +89,8 @@ class _GreedyCore:
         links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
         for state in ordered:
-            best = None  # (metric, g_pos, dtil)
-            for g_pos, rate in links.get(arrays.sat_index[state.satellite_id], ()):
+            best = None  # (metric, g_pos, table row)
+            for g_pos, rate, k in links.get(arrays.sat_index[state.satellite_id], ()):
                 if g_pos not in self.gs_allowed or not free[g_pos]:
                     continue
                 capacity = rate * tau
@@ -100,43 +102,34 @@ class _GreedyCore:
                 value = cost / dtil if self.metric == "cost_per_mb" else cost
                 # station positions follow the ids, so ties go to the lowest id
                 if best is None or (value, g_pos) < best[:2]:
-                    best = (value, g_pos, dtil)
+                    best = (value, g_pos, k)
             if best is None:
                 continue
-            _, g_pos, dtil = best
+            _, g_pos, k = best
             antenna = free[g_pos].pop(0)
             triples.append(AssignmentTriple(
                 satellite_id=state.satellite_id,
                 ground_station_id=arrays.gs_ids[g_pos],
                 antenna=antenna,
                 data_center_id=arrays.dc_ids[self.best_dc],
-                dtil_mb=dtil,
+                contact=k,
             ))
         triples.sort(key=lambda tr: tr.satellite_id)
         return Assignment(slot=slot, triples=tuple(triples))
 
 
-class BGPolicy:
+class BGPolicy(_GreedyCore):
     name = "bg"
 
-    def __init__(self, scenario: Scenario):
-        self._core = _GreedyCore(scenario)
 
-    def schedule(self, states, q, slot, table):
-        return self._core.schedule(states, q, slot, table)
-
-
-class BWGPolicy:
+class BWGPolicy(_GreedyCore):
     name = "bwg"
 
     def __init__(self, scenario: Scenario):
-        self._core = _GreedyCore(scenario, require_full_slot=True)
-
-    def schedule(self, states, q, slot, table):
-        return self._core.schedule(states, q, slot, table)
+        super().__init__(scenario, require_full_slot=True)
 
 
-class SGPolicy:
+class SGPolicy(_GreedyCore):
     name = "sg"
 
     def __init__(self, scenario: Scenario):
@@ -150,10 +143,7 @@ class SGPolicy:
         if not owned:
             raise ScenarioError(f"sg policy: provider {provider!r} owns no ground stations")
         self.provider = provider
-        self._core = _GreedyCore(scenario, providers={provider})
-
-    def schedule(self, states, q, slot, table):
-        return self._core.schedule(states, q, slot, table)
+        super().__init__(scenario, providers={provider})
 
 
 class BRPolicy:
@@ -165,7 +155,6 @@ class BRPolicy:
 
     def schedule(self, states, q, slot, table):
         arrays = self.arrays
-        tau = self.scenario.tau
         gen = rng.stream(self.scenario.seed, rng.TAG_BR_POLICY, slot)
         eligible = sorted(s.satellite_id for s in states.values() if s.total_mb > 0)
         order = [eligible[i] for i in gen.permutation(len(eligible))]
@@ -174,21 +163,20 @@ class BRPolicy:
         triples: list[AssignmentTriple] = []
         for sat_id in order:
             # one entry per free compatible antenna
-            choices = [(g_pos, rate, antenna)
-                       for g_pos, rate in links.get(arrays.sat_index[sat_id], ())
+            choices = [(g_pos, k, antenna)
+                       for g_pos, _, k in links.get(arrays.sat_index[sat_id], ())
                        for antenna in free[g_pos]]
             if not choices:
                 continue
-            g_pos, rate, antenna = choices[int(gen.integers(len(choices)))]
+            g_pos, k, antenna = choices[int(gen.integers(len(choices)))]
             free[g_pos].remove(antenna)
             d_pos = int(gen.integers(len(arrays.dc_ids)))
-            dtil = min(rate * tau, states[sat_id].total_mb)
             triples.append(AssignmentTriple(
                 satellite_id=sat_id,
                 ground_station_id=arrays.gs_ids[g_pos],
                 antenna=antenna,
                 data_center_id=arrays.dc_ids[d_pos],
-                dtil_mb=dtil,
+                contact=k,
             ))
         triples.sort(key=lambda tr: tr.satellite_id)
         return Assignment(slot=slot, triples=tuple(triples))
@@ -214,6 +202,7 @@ class IlpHpqPolicy:
     def __init__(self, scenario: Scenario):
         self.arrays = ScenarioArrays.from_scenario(scenario)
         self.scenario = scenario
+        self.graph: SlotGraph | None = None  # the graph of the latest slot
         self.rho = float(scenario.policy_params.get("rho", 0.8))
         if not 0 < self.rho <= 1:
             raise ScenarioError("ilp_hpq policy: rho must be in (0, 1]")
@@ -225,6 +214,7 @@ class IlpHpqPolicy:
         backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
         si, gi, rate = table.slot_contacts(slot)
         held = backlog[si] > 0
+        row = np.arange(*table.slot_ptr[slot:slot + 2])[held]
         si, gi = si[held], gi[held]
         dtil = np.minimum(rate[held] * tau, backlog[si])
         cost = arrays.price_slot[gi] + arrays.dc_cost_per_mb[self.best_dc] * dtil
@@ -235,9 +225,9 @@ class IlpHpqPolicy:
             oldest = states[sat_id].oldest_arrival_slot()
             if oldest is not None and (slot - oldest) * tau >= self.rho * xi:
                 fallback[k] = m_forced
-        graph = SlotGraph.from_edges(slot, arrays, si, gi, cost, dtil,
-                                     np.repeat(self.best_dc, len(cost)), fallback)
-        return hungarian_min_matching(graph)[0]
+        self.graph = SlotGraph.from_edges(slot, arrays, table, row, cost, dtil,
+                                          np.repeat(self.best_dc, len(cost)), fallback)
+        return hungarian_min_matching(self.graph)[0]
 
 
 class SkyGSPolicy:
@@ -246,9 +236,11 @@ class SkyGSPolicy:
     def __init__(self, scenario: Scenario):
         self.arrays = ScenarioArrays.from_scenario(scenario)
         self.scenario = scenario
+        self.graph: SlotGraph | None = None  # the graph of the latest slot
 
     def schedule(self, states, q, slot, table):
-        return schedule_slot(states, q, slot, self.scenario, table, arrays=self.arrays)[0]
+        self.graph = build_bipartite(states, q, slot, self.scenario, table, self.arrays)
+        return hungarian_min_matching(self.graph)[0]
 
 
 _POLICY_CLASSES = {

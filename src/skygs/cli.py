@@ -67,52 +67,19 @@ def cmd_gen_contacts(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # the weight dump replays this same overridden scenario
-    scenario = engine.with_overrides(load_scenario(args.scenario), policy=args.policy,
-                                     seed=args.seed, v=args.v, xi=args.xi)
+    scenario = load_scenario(args.scenario)
     if args.contacts is not None:
         scenario = replace(scenario, contact_plan_path=args.contacts)
-    record, metrics = engine.run(scenario)
+    record, metrics = engine.run(scenario, policy=args.policy, seed=args.seed, v=args.v,
+                                 xi=args.xi, dump_weights=args.dump_weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / f"records_{record.policy}_seed{record.seed}.csv"
     summary_path = out / f"summary_{record.policy}_seed{record.seed}.json"
     engine.write_records_csv(str(records_path), record)
     engine.write_summary_json(str(summary_path), record, metrics)
-    if args.dump_weights is not None:
-        _dump_weights(scenario, record, args.dump_weights)
     print(f"wrote {records_path} and {summary_path}")
     return EXIT_OK
-
-
-def _dump_weights(base, record, out_dir: str) -> None:
-    """Re-derive each slot's weight matrix for inspection (skygs only).
-
-    The backlogs are replayed from the run's downlinks and arrivals; the
-    virtual queue is read from the run's own q_trace, so each matrix is the
-    one the run scheduled from.
-    """
-    from skygs.queues import ArrivalModel, SatelliteState, actual_downlink, advance_backlog
-    from skygs.scheduler import ScenarioArrays, build_bipartite, dump_weight_matrix
-
-    table = build_contact_table(base)
-    arrays = ScenarioArrays.from_scenario(base)
-    arrivals = ArrivalModel(base)
-    states = {s.id: SatelliteState(s.id) for s in base.satellites}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    by_slot: dict[int, list] = {}
-    for r in record.records:
-        by_slot.setdefault(r.slot, []).append(r)
-    for t in range(base.horizon):
-        q = record.q_trace[t - 1] if t > 0 else 0.0
-        graph = build_bipartite(states, q, t, base, table, arrays)
-        dump_weight_matrix(graph, str(out / f"weights_slot{t:05d}.csv"))
-        for r in by_slot.get(t, []):
-            rate = table.rate(t, r.satellite_id, r.ground_station_id)
-            actual_downlink(states[r.satellite_id], rate * base.tau)
-        for sat in base.satellites:
-            advance_backlog(states[sat.id], arrivals.arrivals_for_slot(sat.id, t), t)
 
 
 def _grid_row(scenario, policy: str, table) -> dict:
@@ -210,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=float)
     p.add_argument("--xi", type=float)
     p.add_argument("--contacts", help="contact-plan CSV to use instead of the propagator")
-    p.add_argument("--dump-weights", help="directory for per-slot weight matrices (debug)")
+    p.add_argument("--dump-weights", help="directory for each slot's matched weights (debug)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="run a policies x seeds grid")

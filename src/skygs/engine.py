@@ -12,6 +12,7 @@ every MB that arrived (see queues.latency_accrual).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -21,7 +22,7 @@ from skygs.baselines import make_policy
 from skygs.model import Scenario, ScenarioError
 from skygs.orbit import ContactTable, build_contact_table, scenario_ids
 from skygs.queues import ArrivalModel, SatelliteState
-from skygs.scheduler import Assignment, ScenarioArrays, check_assignment
+from skygs.scheduler import Assignment, ScenarioArrays, check_assignment, dump_weight_matrix
 
 
 class InfeasibleAssignmentError(RuntimeError):
@@ -71,7 +72,7 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     service_latency = 0.0
     for tr in assignment.triples:
         state = sim.states[tr.satellite_id]
-        rate = table.rate(t, tr.satellite_id, tr.ground_station_id)
+        rate = float(table.rate_mb_per_min[tr.contact])
         capacity = queues.downlink_capacity(rate, scenario.tau)
         moved, popped = queues.actual_downlink(state, capacity)
         gi = arrays.gs_index[tr.ground_station_id]
@@ -146,8 +147,14 @@ def with_overrides(scenario: Scenario, *, policy: str | None = None,
 
 def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
         v: float | None = None, xi: float | None = None,
-        table: ContactTable | None = None) -> tuple[RunRecord, RunMetrics]:
-    """Execute one full simulation, with optional overrides (see with_overrides)."""
+        table: ContactTable | None = None,
+        dump_weights: str | None = None) -> tuple[RunRecord, RunMetrics]:
+    """Execute one full simulation, with optional overrides (see with_overrides).
+
+    `dump_weights` names a directory that receives, after every slot, the
+    weight matrix the policy matched (scheduler.dump_weight_matrix); a policy
+    that matches no slot graph is rejected before the first slot.
+    """
     scenario = with_overrides(scenario, policy=policy, seed=seed, v=v, xi=xi)
     if table is None or seed is not None:
         table = build_contact_table(scenario)
@@ -157,13 +164,20 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
     arrays = ScenarioArrays.from_scenario(scenario)
     arrivals = ArrivalModel(scenario)
     policy_obj = make_policy(scenario)
+    if dump_weights is not None:
+        if not hasattr(policy_obj, "graph"):
+            raise ScenarioError(f"dump_weights: policy {scenario.policy!r} matches no slot graph")
+        os.makedirs(dump_weights, exist_ok=True)
     sim = SimState(
         slot=0,
         states={s.id: SatelliteState(s.id) for s in scenario.satellites},
         q=0.0,
     )
-    for _ in range(scenario.horizon):
+    for t in range(scenario.horizon):
         step(sim, policy_obj, scenario, table, arrivals, arrays)
+        if dump_weights is not None:
+            dump_weight_matrix(policy_obj.graph,
+                               os.path.join(dump_weights, f"weights_slot{t:05d}.csv"))
 
     total_arrivals = dict(zip((sat.id for sat in scenario.satellites),
                               arrivals.mb.sum(axis=1).tolist()))

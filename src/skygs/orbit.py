@@ -110,11 +110,16 @@ class ContactTable:
                  elevation: np.ndarray, rate: np.ndarray):
         """Contacts as columns in any row order, `sat` and `gs` being positions in
         the sorted `sat_ids` and `gs_ids`. Raises ValueError on a slot outside
-        [0, n_slots) or a second row for one (slot, satellite, station)."""
+        [0, n_slots), a rate that is not finite and positive, or a second row
+        for one (slot, satellite, station)."""
         slot, sat, gs = (np.asarray(c, dtype=np.int64) for c in (slot, sat, gs))
+        rate = np.asarray(rate, dtype=float)
         outside = (slot < 0) | (slot >= n_slots)
         if outside.any():
             raise ValueError(f"slot {slot[outside][0]} outside [0, {n_slots})")
+        bad = ~(np.isfinite(rate) & (rate > 0))
+        if bad.any():
+            raise ValueError(f"rate {rate[bad][0]} is not finite and positive")
         key = (slot * len(sat_ids) + sat) * len(gs_ids) + gs
         order = np.argsort(key, kind="stable")
         twice = np.nonzero(np.diff(key[order]) == 0)[0]
@@ -127,10 +132,7 @@ class ContactTable:
         self.slot_ptr = np.searchsorted(slot[order], np.arange(n_slots + 1))
         self.sat, self.gs = sat[order], gs[order]
         self.elevation_deg = np.asarray(elevation, dtype=float)[order]
-        self.rate_mb_per_min = np.asarray(rate, dtype=float)[order]
-        self._key = key[order]
-        self._sat_pos = {s: i for i, s in enumerate(self.sat_ids)}
-        self._gs_pos = {g: i for i, g in enumerate(self.gs_ids)}
+        self.rate_mb_per_min = rate[order]
 
     @classmethod
     def from_contacts(cls, n_slots: int, sat_ids: Iterable[str], gs_ids: Iterable[str],
@@ -151,17 +153,6 @@ class ContactTable:
         """(satellite position, station position, rate) views of the slot's rows."""
         lo, hi = self.slot_ptr[slot], self.slot_ptr[slot + 1]
         return self.sat[lo:hi], self.gs[lo:hi], self.rate_mb_per_min[lo:hi]
-
-    def rate(self, slot: int, satellite_id: str, ground_station_id: str) -> float | None:
-        """The pair's link rate at the slot, None without a contact."""
-        si, gi = self._sat_pos.get(satellite_id), self._gs_pos.get(ground_station_id)
-        if si is None or gi is None:
-            return None
-        # a slot outside the table gives a key outside its range, which no row holds
-        key = (slot * len(self.sat_ids) + si) * len(self.gs_ids) + gi
-        k = int(self._key.searchsorted(key))
-        found = k < len(self._key) and self._key[k] == key
-        return float(self.rate_mb_per_min[k]) if found else None
 
     def all_contacts(self) -> list[Contact]:
         """Every row as a Contact, in (slot, satellite, station) order."""
@@ -240,10 +231,10 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
                 rate = float(row[4])
             except ValueError as exc:
                 raise ContactPlanError(f"{path}: line {lineno}: {exc}") from None
-            if el < scenario.elevation_mask_deg:
+            if not scenario.elevation_mask_deg <= el <= 90.0:
                 raise ContactPlanError(
-                    f"{path}: line {lineno}: elevation {el} below mask "
-                    f"{scenario.elevation_mask_deg}")
+                    f"{path}: line {lineno}: elevation {el} outside "
+                    f"[mask {scenario.elevation_mask_deg}, 90]")
             if not 0 < rate <= rate_cap:
                 raise ContactPlanError(
                     f"{path}: line {lineno}: rate {rate} outside (0, {rate_cap}]")

@@ -27,7 +27,10 @@ weight of each satellite's virtual antenna: zero for the broker, a forcing
 price for ilp_hpq's high-priority satellites. Each station's antenna columns
 repeat its edge weights, and pairs without a contact carry a finite bound
 above every edge and fallback. hungarian_min_matching decodes the matching of
-any such graph into an Assignment.
+any such graph into an Assignment. Each edge keeps the contact-table row of
+its link, and each AssignmentTriple carries the row its policy chose, so the
+downlink reads its rate from that row and the validator checks that the row
+is the slot's contact between the triple's satellite and station.
 
 Only satellites that can gain reach the matching kernel. A satellite whose
 best real edge weighs no less than its virtual antenna (no contact, or every
@@ -156,7 +159,7 @@ class AssignmentTriple:
     ground_station_id: str
     antenna: int
     data_center_id: str
-    dtil_mb: float
+    contact: int               # contact-table row of the (slot, satellite, station) link
 
 
 @dataclass(frozen=True)
@@ -173,16 +176,17 @@ class SlotGraph:
     arrays: ScenarioArrays
     weights: np.ndarray        # [n_s, n_real + n_s]
     edge_of: np.ndarray        # [n_s, n_g] edge position of each pair, -1 without a contact
+    edge_row: np.ndarray       # [n_edges] contact-table row of each edge
     edge_w: np.ndarray         # [n_edges] weight of each edge
     edge_dtil: np.ndarray      # [n_edges]
     edge_dc: np.ndarray        # [n_edges] data center position
 
     @classmethod
-    def from_edges(cls, slot: int, arrays: ScenarioArrays, si: np.ndarray, gi: np.ndarray,
-                   weight: np.ndarray, dtil: np.ndarray, dc: np.ndarray,
+    def from_edges(cls, slot: int, arrays: ScenarioArrays, table: ContactTable,
+                   row: np.ndarray, weight: np.ndarray, dtil: np.ndarray, dc: np.ndarray,
                    fallback: np.ndarray) -> "SlotGraph":
-        """The graph of edges (si[k], gi[k]) with `fallback[s]` on satellite s's
-        virtual antenna.
+        """The graph of one edge per contact-table row `row[k]`, between the row's
+        satellite and station, with `fallback[s]` on satellite s's virtual antenna.
 
         Every antenna of a station repeats the station's edge weight. Pairs
         without a contact carry a bound above any sum of edges and fallbacks,
@@ -191,13 +195,13 @@ class SlotGraph:
         n_s, n_g = len(arrays.sat_ids), len(arrays.gs_ids)
         n_real = arrays.n_real_antennas
         edge_of = np.full((n_s, n_g), -1, dtype=np.int64)
-        edge_of[si, gi] = np.arange(len(weight))
+        edge_of[table.sat[row], table.gs[row]] = np.arange(len(weight))
         big = 4.0 * (1.0 + sum(np.abs(weight).tolist()) + sum(np.abs(fallback).tolist()))
         weights = np.full((n_s, n_real + n_s), big)
         # edge_of is -1 without a contact, which picks the appended bound
         weights[:, :n_real] = np.append(weight, big)[edge_of[:, arrays.antenna_station]]
         weights[:, n_real:].flat[::n_s + 1] = fallback  # the virtual block's diagonal
-        return cls(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of,
+        return cls(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of, edge_row=row,
                    edge_w=weight, edge_dtil=dtil, edge_dc=dc)
 
     @property
@@ -265,7 +269,8 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
     si, gi, rate = table.slot_contacts(slot)
     backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
     weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
-    return SlotGraph.from_edges(slot, arrays, si, gi, weight, dtil, di, np.zeros(len(backlog)))
+    return SlotGraph.from_edges(slot, arrays, table, np.arange(*table.slot_ptr[slot:slot + 2]),
+                                weight, dtil, di, np.zeros(len(backlog)))
 
 
 def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
@@ -292,16 +297,9 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
             ground_station_id=arrays.gs_ids[g_pos],
             antenna=int(arrays.antenna_no[col]),
             data_center_id=arrays.dc_ids[graph.edge_dc[k]],
-            dtil_mb=float(graph.edge_dtil[k]),
+            contact=int(graph.edge_row[k]),
         ))
     return Assignment(slot=graph.slot, triples=tuple(triples)), objective
-
-
-def schedule_slot(states: dict[str, SatelliteState], q: float, slot: int,
-                  scenario: Scenario, table: ContactTable,
-                  arrays: ScenarioArrays | None = None) -> tuple[Assignment, float]:
-    """One slot of the drift-plus-penalty policy: (assignment, objective)."""
-    return hungarian_min_matching(build_bipartite(states, q, slot, scenario, table, arrays))
 
 
 def dump_weight_matrix(graph: SlotGraph, path: str) -> None:
@@ -328,11 +326,14 @@ def check_assignment(assignment: Assignment, scenario: Scenario,
     """Violations of the per-slot constraints; empty when feasible.
 
     Checks: at most one (station, data center) per satellite; only stations
-    within view; per-station use bounded by its antenna count; antenna and
-    data-center references valid and antennas not double-booked.
+    within view, each triple's contact row being one of the slot's rows and
+    naming the triple's satellite and station; per-station use bounded by its
+    antenna count; antenna and data-center references valid and antennas not
+    double-booked.
     """
     violations: list[str] = []
     slot = assignment.slot
+    lo, hi = table.slot_ptr[slot:slot + 2].tolist() if 0 <= slot < table.n_slots else (0, 0)
     sat_ids = {s.id for s in scenario.satellites}
     stations = {g.id: g for g in scenario.ground_stations}
     dc_ids = {d.id for d in scenario.data_centers}
@@ -354,7 +355,9 @@ def check_assignment(assignment: Assignment, scenario: Scenario,
             continue
         if tr.data_center_id not in dc_ids:
             violations.append(f"unknown data center {tr.data_center_id!r}")
-        if table.rate(slot, tr.satellite_id, tr.ground_station_id) is None:
+        k = tr.contact
+        if not (lo <= k < hi and table.sat_ids[table.sat[k]] == tr.satellite_id
+                and table.gs_ids[table.gs[k]] == tr.ground_station_id):
             violations.append(
                 f"constraint(visibility): satellite {tr.satellite_id!r} cannot see "
                 f"station {tr.ground_station_id!r} at slot {slot}")
@@ -416,16 +419,17 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
         raise InstanceTooLargeError(f"{len(arrays.dc_ids)} data centers > "
                                     f"{BRUTE_FORCE_MAX_DCS}")
 
-    # sat position -> [(ant col, dc pos, rate)]
-    options: dict[int, list[tuple[int, int, float]]] = {s: [] for s in visible}
-    for s, g_pos, rate in zip(row_sat, row_gs, row_rate):
+    # sat position -> [(ant col, dc pos, rate, table row)]
+    options: dict[int, list[tuple[int, int, float, int]]] = {s: [] for s in visible}
+    rows = enumerate(zip(row_sat, row_gs, row_rate), int(table.slot_ptr[slot]))
+    for k, (s, g_pos, rate) in rows:
         c0 = int(arrays.station_col0[g_pos])
         for a in range(int(arrays.antenna_counts[g_pos])):
             for d_pos in range(len(arrays.dc_ids)):
-                options[s].append((c0 + a, d_pos, rate))
+                options[s].append((c0 + a, d_pos, rate, k))
 
     best_obj = np.inf
-    best_choice: dict[int, tuple[int, int, float]] = {}
+    best_choice: dict[int, tuple[int, int, float, int]] = {}
 
     def recurse(idx: int, used: set[int], obj: float, choice: dict):
         nonlocal best_obj, best_choice
@@ -437,13 +441,13 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
         s = visible[idx]
         recurse(idx + 1, used, obj, choice)  # virtual: contributes 0
         state = states[arrays.sat_ids[s]]
-        for ant_col, d_pos, rate in options[s]:
+        for ant_col, d_pos, rate, k in options[s]:
             if ant_col in used:
                 continue
             gi = int(arrays.antenna_station[ant_col])
             contrib = _triple_contribution(state, rate, gi, d_pos, q, scenario, arrays)
             used.add(ant_col)
-            choice[s] = (ant_col, d_pos, rate)
+            choice[s] = (ant_col, d_pos, rate, k)
             recurse(idx + 1, used, obj + contrib, choice)
             used.discard(ant_col)
             del choice[s]
@@ -451,14 +455,13 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
     recurse(0, set(), 0.0, {})
 
     triples = []
-    for s, (ant_col, d_pos, rate) in sorted(best_choice.items()):
+    for s, (ant_col, d_pos, _, k) in sorted(best_choice.items()):
         g_pos = int(arrays.antenna_station[ant_col])
-        dtil = min(rate * scenario.tau, states[arrays.sat_ids[s]].total_mb)
         triples.append(AssignmentTriple(
             satellite_id=arrays.sat_ids[s],
             ground_station_id=arrays.gs_ids[g_pos],
             antenna=int(arrays.antenna_no[ant_col]),
             data_center_id=arrays.dc_ids[d_pos],
-            dtil_mb=dtil,
+            contact=k,
         ))
     return Assignment(slot=slot, triples=tuple(triples)), float(best_obj)

@@ -5,7 +5,7 @@ import numpy as np
 from skygs.model import validate_scenario
 from skygs.orbit import Contact, ContactTable
 from skygs.queues import DataChunk, SatelliteState
-from skygs.scheduler import brute_force_schedule, schedule_slot
+from skygs.scheduler import brute_force_schedule, build_bipartite, hungarian_min_matching
 
 
 def make_scenario(n_sats=2, stations=((2, 22.0),), n_dcs=2, v=0.0, xi=60.0,
@@ -38,6 +38,20 @@ def contact_table(scenario, rows, n_slots=None):
     return ContactTable.from_contacts(
         scenario.horizon if n_slots is None else n_slots,
         [s.id for s in scenario.satellites], [g.id for g in scenario.ground_stations], rows)
+
+
+def contact_row(table, slot, sat_id, gs_id):
+    """Table row of the (slot, satellite, station) contact, -1 without one."""
+    lo, hi = table.slot_ptr[slot:slot + 2].tolist()
+    for k in range(lo, hi):
+        if (table.sat_ids[table.sat[k]], table.gs_ids[table.gs[k]]) == (sat_id, gs_id):
+            return k
+    return -1
+
+
+def schedule_slot(states, q, slot, scenario, table):
+    """The broker's (assignment, objective) at one slot."""
+    return hungarian_min_matching(build_bipartite(states, q, slot, scenario, table))
 
 
 def table_for(scenario, contacts, slot=0):

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import DESK_SEEDS, avg_phi
-from instances import oracle_agreement
+from instances import contact_row, oracle_agreement
 from skygs import engine
+from skygs.baselines import SkyGSPolicy
 from skygs.model import validate_scenario
 from skygs.orbit import build_contact_table
 from skygs.queues import DataChunk, SatelliteState
 from skygs.scenarios import desk_scenario, full_scale_scenario
-from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays, check_assignment, schedule_slot
+from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays, check_assignment
 
 ALL_POLICIES = ("skygs", "sg", "bg", "br", "bwg", "ilp_hpq")
 
@@ -64,9 +65,13 @@ def test_criterion_2_feasibility(desk, tuned_v):
         for r in record.records:
             by_slot.setdefault(r.slot, []).append(r)
         for slot, recs in by_slot.items():
+            # a record names no table row; a pair without a contact gets row -1,
+            # which the validator reports as a visibility violation
             assignment = Assignment(slot=slot, triples=tuple(
                 AssignmentTriple(r.satellite_id, r.ground_station_id, r.antenna,
-                                 r.data_center_id, r.mb) for r in recs))
+                                 r.data_center_id,
+                                 contact_row(table, slot, r.satellite_id, r.ground_station_id))
+                for r in recs))
             found = check_assignment(assignment, scenario, table)
             checked[(policy, seed, v) in grid] += 1
             if found:
@@ -240,9 +245,10 @@ def test_criterion_10_performance(desk, tuned_v):
             st.chunks.append(DataChunk(-k, float(rng.uniform(100, 2000))))
         st.total_mb = sum(c.size_mb for c in st.chunks)
         states[sat.id] = st
-    schedule_slot(states, 0.0, 0, scenario, table, arrays=arrays)  # warm the kernel
+    broker = SkyGSPolicy(scenario)
+    broker.schedule(states, 0.0, 0, table)  # warm the kernel
     start = time.monotonic()
-    schedule_slot(states, 123.0, 0, scenario, table, arrays=arrays)
+    broker.schedule(states, 123.0, 0, table)
     slot_seconds = time.monotonic() - start
 
     # full desk run, end to end including contact-table construction

@@ -133,38 +133,69 @@ class TestSimulate:
         assert dumps["50000"] != dumps["5000000"]
 
     def test_dumped_weights_reproduce_the_run(self, tmp_path):
-        # At V = 1e7 the backlog outgrows xi * arrivals and Q becomes positive;
-        # each dumped matrix must still be the one the run matched on, so its
-        # min-cost matching gives the run's downlinks slot by slot.
-        import csv
+        assert_dump_reproduces_run(tmp_path, "skygs")
 
-        import numpy as np
+    def test_dumped_ilp_hpq_weights_reproduce_the_run(self, tmp_path):
+        assert_dump_reproduces_run(tmp_path, "ilp_hpq")
 
-        from skygs import hungarian
-
-        raw = desk_scenario(seed=1, horizon=150, v=1e7)
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(raw))
+    def test_dump_weights_needs_a_matching_policy(self, scenario_file, tmp_path, capsys):
         out, dump = tmp_path / "out", tmp_path / "weights"
-        assert main(["simulate", "--scenario", str(path), "--out", str(out),
-                     "--dump-weights", str(dump)]) == 0
-        assert json.loads((out / "summary_skygs_seed1.json").read_text())["max_q"] > 0
-        run_downlinks = {}
-        with open(out / "records_skygs_seed1.csv", newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["satellite"]:
-                    run_downlinks.setdefault(int(row["slot"]), set()).add(
-                        (row["satellite"], f"{row['ground_station']}#{row['antenna']}"))
-        assert run_downlinks, "expected downlinks in 150 slots"
-        for t in range(150):
-            with open(dump / f"weights_slot{t:05d}.csv", newline="") as fh:
-                rows = list(csv.reader(fh))
-            columns = rows[0][1:]
-            weights = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-            cols = hungarian.min_cost_assignment(weights)
-            matched = {(r[0], columns[c]) for r, c in zip(rows[1:], cols.tolist())
-                       if not columns[c].startswith("virtual:")}
-            assert matched == run_downlinks.get(t, set()), t
+        assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
+                     "--policy", "bg", "--dump-weights", str(dump)]) == 1
+        assert "error: dump_weights: policy 'bg'" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
+
+
+def assert_dump_reproduces_run(tmp_path, policy):
+    """At V = 1e7 the backlog outgrows xi * arrivals and Q becomes positive;
+    each dumped matrix must still be the one the run matched on, so its
+    min-cost matching gives the run's downlinks slot by slot."""
+    import csv
+
+    import numpy as np
+
+    from skygs import hungarian
+
+    raw = desk_scenario(seed=1, horizon=150, v=1e7)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    out, dump = tmp_path / "out", tmp_path / "weights"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out),
+                 "--policy", policy, "--dump-weights", str(dump)]) == 0
+    assert json.loads((out / f"summary_{policy}_seed1.json").read_text())["max_q"] > 0
+    run_downlinks = {}
+    with open(out / f"records_{policy}_seed1.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["satellite"]:
+                run_downlinks.setdefault(int(row["slot"]), set()).add(
+                    (row["satellite"], f"{row['ground_station']}#{row['antenna']}"))
+    assert run_downlinks, "expected downlinks in 150 slots"
+    for t in range(150):
+        with open(dump / f"weights_slot{t:05d}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        columns = rows[0][1:]
+        weights = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
+        cols = hungarian.min_cost_assignment(weights)
+        matched = {(r[0], columns[c]) for r, c in zip(rows[1:], cols.tolist())
+                   if not columns[c].startswith("virtual:")}
+        assert matched == run_downlinks.get(t, set()), t
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs about 50 MB of resident memory on import; the CLI must not pay it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import skygs
+
+    code = ("import sys, skygs.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(skygs.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 class TestCompare:

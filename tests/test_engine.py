@@ -5,7 +5,7 @@ import pytest
 from skygs import engine
 from skygs.engine import InfeasibleAssignmentError, run
 from skygs.model import ScenarioError, validate_scenario
-from instances import contact_table
+from instances import contact_row, contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
 from skygs.queues import ArrivalModel
 from skygs.scenarios import desk_scenario
@@ -111,7 +111,7 @@ class TestStepSemantics:
         assert record.records, "expected downlinks in 120 slots"
         stations = {g.id: g for g in sc.ground_stations}
         for r in record.records:
-            assert table.rate(r.slot, r.satellite_id, r.ground_station_id) is not None
+            assert contact_row(table, r.slot, r.satellite_id, r.ground_station_id) >= 0
             assert 0 <= r.antenna < stations[r.ground_station_id].antennas
 
     def test_record_component_identities(self):
@@ -141,7 +141,7 @@ class TestInfeasiblePolicies:
 
             def schedule(self, states, q, slot, table):
                 return Assignment(slot=slot, triples=(
-                    AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 1.0),))
+                    AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),))
 
         arrays = engine.ScenarioArrays.from_scenario(sc)
         arrivals = engine.ArrivalModel(sc)

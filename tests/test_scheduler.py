@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instances import make_scenario, oracle_agreement, random_instance, states_for, table_for
+from instances import (contact_table, make_scenario, oracle_agreement, random_instance,
+                       schedule_slot, states_for, table_for)
 from skygs import hungarian
-from skygs.scheduler import (InstanceTooLargeError, _triple_contribution,
-                             brute_force_schedule, build_bipartite, check_assignment,
-                             hungarian_min_matching, schedule_slot)
+from skygs.orbit import Contact
+from skygs.scheduler import (Assignment, AssignmentTriple, InstanceTooLargeError,
+                             _triple_contribution, brute_force_schedule, build_bipartite,
+                             check_assignment, hungarian_min_matching)
 
 
 def edge(sc, table, states, q, si=0, gi=0):
@@ -133,33 +135,45 @@ def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
 
 class TestValidator:
     def test_flags_double_booked_antenna(self):
-        from skygs.scheduler import Assignment, AssignmentTriple
         sc = make_scenario(n_sats=2, stations=((1, 22.0),))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0), ("sat-1", "gs-0", 1000.0)])
         bad = Assignment(slot=0, triples=(
-            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 10.0),
-            AssignmentTriple("sat-1", "gs-0", 0, "dc-0", 10.0)))
+            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),
+            AssignmentTriple("sat-1", "gs-0", 0, "dc-0", 1)))
         violations = check_assignment(bad, sc, table)
         assert any("antenna" in v for v in violations)
 
     def test_flags_invisible_station(self):
-        from skygs.scheduler import Assignment, AssignmentTriple
         sc = make_scenario(n_sats=1)
         table = table_for(sc, [])
         bad = Assignment(slot=0, triples=(
-            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 10.0),))
+            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),))
         violations = check_assignment(bad, sc, table)
         assert any("visibility" in v for v in violations)
 
     def test_flags_duplicate_satellite(self):
-        from skygs.scheduler import Assignment, AssignmentTriple
         sc = make_scenario(n_sats=1, stations=((2, 22.0),))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         bad = Assignment(slot=0, triples=(
-            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 10.0),
-            AssignmentTriple("sat-0", "gs-0", 1, "dc-0", 10.0)))
+            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),
+            AssignmentTriple("sat-0", "gs-0", 1, "dc-0", 0)))
         violations = check_assignment(bad, sc, table)
         assert any("single-selection" in v for v in violations)
+
+    # rows by (slot, satellite, station): 0 (0, sat-0, gs-0), 1 (0, sat-0, gs-1),
+    # 2 (0, sat-1, gs-0), 3 (1, sat-0, gs-0); the triple names sat-0 and gs-0 at slot 0
+    @pytest.mark.parametrize("row, wrong", [
+        (3, "another slot"), (2, "another satellite"), (1, "another station"),
+        (4, "out of range"), (-1, "out of range")])
+    def test_flags_a_row_that_is_not_the_triples_contact(self, row, wrong):
+        sc = make_scenario(n_sats=2, stations=((1, 22.0), (1, 18.0)))
+        table = contact_table(sc, [Contact(t, s, g, 45.0, 1000.0) for t, s, g in (
+            (0, "sat-0", "gs-0"), (0, "sat-0", "gs-1"), (0, "sat-1", "gs-0"),
+            (1, "sat-0", "gs-0"))])
+        good = AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0)
+        assert check_assignment(Assignment(slot=0, triples=(good,)), sc, table) == []
+        bad = Assignment(slot=0, triples=(AssignmentTriple("sat-0", "gs-0", 0, "dc-0", row),))
+        assert [v for v in check_assignment(bad, sc, table) if "visibility" in v], wrong
 
 
 class TestBruteForce:
@@ -289,4 +303,5 @@ def test_large_q_downlinks_backlog_older_than_threshold(q):
     assert schedule_slot(states, 0.0, 200, sc, table)[0].triples == ()
     assignment, _ = schedule_slot(states, q, 200, sc, table)
     assert [tr.satellite_id for tr in assignment.triples] == ["sat-0"]
-    assert assignment.triples[0].dtil_mb == 900.0
+    assert assignment.triples[0].contact == 0
+    assert build_bipartite(states, q, 200, sc, table).candidates[(0, 0)].dtil_mb == 900.0
