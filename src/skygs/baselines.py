@@ -10,8 +10,6 @@ None of the baselines rents an antenna for an empty downlink.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from skygs import rng
@@ -20,15 +18,6 @@ from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
 from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
                              build_bipartite, hungarian_min_matching)
-
-
-class PolicyKind(str, Enum):
-    SKYGS = "skygs"
-    SG = "sg"
-    BG = "bg"
-    BR = "br"
-    BWG = "bwg"
-    ILP_HPQ = "ilp_hpq"
 
 
 def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
@@ -84,19 +73,21 @@ class _GreedyCore:
         arrays = self.arrays
         tau = self.scenario.tau
         free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
-        ordered = sorted((s for s in states.values() if s.total_mb > 0),
-                         key=lambda s: (-s.total_mb, s.satellite_id))
+        backlog = [states[sat_id].total_mb for sat_id in arrays.sat_ids]
+        # a stable sort of positions in id order: ties go to the lowest id
+        ordered = sorted((si for si, mb in enumerate(backlog) if mb > 0),
+                         key=lambda si: -backlog[si])
         links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
-        for state in ordered:
+        for si in ordered:
             best = None  # (metric, g_pos, table row)
-            for g_pos, rate, k in links.get(arrays.sat_index[state.satellite_id], ()):
+            for g_pos, rate, k in links.get(si, ()):
                 if g_pos not in self.gs_allowed or not free[g_pos]:
                     continue
                 capacity = rate * tau
-                if self.require_full_slot and state.total_mb < capacity:
+                if self.require_full_slot and backlog[si] < capacity:
                     continue
-                dtil = min(capacity, state.total_mb)
+                dtil = min(capacity, backlog[si])
                 cost = (arrays.price_slot[g_pos]
                         + arrays.dc_cost_per_mb[self.best_dc] * dtil)
                 value = cost / dtil if self.metric == "cost_per_mb" else cost
@@ -106,15 +97,10 @@ class _GreedyCore:
             if best is None:
                 continue
             _, g_pos, k = best
-            antenna = free[g_pos].pop(0)
-            triples.append(AssignmentTriple(
-                satellite_id=state.satellite_id,
-                ground_station_id=arrays.gs_ids[g_pos],
-                antenna=antenna,
-                data_center_id=arrays.dc_ids[self.best_dc],
-                contact=k,
-            ))
-        triples.sort(key=lambda tr: tr.satellite_id)
+            triples.append(AssignmentTriple(contact=k, antenna=free[g_pos].pop(0),
+                                            dc=self.best_dc))
+        # rows follow the satellite ids within a slot
+        triples.sort(key=lambda tr: tr.contact)
         return Assignment(slot=slot, triples=tuple(triples))
 
 
@@ -156,29 +142,23 @@ class BRPolicy:
     def schedule(self, states, q, slot, table):
         arrays = self.arrays
         gen = rng.stream(self.scenario.seed, rng.TAG_BR_POLICY, slot)
-        eligible = sorted(s.satellite_id for s in states.values() if s.total_mb > 0)
+        # satellite positions follow the sorted ids
+        eligible = [si for si, sat_id in enumerate(arrays.sat_ids) if states[sat_id].total_mb > 0]
         order = [eligible[i] for i in gen.permutation(len(eligible))]
         free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
         links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
-        for sat_id in order:
+        for si in order:
             # one entry per free compatible antenna
-            choices = [(g_pos, k, antenna)
-                       for g_pos, _, k in links.get(arrays.sat_index[sat_id], ())
+            choices = [(g_pos, k, antenna) for g_pos, _, k in links.get(si, ())
                        for antenna in free[g_pos]]
             if not choices:
                 continue
             g_pos, k, antenna = choices[int(gen.integers(len(choices)))]
             free[g_pos].remove(antenna)
-            d_pos = int(gen.integers(len(arrays.dc_ids)))
-            triples.append(AssignmentTriple(
-                satellite_id=sat_id,
-                ground_station_id=arrays.gs_ids[g_pos],
-                antenna=antenna,
-                data_center_id=arrays.dc_ids[d_pos],
-                contact=k,
-            ))
-        triples.sort(key=lambda tr: tr.satellite_id)
+            triples.append(AssignmentTriple(contact=k, antenna=antenna,
+                                            dc=int(gen.integers(len(arrays.dc_ids)))))
+        triples.sort(key=lambda tr: tr.contact)
         return Assignment(slot=slot, triples=tuple(triples))
 
 
@@ -243,19 +223,12 @@ class SkyGSPolicy:
         return hungarian_min_matching(self.graph)[0]
 
 
-_POLICY_CLASSES = {
-    PolicyKind.SKYGS: SkyGSPolicy,
-    PolicyKind.SG: SGPolicy,
-    PolicyKind.BG: BGPolicy,
-    PolicyKind.BR: BRPolicy,
-    PolicyKind.BWG: BWGPolicy,
-    PolicyKind.ILP_HPQ: IlpHpqPolicy,
-}
+_POLICY_CLASSES = {cls.name: cls for cls in (SkyGSPolicy, SGPolicy, BGPolicy, BRPolicy,
+                                              BWGPolicy, IlpHpqPolicy)}
 
 
 def make_policy(scenario: Scenario):
     """Instantiate the policy the scenario selects (validating its params)."""
     if scenario.satellites and not scenario.data_centers:
         raise ScenarioError("scheduling requires at least one data center")
-    kind = PolicyKind(scenario.policy)
-    return _POLICY_CLASSES[kind](scenario)
+    return _POLICY_CLASSES[scenario.policy](scenario)

@@ -19,7 +19,7 @@ from typing import Any
 from skygs import accounting, queues
 from skygs.accounting import DownlinkRecord, RunMetrics
 from skygs.baselines import make_policy
-from skygs.model import Scenario, ScenarioError
+from skygs.model import POLICIES, Scenario, ScenarioError
 from skygs.orbit import ContactTable, build_contact_table, scenario_ids
 from skygs.queues import ArrivalModel, SatelliteState
 from skygs.scheduler import Assignment, ScenarioArrays, check_assignment, dump_weight_matrix
@@ -64,19 +64,18 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     """Advance one slot; returns the slot's downlink records."""
     t = sim.slot
     assignment: Assignment = policy.schedule(sim.states, sim.q, t, table)
-    violations = check_assignment(assignment, scenario, table)
+    violations = check_assignment(assignment, arrays, table)
     if violations:
         raise InfeasibleAssignmentError(t, policy.name, violations)
 
     slot_records: list[DownlinkRecord] = []
     service_latency = 0.0
     for tr in assignment.triples:
-        state = sim.states[tr.satellite_id]
-        rate = float(table.rate_mb_per_min[tr.contact])
+        k, di = tr.contact, tr.dc
+        sat_id, gi = arrays.sat_ids[table.sat[k]], int(table.gs[k])
+        rate = float(table.rate_mb_per_min[k])
         capacity = queues.downlink_capacity(rate, scenario.tau)
-        moved, popped = queues.actual_downlink(state, capacity)
-        gi = arrays.gs_index[tr.ground_station_id]
-        di = arrays.dc_index[tr.data_center_id]
+        moved, popped = queues.actual_downlink(sim.states[sat_id], capacity)
         lq = accounting.queuing_latency(popped, t, scenario.tau)
         lt1 = accounting.transmission_latency(moved, rate)
         lt2 = accounting.transmission_latency(moved, float(arrays.backhaul[gi, di]))
@@ -88,9 +87,9 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
         phi_s = accounting.excess_latency(l_total, moved, scenario.xi)
         service_latency += lt1 + lt2 + lc
         slot_records.append(DownlinkRecord(
-            slot=t, satellite_id=tr.satellite_id,
-            ground_station_id=tr.ground_station_id, antenna=tr.antenna,
-            data_center_id=tr.data_center_id, mb=moved,
+            slot=t, satellite_id=sat_id,
+            ground_station_id=arrays.gs_ids[gi], antenna=tr.antenna,
+            data_center_id=arrays.dc_ids[di], mb=moved,
             lq=lq, lt1=lt1, lt2=lt2, lc=lc, l_total=l_total,
             cr=cr, cc=cc, c_total=c_total, phi_s=phi_s,
         ))
@@ -130,6 +129,9 @@ def with_overrides(scenario: Scenario, *, policy: str | None = None,
     """The scenario with the given fields replaced, checked like a scenario file's."""
     overrides: dict[str, Any] = {}
     if policy is not None:
+        if policy.lower() not in POLICIES:
+            raise ScenarioError(f"policy: unknown policy {policy!r} "
+                                f"(valid: {', '.join(POLICIES)})")
         overrides["policy"] = policy.lower()
         overrides["policy_params"] = dict(scenario.policy_params)
     if seed is not None:

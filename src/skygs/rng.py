@@ -5,6 +5,10 @@ daily volume, the random baseline's choices) is drawn from its own Philox
 stream keyed by the master seed, a purpose tag, and the entity/slot indices.
 Draws therefore never depend on scheduling decisions or call order, which is
 what makes paired policy comparisons on identical sample paths possible.
+
+The streams are not independent, though: the first id shares Philox
+counter[0] with the draw counter, so streams whose first ids differ by n
+are the same sequence shifted by 4n draws (see stream and ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -23,8 +27,13 @@ _MASK64 = (1 << 64) - 1
 def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
     """Generator for the (tag, *ids) stream under a master seed.
 
-    Up to three identifying integers are placed in the Philox counter block,
-    so streams for distinct (tag, ids) never overlap.
+    Up to three identifying integers are placed in the Philox counter block.
+    Distinct (tag, ids) streams can overlap: ids[0] sits in counter[0], which
+    also advances by one per block of four draws, so the stream for
+    ids[0] = i + 1 is the stream for i without its first four draws. The
+    arrival masks of satellites 0 and 1 share 1,436 of their 1,440 draws
+    this way, and the rate noise of (satellite 1, station g) at slot t equals
+    that of (satellite 0, station g) at slot t + 4. ROADMAP item 3 is the fix.
     """
     if len(ids) > 3:
         raise ValueError("at most three stream ids supported")

@@ -28,9 +28,14 @@ price for ilp_hpq's high-priority satellites. Each station's antenna columns
 repeat its edge weights, and pairs without a contact carry a finite bound
 above every edge and fallback. hungarian_min_matching decodes the matching of
 any such graph into an Assignment. Each edge keeps the contact-table row of
-its link, and each AssignmentTriple carries the row its policy chose, so the
-downlink reads its rate from that row and the validator checks that the row
-is the slot's contact between the triple's satellite and station.
+its link.
+
+An AssignmentTriple is three positions: the contact-table row its policy
+chose, which fixes the slot, satellite and station; the antenna within that
+station; and the data center. The downlink reads the row's rate, and the
+validator checks the positions against the slot's rows and the scenario's
+antenna and data-center counts. Ids are read from the positions only where a
+downlink record is written.
 
 Only satellites that can gain reach the matching kernel. A satellite whose
 best real edge weighs no less than its virtual antenna (no contact, or every
@@ -78,7 +83,6 @@ class ScenarioArrays:
     dc_ids: tuple[str, ...]
     sat_index: dict[str, int]
     gs_index: dict[str, int]
-    dc_index: dict[str, int]
     price_slot: np.ndarray          # [n_g] $ per antenna-slot
     antenna_counts: np.ndarray      # [n_g]
     antenna_station: np.ndarray     # [n_real] station index per antenna column
@@ -116,7 +120,6 @@ class ScenarioArrays:
             dc_ids=tuple(d.id for d in dcs),
             sat_index={s.id: i for i, s in enumerate(sats)},
             gs_index={g.id: i for i, g in enumerate(stations)},
-            dc_index={d.id: i for i, d in enumerate(dcs)},
             price_slot=price_slot,
             antenna_counts=counts,
             antenna_station=ant_station.astype(np.int64),
@@ -155,11 +158,9 @@ class EdgeCandidate:
 
 @dataclass(frozen=True)
 class AssignmentTriple:
-    satellite_id: str
-    ground_station_id: str
-    antenna: int
-    data_center_id: str
-    contact: int               # contact-table row of the (slot, satellite, station) link
+    contact: int               # contact-table row: the slot, satellite and station
+    antenna: int               # antenna within the row's station
+    dc: int                    # data center position
 
 
 @dataclass(frozen=True)
@@ -287,18 +288,13 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
             if col - n_real != si:
                 raise RuntimeError("matching used another satellite's virtual antenna")
             continue
-        g_pos = int(arrays.antenna_station[col])
-        k = graph.edge_of[si, g_pos]
+        k = graph.edge_of[si, arrays.antenna_station[col]]
         if k < 0:
             raise RuntimeError("matching used a non-contact edge")
         objective += float(graph.edge_w[k])
-        triples.append(AssignmentTriple(
-            satellite_id=arrays.sat_ids[si],
-            ground_station_id=arrays.gs_ids[g_pos],
-            antenna=int(arrays.antenna_no[col]),
-            data_center_id=arrays.dc_ids[graph.edge_dc[k]],
-            contact=int(graph.edge_row[k]),
-        ))
+        triples.append(AssignmentTriple(contact=int(graph.edge_row[k]),
+                                        antenna=int(arrays.antenna_no[col]),
+                                        dc=int(graph.edge_dc[k])))
     return Assignment(slot=graph.slot, triples=tuple(triples)), objective
 
 
@@ -321,61 +317,42 @@ def dump_weight_matrix(graph: SlotGraph, path: str) -> None:
 # independent feasibility validator
 
 
-def check_assignment(assignment: Assignment, scenario: Scenario,
+def check_assignment(assignment: Assignment, arrays: ScenarioArrays,
                      table: ContactTable) -> list[str]:
     """Violations of the per-slot constraints; empty when feasible.
 
-    Checks: at most one (station, data center) per satellite; only stations
-    within view, each triple's contact row being one of the slot's rows and
-    naming the triple's satellite and station; per-station use bounded by its
-    antenna count; antenna and data-center references valid and antennas not
-    double-booked.
+    Checks: each triple's contact row is one of the slot's rows (so its
+    station is within view); each satellite appears in at most one row; the
+    antenna exists at the row's station and is not double-booked; the data
+    center exists. Negative positions are out of range, not counted from the
+    end.
     """
     violations: list[str] = []
     slot = assignment.slot
     lo, hi = table.slot_ptr[slot:slot + 2].tolist() if 0 <= slot < table.n_slots else (0, 0)
-    sat_ids = {s.id for s in scenario.satellites}
-    stations = {g.id: g for g in scenario.ground_stations}
-    dc_ids = {d.id for d in scenario.data_centers}
-
-    seen_sats: set[str] = set()
-    used_antennas: set[tuple[str, int]] = set()
-    per_station: dict[str, int] = {}
+    n_d = len(arrays.dc_ids)
+    seen_sats: set[int] = set()
+    used_antennas: set[tuple[int, int]] = set()
     for tr in assignment.triples:
-        if tr.satellite_id not in sat_ids:
-            violations.append(f"unknown satellite {tr.satellite_id!r}")
-            continue
-        if tr.satellite_id in seen_sats:
-            violations.append(
-                f"constraint(single-selection): satellite {tr.satellite_id!r} assigned twice")
-        seen_sats.add(tr.satellite_id)
-        gs = stations.get(tr.ground_station_id)
-        if gs is None:
-            violations.append(f"unknown ground station {tr.ground_station_id!r}")
-            continue
-        if tr.data_center_id not in dc_ids:
-            violations.append(f"unknown data center {tr.data_center_id!r}")
         k = tr.contact
-        if not (lo <= k < hi and table.sat_ids[table.sat[k]] == tr.satellite_id
-                and table.gs_ids[table.gs[k]] == tr.ground_station_id):
-            violations.append(
-                f"constraint(visibility): satellite {tr.satellite_id!r} cannot see "
-                f"station {tr.ground_station_id!r} at slot {slot}")
-        if not 0 <= tr.antenna < gs.antennas:
-            violations.append(
-                f"constraint(antenna-count): station {tr.ground_station_id!r} has no "
-                f"antenna {tr.antenna}")
-        key = (tr.ground_station_id, tr.antenna)
-        if key in used_antennas:
-            violations.append(
-                f"constraint(antenna-count): antenna {key} double-booked")
-        used_antennas.add(key)
-        per_station[tr.ground_station_id] = per_station.get(tr.ground_station_id, 0) + 1
-    for gs_id, n_used in per_station.items():
-        if gs_id in stations and n_used > stations[gs_id].antennas:
-            violations.append(
-                f"constraint(antenna-count): station {gs_id!r} used {n_used} times, "
-                f"has {stations[gs_id].antennas} antennas")
+        if not lo <= k < hi:
+            violations.append(f"constraint(visibility): contact row {k} is not one of "
+                              f"slot {slot}'s rows [{lo}, {hi})")
+            continue
+        si, gi = int(table.sat[k]), int(table.gs[k])
+        if si in seen_sats:
+            violations.append(f"constraint(single-selection): satellite "
+                              f"{table.sat_ids[si]!r} assigned twice")
+        seen_sats.add(si)
+        if not 0 <= tr.antenna < arrays.antenna_counts[gi]:
+            violations.append(f"constraint(antenna-count): station {table.gs_ids[gi]!r} "
+                              f"has no antenna {tr.antenna}")
+        elif (gi, tr.antenna) in used_antennas:
+            violations.append(f"constraint(antenna-count): antenna {tr.antenna} of station "
+                              f"{table.gs_ids[gi]!r} double-booked")
+        used_antennas.add((gi, tr.antenna))
+        if not 0 <= tr.dc < n_d:
+            violations.append(f"unknown data center position {tr.dc} (scenario has {n_d})")
     return violations
 
 
@@ -456,12 +433,6 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
 
     triples = []
     for s, (ant_col, d_pos, _, k) in sorted(best_choice.items()):
-        g_pos = int(arrays.antenna_station[ant_col])
-        triples.append(AssignmentTriple(
-            satellite_id=arrays.sat_ids[s],
-            ground_station_id=arrays.gs_ids[g_pos],
-            antenna=int(arrays.antenna_no[ant_col]),
-            data_center_id=arrays.dc_ids[d_pos],
-            contact=k,
-        ))
+        triples.append(AssignmentTriple(contact=k, antenna=int(arrays.antenna_no[ant_col]),
+                                        dc=d_pos))
     return Assignment(slot=slot, triples=tuple(triples)), float(best_obj)

@@ -1,5 +1,7 @@
 """Shared builders for small synthetic slot instances (unit + acceptance tests)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from skygs.model import validate_scenario
@@ -47,6 +49,14 @@ def contact_row(table, slot, sat_id, gs_id):
         if (table.sat_ids[table.sat[k]], table.gs_ids[table.gs[k]]) == (sat_id, gs_id):
             return k
     return -1
+
+
+def named(triple, table, scenario):
+    """The satellite, station and data center ids a triple's positions name."""
+    k = triple.contact
+    return SimpleNamespace(satellite=table.sat_ids[table.sat[k]],
+                           station=table.gs_ids[table.gs[k]],
+                           dc=sorted(d.id for d in scenario.data_centers)[triple.dc])
 
 
 def schedule_slot(states, q, slot, scenario, table):

@@ -60,6 +60,7 @@ def test_criterion_2_feasibility(desk, tuned_v):
     runs = desk.all_runs()
     for (policy, seed, v), (record, _m) in runs.items():
         scenario = desk.scenario(seed)
+        arrays = ScenarioArrays.from_scenario(scenario)
         table = desk.table(seed)
         by_slot = {}
         for r in record.records:
@@ -68,11 +69,10 @@ def test_criterion_2_feasibility(desk, tuned_v):
             # a record names no table row; a pair without a contact gets row -1,
             # which the validator reports as a visibility violation
             assignment = Assignment(slot=slot, triples=tuple(
-                AssignmentTriple(r.satellite_id, r.ground_station_id, r.antenna,
-                                 r.data_center_id,
-                                 contact_row(table, slot, r.satellite_id, r.ground_station_id))
+                AssignmentTriple(contact_row(table, slot, r.satellite_id, r.ground_station_id),
+                                 r.antenna, arrays.dc_ids.index(r.data_center_id))
                 for r in recs))
-            found = check_assignment(assignment, scenario, table)
+            found = check_assignment(assignment, arrays, table)
             checked[(policy, seed, v) in grid] += 1
             if found:
                 violations.append((policy, seed, slot, found))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from skygs.baselines import (BGPolicy, BRPolicy, BWGPolicy, IlpHpqPolicy,
-                             PolicyKind, SGPolicy, make_policy)
-from skygs.model import ScenarioError, validate_scenario
-from instances import contact_table
+from skygs.baselines import (_POLICY_CLASSES, BGPolicy, BRPolicy, BWGPolicy, IlpHpqPolicy,
+                             SGPolicy, make_policy)
+from skygs.model import POLICIES, ScenarioError, validate_scenario
+from instances import contact_table, named
 from skygs.orbit import Contact
 from skygs.queues import DataChunk, SatelliteState
-from skygs.scheduler import check_assignment
+from skygs.scheduler import ScenarioArrays, check_assignment
 
 
 def make_scenario(stations, n_sats=2, n_dcs=2, policy="bg", policy_params=None,
@@ -58,7 +58,7 @@ class TestBG:
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-0", "gs-b", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
         asg = BGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert asg.triples[0].ground_station_id == "gs-a"
+        assert named(asg.triples[0], table, sc).station == "gs-a"
 
     def test_zero_backlog_never_rents(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=1)
@@ -72,14 +72,14 @@ class TestBG:
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 900.0)]})
         asg = BGPolicy(sc).schedule(states, 0.0, 0, table)
         assert len(asg.triples) == 1
-        assert asg.triples[0].satellite_id == "sat-1"
+        assert named(asg.triples[0], table, sc).satellite == "sat-1"
 
     def test_picks_cheapest_dc_per_mb(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1, n_dcs=3)
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
         asg = BGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert asg.triples[0].data_center_id == "dc-0"  # lowest kappa * price
+        assert named(asg.triples[0], table, sc).dc == "dc-0"  # lowest kappa * price
 
 
 class TestSG:
@@ -90,8 +90,8 @@ class TestSG:
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-0", "gs-b", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
         asg = SGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert asg.triples[0].ground_station_id == "gs-b"
-        assert asg.triples[0].data_center_id == "dc-1"
+        assert named(asg.triples[0], table, sc).station == "gs-b"
+        assert named(asg.triples[0], table, sc).dc == "dc-1"
 
     def test_withholds_when_only_other_provider_visible(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=1, policy="sg",
@@ -235,11 +235,12 @@ class TestIlpHpq:
             hp = {sid for sid, st in states.items()
                   if st.chunks and (slot - st.chunks[0].arrival_slot) >= 0.8 * 60}
             asg = IlpHpqPolicy(sc).schedule(states, 0.0, slot, table)
-            served = {t.satellite_id for t in asg.triples}
-            cost = sum(price[t.ground_station_id] + per_mb[t.data_center_id]
+            ids = [named(t, table, sc) for t in asg.triples]
+            served = {n.satellite for n in ids}
+            cost = sum(price[n.station] + per_mb[n.dc]
                        * min(table.rate_mb_per_min[t.contact] * sc.tau,
-                             states[t.satellite_id].total_mb)
-                       for t in asg.triples)
+                             states[n.satellite].total_mb)
+                       for t, n in zip(asg.triples, ids))
 
             # least cost of the assignments serving each number of HP sats
             least: dict[int, float] = {}
@@ -271,6 +272,7 @@ class TestCommon:
         rng = np.random.default_rng(7)
         sc = make_scenario([("gs-a", "p1", 2, 18.0), ("gs-b", "p2", 1, 26.0)],
                            n_sats=4, dc_providers=["p1", "p2"])
+        arrays = ScenarioArrays.from_scenario(sc)
         for slot in range(30):
             contacts = []
             for s in sc.satellites:
@@ -284,7 +286,7 @@ class TestCommon:
             })
             for cls in (BGPolicy, BWGPolicy, BRPolicy, IlpHpqPolicy):
                 asg = cls(sc).schedule(states, 0.0, slot, table)
-                assert check_assignment(asg, sc, table) == [], cls.__name__
+                assert check_assignment(asg, arrays, table) == [], cls.__name__
 
     def test_sg_station_set_subset_of_bg(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=1, policy="sg",
@@ -294,10 +296,13 @@ class TestCommon:
         assert sg.gs_allowed <= bg.gs_allowed
 
     def test_make_policy_dispatch(self):
-        for kind in PolicyKind:
-            params = {"provider": "p1"} if kind is PolicyKind.SG else {}
-            sc = make_scenario(TWO_PROVIDERS, policy=kind.value, policy_params=params)
-            assert make_policy(sc).name == kind.value
+        for policy in POLICIES:
+            params = {"provider": "p1"} if policy == "sg" else {}
+            sc = make_scenario(TWO_PROVIDERS, policy=policy, policy_params=params)
+            assert make_policy(sc).name == policy
+
+    def test_registry_holds_every_scenario_policy(self):
+        assert tuple(_POLICY_CLASSES) == POLICIES
 
     def test_make_policy_requires_data_centers(self):
         sc = make_scenario(TWO_PROVIDERS)

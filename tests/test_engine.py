@@ -90,6 +90,10 @@ class TestStepSemantics:
         with pytest.raises(ScenarioError, match="v: must be >= 0"):
             run(tiny_scenario(horizon=1), v=-1.0, table=empty_table(1))
 
+    def test_rejects_unknown_policy_override(self):
+        with pytest.raises(ScenarioError, match="unknown policy 'nope'"):
+            run(tiny_scenario(horizon=1), policy="nope", table=empty_table(1))
+
     def test_rejects_table_of_another_horizon(self):
         with pytest.raises(ScenarioError, match="3 slots, scenario horizon is 2"):
             run(tiny_scenario(horizon=2), table=empty_table(3))
@@ -141,7 +145,7 @@ class TestInfeasiblePolicies:
 
             def schedule(self, states, q, slot, table):
                 return Assignment(slot=slot, triples=(
-                    AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),))
+                    AssignmentTriple(contact=0, antenna=0, dc=0),))
 
         arrays = engine.ScenarioArrays.from_scenario(sc)
         arrivals = engine.ArrivalModel(sc)

@@ -3,7 +3,7 @@
 Criterion 9 only checks that two processes agree with each other. These
 SHA-256 digests check that a commit writes byte for byte what the commit
 before it wrote: the desk seed-1 contact plan, a 48-slot full-scale plan at
-seed 1, and the desk seed-1 records and summary of skygs and bg. A refactor
+seed 1, and the desk seed-1 records and summary of every policy. A refactor
 must leave them as they are. A change that moves them on purpose updates the
 constants and says why in CHANGES.md; ROADMAP items 3 (independent random
 streams) and 4 (latency units) are expected to.
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from skygs import cli
+from skygs.model import POLICIES
 from skygs.scenarios import full_scale_scenario
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
@@ -33,6 +34,22 @@ PINNED = {
         "2033142950d303accd3bccdef7ae90b46c697f9f4811f7dcfa5c5185825ea704",
     "summary_bg_seed1.json":
         "ee3864f6797f559756d6ec4e927a86d1f30d1059da27abe74fb038967e8d8168",
+    "records_sg_seed1.csv":
+        "dc71dfbeede4e96ada486853266c8b67e465b25936c4607a88f8b6a666c66cf4",
+    "summary_sg_seed1.json":
+        "b3d7e5a1affc6a591bb74a9f15f3861b4619acb3fc9d235d3331a2881caf842e",
+    "records_br_seed1.csv":
+        "ed924f624623bc70bd45e5387ffded4aa3f4444b7f8ccb05147a95eb1244065c",
+    "summary_br_seed1.json":
+        "11e8bf1a1849862d510215a6fd44705d81aadb4114e21d5bd4ad664f9be4ff80",
+    "records_bwg_seed1.csv":
+        "96f14cf9bdf1af2fa106612be9eda48d9656952902ce7e3b4fd237f012b7034a",
+    "summary_bwg_seed1.json":
+        "1c1749d3274e2f894f70282a21fb5b7c22156ed041c9c036e98173b7254593ac",
+    "records_ilp_hpq_seed1.csv":
+        "84490afed629678a8364f554d119f5d76f5c9e4d78352bd479b5793eff579aa6",
+    "summary_ilp_hpq_seed1.json":
+        "8b18c2a35080975a8e594cb1ecdd3b1328b1856a91849fd110325ccc9e175768",
 }
 
 
@@ -45,7 +62,7 @@ def outputs(tmp_path_factory):
             ["gen-contacts", "--scenario", str(full), "--out",
              str(out / "full_scale_48_plan.csv")]]
     runs += [["simulate", "--scenario", str(DESK), "--policy", policy, "--seed", "1",
-              "--out", str(out)] for policy in ("skygs", "bg")]
+              "--out", str(out)] for policy in POLICIES]
     for argv in runs:
         assert cli.main(argv) == 0, argv
     return out

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instances import (contact_table, make_scenario, oracle_agreement, random_instance,
-                       schedule_slot, states_for, table_for)
+from instances import (contact_table, make_scenario, named, oracle_agreement,
+                       random_instance, schedule_slot, states_for, table_for)
 from skygs import hungarian
 from skygs.orbit import Contact
 from skygs.scheduler import (Assignment, AssignmentTriple, InstanceTooLargeError,
-                             _triple_contribution, brute_force_schedule, build_bipartite,
-                             check_assignment, hungarian_min_matching)
+                             ScenarioArrays, _triple_contribution, brute_force_schedule,
+                             build_bipartite, check_assignment, hungarian_min_matching)
 
 
 def edge(sc, table, states, q, si=0, gi=0):
@@ -97,7 +97,7 @@ class TestMatching:
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 70.0)]})
         assignment, _ = schedule_slot(states, 0.0, 0, sc, table)
         assert len(assignment.triples) == 1
-        assert assignment.triples[0].satellite_id == "sat-0"
+        assert named(assignment.triples[0], table, sc).satellite == "sat-0"
 
     def test_assignments_satisfy_constraints(self):
         sc = make_scenario(n_sats=3, stations=((1, 22.0), (2, 18.0)))
@@ -105,7 +105,7 @@ class TestMatching:
                                ("sat-1", "gs-1", 3000.0), ("sat-2", "gs-1", 1000.0)])
         states = states_for(sc, {s.id: [(0, 4000.0)] for s in sc.satellites})
         assignment, _ = schedule_slot(states, 0.0, 0, sc, table)
-        assert check_assignment(assignment, sc, table) == []
+        assert check_assignment(assignment, ScenarioArrays.from_scenario(sc), table) == []
 
 
 def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
@@ -130,50 +130,55 @@ def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
     assignment, _ = hungarian_min_matching(graph)
     # two rows; the three gs-0/gs-1 antennas both rows can use, and their fallbacks
     assert seen == [(2, 3 + 2)]
-    assert [tr.satellite_id for tr in assignment.triples] == ["sat-0", "sat-1"]
+    assert [named(tr, table, sc).satellite for tr in assignment.triples] == ["sat-0", "sat-1"]
+
+
+def check(scenario, table, *triples, slot=0):
+    """check_assignment's violations of the slot's triples (contact, antenna, dc)."""
+    assignment = Assignment(slot=slot, triples=tuple(AssignmentTriple(*t) for t in triples))
+    return check_assignment(assignment, ScenarioArrays.from_scenario(scenario), table)
 
 
 class TestValidator:
     def test_flags_double_booked_antenna(self):
         sc = make_scenario(n_sats=2, stations=((1, 22.0),))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0), ("sat-1", "gs-0", 1000.0)])
-        bad = Assignment(slot=0, triples=(
-            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),
-            AssignmentTriple("sat-1", "gs-0", 0, "dc-0", 1)))
-        violations = check_assignment(bad, sc, table)
+        violations = check(sc, table, (0, 0, 0), (1, 0, 0))
         assert any("antenna" in v for v in violations)
 
     def test_flags_invisible_station(self):
         sc = make_scenario(n_sats=1)
         table = table_for(sc, [])
-        bad = Assignment(slot=0, triples=(
-            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),))
-        violations = check_assignment(bad, sc, table)
+        violations = check(sc, table, (0, 0, 0))
         assert any("visibility" in v for v in violations)
 
     def test_flags_duplicate_satellite(self):
         sc = make_scenario(n_sats=1, stations=((2, 22.0),))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
-        bad = Assignment(slot=0, triples=(
-            AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0),
-            AssignmentTriple("sat-0", "gs-0", 1, "dc-0", 0)))
-        violations = check_assignment(bad, sc, table)
+        violations = check(sc, table, (0, 0, 0), (0, 1, 0))
         assert any("single-selection" in v for v in violations)
 
     # rows by (slot, satellite, station): 0 (0, sat-0, gs-0), 1 (0, sat-0, gs-1),
-    # 2 (0, sat-1, gs-0), 3 (1, sat-0, gs-0); the triple names sat-0 and gs-0 at slot 0
+    # 2 (0, sat-1, gs-0), 3 (1, sat-0, gs-0); the triple is meant for slot 0
     @pytest.mark.parametrize("row, wrong", [
-        (3, "another slot"), (2, "another satellite"), (1, "another station"),
-        (4, "out of range"), (-1, "out of range")])
+        (3, "another slot"), (4, "out of range"), (-1, "out of range")])
     def test_flags_a_row_that_is_not_the_triples_contact(self, row, wrong):
         sc = make_scenario(n_sats=2, stations=((1, 22.0), (1, 18.0)))
         table = contact_table(sc, [Contact(t, s, g, 45.0, 1000.0) for t, s, g in (
             (0, "sat-0", "gs-0"), (0, "sat-0", "gs-1"), (0, "sat-1", "gs-0"),
             (1, "sat-0", "gs-0"))])
-        good = AssignmentTriple("sat-0", "gs-0", 0, "dc-0", 0)
-        assert check_assignment(Assignment(slot=0, triples=(good,)), sc, table) == []
-        bad = Assignment(slot=0, triples=(AssignmentTriple("sat-0", "gs-0", 0, "dc-0", row),))
-        assert [v for v in check_assignment(bad, sc, table) if "visibility" in v], wrong
+        assert check(sc, table, (0, 0, 0)) == []
+        assert [v for v in check(sc, table, (row, 0, 0)) if "visibility" in v], wrong
+
+    # gs-0 has two antennas and the scenario two data centers
+    @pytest.mark.parametrize("antenna, dc, kind", [
+        (2, 0, "antenna-count"), (-1, 0, "antenna-count"),
+        (0, 2, "data center"), (0, -1, "data center")])
+    def test_flags_an_antenna_or_data_center_out_of_range(self, antenna, dc, kind):
+        sc = make_scenario(n_sats=1, stations=((2, 22.0),), n_dcs=2)
+        table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
+        assert check(sc, table, (0, 1, 1)) == []
+        assert [v for v in check(sc, table, (0, antenna, dc)) if kind in v]
 
 
 class TestBruteForce:
@@ -268,7 +273,7 @@ def test_scalar_and_vectorized_weights_agree(seed):
         tol = 1e-12 * (scenario.v * cost + (state.total_mb + q / scenario.xi) * state.total_mb
                        + 1.0)
         assert batched.weight == pytest.approx(
-            scalar[arrays.dc_index[batched.data_center_id]], abs=tol)
+            scalar[arrays.dc_ids.index(batched.data_center_id)], abs=tol)
         assert batched.weight <= min(scalar) + tol
         assert batched.dtil_mb == min(rate * scenario.tau, state.total_mb)
         col = int(arrays.station_col0[gi])
@@ -287,8 +292,8 @@ def test_q_dominant_limit_matches_oracle():
     assignment, fast = schedule_slot(states, 1e9, 50, sc, table)
     oracle_assignment, exact = brute_force_schedule(states, 1e9, 50, sc, table)
     assert fast == pytest.approx(exact, rel=1e-9)
-    assert assignment.triples[0].satellite_id == "sat-1"
-    assert oracle_assignment.triples[0].satellite_id == "sat-1"
+    assert named(assignment.triples[0], table, sc).satellite == "sat-1"
+    assert named(oracle_assignment.triples[0], table, sc).satellite == "sat-1"
 
 
 @pytest.mark.parametrize("q", [1e7, 1e9, 1e12])
@@ -302,6 +307,6 @@ def test_large_q_downlinks_backlog_older_than_threshold(q):
     states = states_for(sc, {"sat-0": [(0, 600.0), (10, 300.0)]})
     assert schedule_slot(states, 0.0, 200, sc, table)[0].triples == ()
     assignment, _ = schedule_slot(states, q, 200, sc, table)
-    assert [tr.satellite_id for tr in assignment.triples] == ["sat-0"]
+    assert [named(tr, table, sc).satellite for tr in assignment.triples] == ["sat-0"]
     assert assignment.triples[0].contact == 0
     assert build_bipartite(states, q, 200, sc, table).candidates[(0, 0)].dtil_mb == 900.0
