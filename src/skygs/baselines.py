@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from skygs import rng
-from skygs.model import Scenario, ScenarioError
+from skygs.model import DEFAULT_RHO, Scenario, ScenarioError
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
 from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
@@ -21,12 +21,9 @@ from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotG
 
 
 def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
-    """Cheapest data center per MB among the allowed ones; ties to lowest id."""
-    best = dc_positions[0]
-    for d in dc_positions[1:]:
-        if arrays.dc_cost_per_mb[d] < arrays.dc_cost_per_mb[best]:
-            best = d
-    return best
+    """Cheapest data center per MB among the allowed ones; ties to lowest id.
+    Without data centers there is no satellite to schedule (make_policy)."""
+    return min(dc_positions, key=arrays.dc_cost_per_mb.__getitem__, default=0)
 
 
 def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float, int]]]:
@@ -44,8 +41,8 @@ class _GreedyCore:
     """Base of SG/BG/BWG: cost-effective pair selection.
 
     Satellites with data are served in descending backlog order; each takes
-    the free antenna and data center minimizing the configured metric
-    (cost per MB by default), tie-broken by lowest ids.
+    the free antenna and data center minimizing the cost per MB, tie-broken
+    by lowest ids.
     """
 
     def __init__(self, scenario: Scenario, *, providers: set[str] | None = None,
@@ -53,9 +50,6 @@ class _GreedyCore:
         self.arrays = ScenarioArrays.from_scenario(scenario)
         self.scenario = scenario
         self.require_full_slot = require_full_slot
-        self.metric = scenario.policy_params.get("metric", "cost_per_mb")
-        if self.metric not in ("cost_per_mb", "cost"):
-            raise ScenarioError(f"unknown greedy metric {self.metric!r}")
         if providers is None:
             self.gs_allowed = set(range(len(self.arrays.gs_ids)))
             dc_positions = list(range(len(self.arrays.dc_ids)))
@@ -64,8 +58,6 @@ class _GreedyCore:
                                if p in providers}
             dc_positions = [i for i, p in enumerate(self.arrays.provider_dc)
                             if p in providers]
-        if not dc_positions:
-            raise ScenarioError(f"providers {sorted(providers or set())} own no data centers")
         self.best_dc = _best_dc_by_cost(self.arrays, dc_positions)
 
     def schedule(self, states: dict[str, SatelliteState], q: float, slot: int,
@@ -80,7 +72,7 @@ class _GreedyCore:
         links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
         for si in ordered:
-            best = None  # (metric, g_pos, table row)
+            best = None  # (cost per MB, g_pos, table row)
             for g_pos, rate, k in links.get(si, ()):
                 if g_pos not in self.gs_allowed or not free[g_pos]:
                     continue
@@ -88,12 +80,11 @@ class _GreedyCore:
                 if self.require_full_slot and backlog[si] < capacity:
                     continue
                 dtil = min(capacity, backlog[si])
-                cost = (arrays.price_slot[g_pos]
-                        + arrays.dc_cost_per_mb[self.best_dc] * dtil)
-                value = cost / dtil if self.metric == "cost_per_mb" else cost
+                per_mb = (arrays.price_slot[g_pos]
+                          + arrays.dc_cost_per_mb[self.best_dc] * dtil) / dtil
                 # station positions follow the ids, so ties go to the lowest id
-                if best is None or (value, g_pos) < best[:2]:
-                    best = (value, g_pos, k)
+                if best is None or (per_mb, g_pos) < best[:2]:
+                    best = (per_mb, g_pos, k)
             if best is None:
                 continue
             _, g_pos, k = best
@@ -119,17 +110,8 @@ class SGPolicy(_GreedyCore):
     name = "sg"
 
     def __init__(self, scenario: Scenario):
-        provider = scenario.policy_params.get("provider")
-        if provider is None:
-            providers = sorted({g.provider for g in scenario.ground_stations})
-            if not providers:
-                raise ScenarioError("sg policy: scenario has no ground stations")
-            provider = providers[0]
-        owned = [g for g in scenario.ground_stations if g.provider == provider]
-        if not owned:
-            raise ScenarioError(f"sg policy: provider {provider!r} owns no ground stations")
-        self.provider = provider
-        super().__init__(scenario, providers={provider})
+        # validation fills in the provider and checks that it owns a station and a data center
+        super().__init__(scenario, providers={scenario.policy_params["provider"]})
 
 
 class BRPolicy:
@@ -183,9 +165,7 @@ class IlpHpqPolicy:
         self.arrays = ScenarioArrays.from_scenario(scenario)
         self.scenario = scenario
         self.graph: SlotGraph | None = None  # the graph of the latest slot
-        self.rho = float(scenario.policy_params.get("rho", 0.8))
-        if not 0 < self.rho <= 1:
-            raise ScenarioError("ilp_hpq policy: rho must be in (0, 1]")
+        self.rho = scenario.policy_params.get("rho", DEFAULT_RHO)
         self.best_dc = _best_dc_by_cost(self.arrays, list(range(len(self.arrays.dc_ids))))
 
     def schedule(self, states, q, slot, table):

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from skygs import engine
-from skygs.model import POLICIES, ScenarioError, load_scenario
+from skygs.model import POLICIES, ScenarioError, load_scenario, with_overrides
 from skygs.orbit import ContactPlanError, build_contact_table, write_contact_plan
 
 log = logging.getLogger("skygs")
@@ -99,22 +99,22 @@ def _grid_row(scenario, policy: str, table) -> dict:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scenario = engine.with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
+    scenario = with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
     policies = [p.strip().lower() for p in args.policies.split(",") if p.strip()]
     for p in policies:
         if p not in POLICIES:
             raise ScenarioError(f"--policies: unknown policy {p!r} (valid: {', '.join(POLICIES)})")
     seeds = _parse_int_list(args.seeds, "--seeds")
+    seeded = {seed: with_overrides(scenario, seed=seed) for seed in seeds}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the contact table depends on the world and the seed only: one build per
     # seed serves every policy (a failed build is retried by the next cell)
     cells = {}
-    for seed in seeds:
-        seeded = replace(scenario, seed=seed)
-        table = functools.cache(functools.partial(build_contact_table, seeded))
+    for seed, scenario in seeded.items():
+        table = functools.cache(functools.partial(build_contact_table, scenario))
         for policy in policies:
-            cells[policy, seed] = _grid_row(seeded, policy, table)
+            cells[policy, seed] = _grid_row(scenario, policy, table)
     rows = [cells[policy, seed] for policy in policies for seed in seeds]
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["policy", "seed", "status"] + SUMMARY_FIELDS)
@@ -127,7 +127,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_v(args: argparse.Namespace) -> int:
-    scenario = engine.with_overrides(load_scenario(args.scenario), seed=args.seed, xi=args.xi)
+    scenario = with_overrides(load_scenario(args.scenario), seed=args.seed, xi=args.xi)
     v_list = _parse_float_list(args.v_list, "--v-list")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulation")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--policy", choices=POLICIES)
+    p.add_argument("--policy", help=f"one of {', '.join(POLICIES)}")
     p.add_argument("--seed", type=int)
     p.add_argument("--v", type=float)
     p.add_argument("--xi", type=float)

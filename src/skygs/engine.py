@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from skygs import accounting, queues
 from skygs.accounting import DownlinkRecord, RunMetrics
 from skygs.baselines import make_policy
-from skygs.model import POLICIES, Scenario, ScenarioError
+from skygs.model import Scenario, ScenarioError, with_overrides
 from skygs.orbit import ContactTable, build_contact_table, scenario_ids
 from skygs.queues import ArrivalModel, SatelliteState
 from skygs.scheduler import Assignment, ScenarioArrays, check_assignment, dump_weight_matrix
@@ -51,7 +51,6 @@ class RunRecord:
 
     policy: str
     seed: int
-    scenario_hash: str
     records: tuple[DownlinkRecord, ...]
     q_trace: tuple[float, ...]
     backlog_trace: tuple[float, ...]
@@ -123,35 +122,11 @@ def _check_table(table: ContactTable, scenario: Scenario) -> None:
                                 else f"contact table is not built for the scenario's {kind}s")
 
 
-def with_overrides(scenario: Scenario, *, policy: str | None = None,
-                   seed: int | None = None, v: float | None = None,
-                   xi: float | None = None) -> Scenario:
-    """The scenario with the given fields replaced, checked like a scenario file's."""
-    overrides: dict[str, Any] = {}
-    if policy is not None:
-        if policy.lower() not in POLICIES:
-            raise ScenarioError(f"policy: unknown policy {policy!r} "
-                                f"(valid: {', '.join(POLICIES)})")
-        overrides["policy"] = policy.lower()
-        overrides["policy_params"] = dict(scenario.policy_params)
-    if seed is not None:
-        overrides["seed"] = seed
-    if v is not None:
-        if not v >= 0:
-            raise ScenarioError("v: must be >= 0")
-        overrides["v"] = v
-    if xi is not None:
-        if not xi > 0:
-            raise ScenarioError("xi: must be > 0")
-        overrides["xi"] = xi
-    return replace(scenario, **overrides) if overrides else scenario
-
-
 def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
         v: float | None = None, xi: float | None = None,
         table: ContactTable | None = None,
         dump_weights: str | None = None) -> tuple[RunRecord, RunMetrics]:
-    """Execute one full simulation, with optional overrides (see with_overrides).
+    """Execute one full simulation, with optional overrides (see model.with_overrides).
 
     `dump_weights` names a directory that receives, after every slot, the
     weight matrix the policy matched (scheduler.dump_weight_matrix); a policy
@@ -186,7 +161,6 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
     record = RunRecord(
         policy=scenario.policy,
         seed=scenario.seed,
-        scenario_hash=scenario.scenario_hash(),
         records=tuple(sim.records),
         q_trace=tuple(sim.q_trace),
         backlog_trace=tuple(sim.backlog_trace),

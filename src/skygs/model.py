@@ -7,14 +7,15 @@ Gbps, $/hour, or h/GB are converted once at load time and never afterwards.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping, Sequence
 
 MB_PER_MIN_PER_GBPS = 7500.0  # 1e9 bits/s / 8 / 1e6 bytes-per-MB * 60 s/min
 
 POLICIES = ("skygs", "sg", "bg", "br", "bwg", "ilp_hpq")
+POLICY_PARAMS = ("provider", "rho")  # sg's provider, ilp_hpq's high-priority share of xi
+DEFAULT_RHO = 0.8
 
 DEFAULT_ELEVATION_MASK_DEG = 10.0
 DEFAULT_R_MAX_MB_PER_MIN = 1.6 * MB_PER_MIN_PER_GBPS  # 12,000
@@ -117,6 +118,10 @@ class DataCenter:
     intensity_min_per_mb: float  # minutes of processing per MB
 
 
+SIM_FIELDS = ("tau", "horizon", "xi", "v", "seed", "policy", "policy_params",
+              "elevation_mask_deg", "r_max", "noise", "contact_plan_path")
+
+
 @dataclass(frozen=True)
 class Scenario:
     satellites: tuple[Satellite, ...]
@@ -173,24 +178,8 @@ class Scenario:
                 }
                 for d in self.data_centers
             ],
-            "sim": {
-                "tau": self.tau,
-                "horizon": self.horizon,
-                "xi": self.xi,
-                "v": self.v,
-                "seed": self.seed,
-                "policy": self.policy,
-                "policy_params": self.policy_params,
-                "elevation_mask_deg": self.elevation_mask_deg,
-                "r_max": self.r_max,
-                "noise": list(self.noise),
-                "contact_plan_path": self.contact_plan_path,
-            },
+            "sim": {name: getattr(self, name) for name in SIM_FIELDS},
         }
-
-    def scenario_hash(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +306,19 @@ def _unique_ids(items: list, what: str) -> None:
         seen.add(item.id)
 
 
-def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
-    """Validate a parsed scenario document and convert all units.
+def _sim_fields(sim: Mapping[str, Any], ground_stations: Sequence[GroundStation],
+                data_centers: Sequence[DataCenter]) -> dict[str, Any]:
+    """The Scenario fields `tau` through `contact_plan_path` from a `sim` section,
+    checked and in canonical units.
 
-    Idempotent: re-validating `scenario.to_json_dict()` yields an equal
-    Scenario. Raises ScenarioError naming the offending field otherwise.
+    The policy's parameters are checked too: sg takes the provider that sorts
+    first unless one is named, and that provider must own a ground station and
+    a data center; ilp_hpq takes rho in (0, 1], DEFAULT_RHO unless given.
     """
-    if not isinstance(raw, Mapping):
-        raise ScenarioError("scenario: expected a JSON object")
-    sim = raw.get("sim")
-    if not isinstance(sim, Mapping):
-        raise ScenarioError("scenario: missing 'sim' section")
-    for key in ("tau", "horizon", "xi", "seed"):
+    tau = _tau(sim)
+    for key in ("horizon", "xi", "seed"):
         if key not in sim:
             raise ScenarioError(f"sim.{key}: missing")
-
-    tau = _as_number(sim["tau"], "sim.tau")
-    _require(tau > 0, "sim.tau: must be > 0")
     horizon = sim["horizon"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise ScenarioError("sim.horizon: must be an integer")
@@ -345,7 +330,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     seed = sim["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError("sim.seed: must be an integer")
-    _require(0 <= seed < 2 ** 64, "sim.seed: must fit in 64 bits")
+    _require(0 <= seed < 2 ** 64, "sim.seed: must be in [0, 2**64)")
 
     mask = _as_number(sim.get("elevation_mask_deg", DEFAULT_ELEVATION_MASK_DEG),
                       "sim.elevation_mask_deg")
@@ -353,7 +338,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     r_max = parse_rate(sim.get("r_max", DEFAULT_R_MAX_MB_PER_MIN), "sim.r_max")
     _require(r_max > 0, "sim.r_max: must be > 0")
 
-    noise_raw = sim.get("noise", list(DEFAULT_NOISE))
+    noise_raw = sim.get("noise", DEFAULT_NOISE)
     if not (isinstance(noise_raw, (list, tuple)) and len(noise_raw) == 2):
         raise ScenarioError("sim.noise: must be [lo, hi]")
     noise = (_as_number(noise_raw[0], "sim.noise[0]"), _as_number(noise_raw[1], "sim.noise[1]"))
@@ -363,11 +348,54 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     if not isinstance(policy, str) or policy.lower() not in POLICIES:
         raise ScenarioError(f"sim.policy: unknown policy {policy!r} (valid: {', '.join(POLICIES)})")
     policy = policy.lower()
-    policy_params = dict(sim.get("policy_params", {}))
+    policy_params = sim.get("policy_params", {})
+    _require(isinstance(policy_params, Mapping), "sim.policy_params: must be an object")
+    policy_params = dict(policy_params)
+    for key in policy_params:
+        _require(key in POLICY_PARAMS, f"sim.policy_params: unknown key {key!r} "
+                                       f"(valid: {', '.join(POLICY_PARAMS)})")
+    if policy == "sg":
+        owners = [g.provider for g in ground_stations]
+        if policy_params.get("provider") is None:
+            policy_params["provider"] = min(owners, default=None)
+        provider = policy_params["provider"]
+        _require(provider in owners,
+                 f"sim.policy_params.provider: {provider!r} owns no ground stations")
+        _require(any(d.provider == provider for d in data_centers),
+                 f"sim.policy_params.provider: {provider!r} owns no data centers")
+    if policy == "ilp_hpq":
+        rho = _as_number(policy_params.get("rho", DEFAULT_RHO), "sim.policy_params.rho")
+        _require(0 < rho <= 1, "sim.policy_params.rho: must be in (0, 1]")
+        policy_params["rho"] = rho
 
     contact_plan_path = sim.get("contact_plan_path")
     if contact_plan_path is not None and not isinstance(contact_plan_path, str):
         raise ScenarioError("sim.contact_plan_path: must be a string path or null")
+
+    return dict(tau=tau, horizon=horizon, xi=xi, v=v, seed=seed, policy=policy,
+                policy_params=policy_params, elevation_mask_deg=mask, r_max=r_max,
+                noise=noise, contact_plan_path=contact_plan_path)
+
+
+def _tau(sim: Mapping[str, Any]) -> float:
+    if "tau" not in sim:
+        raise ScenarioError("sim.tau: missing")
+    tau = _as_number(sim["tau"], "sim.tau")
+    _require(tau > 0, "sim.tau: must be > 0")
+    return tau
+
+
+def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
+    """Validate a parsed scenario document and convert all units.
+
+    Idempotent: re-validating `scenario.to_json_dict()` yields an equal
+    Scenario. Raises ScenarioError naming the offending field otherwise.
+    """
+    if not isinstance(raw, Mapping):
+        raise ScenarioError("scenario: expected a JSON object")
+    sim = raw.get("sim")
+    if not isinstance(sim, Mapping):
+        raise ScenarioError("scenario: missing 'sim' section")
 
     data_centers = [_validate_data_center(d) for d in raw.get("data_centers", [])]
     _unique_ids(data_centers, "data center")
@@ -377,42 +405,31 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     if default_backhaul is not None:
         default_backhaul = parse_rate(default_backhaul, "sim.backhaul_rate")
 
+    # station prices are per slot, so tau is read before the other sim fields
+    tau = _tau(sim)
     stations = [_validate_station(g, tau, dc_ids, default_backhaul)
                 for g in raw.get("ground_stations", [])]
     _unique_ids(stations, "ground station")
     satellites = [_validate_satellite(s) for s in raw.get("satellites", [])]
     _unique_ids(satellites, "satellite")
 
-    providers = {g.provider for g in stations} | {d.provider for d in data_centers}
-    if policy == "sg":
-        provider = policy_params.get("provider")
-        if provider is None and stations:
-            provider = sorted({g.provider for g in stations})[0]
-            policy_params["provider"] = provider
-        if provider is not None:
-            _require(provider in providers,
-                     f"sim.policy_params.provider: unknown provider {provider!r}")
-    if policy == "ilp_hpq":
-        rho = _as_number(policy_params.get("rho", 0.8), "sim.policy_params.rho")
-        _require(0 < rho <= 1, "sim.policy_params.rho: must be in (0, 1]")
-        policy_params["rho"] = rho
+    return Scenario(satellites=tuple(satellites), ground_stations=tuple(stations),
+                    data_centers=tuple(data_centers),
+                    **_sim_fields(sim, stations, data_centers))
 
-    return Scenario(
-        satellites=tuple(satellites),
-        ground_stations=tuple(stations),
-        data_centers=tuple(data_centers),
-        tau=tau,
-        horizon=horizon,
-        xi=xi,
-        v=v,
-        seed=seed,
-        policy=policy,
-        policy_params=policy_params,
-        elevation_mask_deg=mask,
-        r_max=r_max,
-        noise=noise,
-        contact_plan_path=contact_plan_path,
-    )
+
+def with_overrides(scenario: Scenario, *, policy: str | None = None,
+                   seed: int | None = None, v: float | None = None,
+                   xi: float | None = None) -> Scenario:
+    """The scenario with the given sim fields replaced, checked like a scenario
+    file's; its satellites, stations and data centers are not checked again."""
+    overrides = {name: value for name, value in
+                 (("policy", policy), ("seed", seed), ("v", v), ("xi", xi)) if value is not None}
+    if not overrides:
+        return scenario
+    sim = {name: getattr(scenario, name) for name in SIM_FIELDS}
+    return replace(scenario, **_sim_fields({**sim, **overrides}, scenario.ground_stations,
+                                           scenario.data_centers))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -43,7 +43,7 @@ def orbital_period_minutes(altitude_km: float) -> float:
     return 2.0 * math.pi * math.sqrt(a_m ** 3 / (MU_KM3_S2 * 1e9)) / 60.0
 
 
-def subsatellite_point(satellite, t_minutes, *, rotate_earth: bool = True):
+def subsatellite_point(satellite, t_minutes):
     """Geodetic sub-satellite point(s) at the given elapsed time(s) in minutes.
 
     Accepts a scalar or an ndarray of times; returns (lat_deg, lon_deg) with
@@ -55,8 +55,7 @@ def subsatellite_point(satellite, t_minutes, *, rotate_earth: bool = True):
     inc = math.radians(satellite.inclination_deg)
     lat = np.degrees(np.arcsin(np.sin(inc) * np.sin(u)))
     lon_inertial = satellite.raan_deg + np.degrees(np.arctan2(math.cos(inc) * np.sin(u), np.cos(u)))
-    lon = lon_inertial - (EARTH_ROT_DEG_PER_MIN * t if rotate_earth else 0.0)
-    lon = (lon + 180.0) % 360.0 - 180.0
+    lon = (lon_inertial - EARTH_ROT_DEG_PER_MIN * t + 180.0) % 360.0 - 180.0
     if np.ndim(t_minutes) == 0:
         return float(lat), float(lon)
     return lat, lon

@@ -41,7 +41,9 @@ def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
     for k, ident in enumerate(ids):
         counter[k] = int(ident) & _MASK64
     key = [int(seed) & _MASK64, int(tag) & _MASK64]
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    # uint64 arrays: numpy casts a list holding an int >= 2**63 through float64
+    return np.random.Generator(np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                                                key=np.array(key, dtype=np.uint64)))
 
 
 def uniform(seed: int, tag: int, ids: tuple[int, ...], n: int, lo: float, hi: float) -> np.ndarray:

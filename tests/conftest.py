@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ class DeskRuns:
         if key not in self._runs:
             scenario = self.scenario(seed)
             if v is not None:
-                scenario = engine.replace(scenario, v=v)
+                scenario = replace(scenario, v=v)
             record, metrics = engine.run(scenario, policy=policy,
                                          table=self.table(seed))
             self._runs[key] = (record, metrics)

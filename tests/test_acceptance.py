@@ -9,6 +9,7 @@ h/GB, tau = 1 min, T = 1440, xi = 60 min), seeds 1-5.
 
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_criterion_10_performance(desk, tuned_v):
     slot_seconds = time.monotonic() - start
 
     # full desk run, end to end including contact-table construction
-    desk_scenario_v = engine.replace(desk.scenario(1), v=tuned_v)
+    desk_scenario_v = replace(desk.scenario(1), v=tuned_v)
     start = time.monotonic()
     engine.run(desk_scenario_v, policy="skygs")
     desk_seconds = time.monotonic() - start

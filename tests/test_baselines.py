@@ -111,11 +111,10 @@ class TestSG:
                 == BGPolicy(sc).schedule(states, 0.0, 0, table))
 
     def test_provider_without_stations_rejected(self):
-        sc = make_scenario(TWO_PROVIDERS, policy="sg", policy_params={"provider": "p2"})
-        sc = sc.__class__(**{**sc.__dict__, "ground_stations":
-                             tuple(g for g in sc.ground_stations if g.provider != "p2")})
+        # p2 owns a data center but no station
         with pytest.raises(ScenarioError, match="owns no ground stations"):
-            SGPolicy(sc)
+            make_scenario(TWO_PROVIDERS[:1], policy="sg", policy_params={"provider": "p2"},
+                          dc_providers=["p1", "p2"])
 
 
 class TestBWG:

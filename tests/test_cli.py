@@ -95,7 +95,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
                      flag, value]) == 1
-        assert f"error: {flag[2:]}: must be" in capsys.readouterr().err
+        assert f"error: sim.{flag[2:]}: must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_contact_plan_flag(self, scenario_file, tmp_path):
@@ -221,7 +221,7 @@ class TestCompare:
         out = tmp_path / "c.csv"
         assert main(["compare", "--scenario", scenario_file, "--xi", "0",
                      "--out", str(out)]) == 1
-        assert "error: xi: must be > 0" in capsys.readouterr().err
+        assert "error: sim.xi: must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_run_marked_others_proceed(self, tmp_path):
@@ -263,5 +263,5 @@ class TestSweepV:
         out = tmp_path / "sweep.csv"
         assert main(["sweep-v", "--scenario", scenario_file,
                      "--v-list=-1e5", "--out", str(out)]) == 1
-        assert "error: v: must be >= 0" in capsys.readouterr().err
+        assert "error: sim.v: must be >= 0" in capsys.readouterr().err
         assert not out.exists()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -129,7 +130,7 @@ class TestStepSemantics:
 
     def test_t_zero_empty_run(self):
         sc = tiny_scenario(horizon=1)
-        sc = engine.replace(sc, horizon=0)
+        sc = replace(sc, horizon=0)
         record, metrics = run(sc, table=empty_table(0))
         assert record.records == ()
         assert metrics.total_cost == 0.0

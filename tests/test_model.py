@@ -2,8 +2,8 @@ import copy
 
 import pytest
 
-from skygs.model import (ScenarioError, parse_intensity, parse_price_per_min,
-                         parse_rate, validate_scenario)
+from skygs.model import (DEFAULT_RHO, ScenarioError, parse_intensity, parse_price_per_min,
+                         parse_rate, validate_scenario, with_overrides)
 from skygs.scenarios import desk_scenario
 
 
@@ -125,7 +125,7 @@ class TestValidation:
         sc1 = validate_scenario(desk_scenario(seed=3))
         sc2 = validate_scenario(sc1.to_json_dict())
         assert sc1 == sc2
-        assert sc1.scenario_hash() == sc2.scenario_hash()
+        assert sc1.to_json_dict() == sc2.to_json_dict()
 
     def test_duty_cycle_out_of_range(self):
         raw = tiny_raw()
@@ -147,6 +147,22 @@ class TestValidation:
         raw = tiny_raw(policy="sg", policy_params={"provider": "ghost"})
         with pytest.raises(ScenarioError, match="ghost"):
             validate_scenario(raw)
+
+    def test_sg_provider_must_own_a_data_center(self):
+        raw = tiny_raw(policy="sg", policy_params={"provider": "p1"})
+        raw["data_centers"][0]["provider"] = "p2"
+        with pytest.raises(ScenarioError, match="'p1' owns no data centers"):
+            validate_scenario(raw)
+
+    def test_unknown_policy_param_rejected(self):
+        with pytest.raises(ScenarioError, match="sim.policy_params: unknown key 'metric'"):
+            validate_scenario(tiny_raw(policy="bg", policy_params={"metric": "cost"}))
+
+    def test_policy_override_fills_its_parameter(self):
+        sc = validate_scenario(tiny_raw())
+        assert sc.policy_params == {}
+        assert with_overrides(sc, policy="sg").policy_params == {"provider": "p1"}
+        assert with_overrides(sc, policy="ilp_hpq").policy_params == {"rho": DEFAULT_RHO}
 
     def test_lat_lon_bounds(self):
         raw = tiny_raw()

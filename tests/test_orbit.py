@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skygs.model import Satellite, validate_scenario
-from skygs.orbit import (Contact, ContactPlanError, ContactTable, build_contact_table,
-                         elevation_deg, orbital_period_minutes, rate_noise_factors,
-                         read_contact_plan, subsatellite_point, write_contact_plan)
+from skygs.orbit import (EARTH_ROT_DEG_PER_MIN, Contact, ContactPlanError, ContactTable,
+                         build_contact_table, elevation_deg, orbital_period_minutes,
+                         rate_noise_factors, read_contact_plan, subsatellite_point,
+                         write_contact_plan)
 
 EARTH_RADIUS = 6371.0
 
@@ -36,15 +37,18 @@ class TestPropagation:
         assert abs(lon) < 2.5
 
     def test_phase_time_symmetry_non_rotating(self):
-        # 180 deg of phase equals half a period of elapsed time
+        # 180 deg of phase equals half a period of elapsed time, once the
+        # Earth's rotation over each time is added back to the longitude
         period = orbital_period_minutes(475.0)
         sat_a = make_sat(phase_deg=180.0, inclination_deg=97.4)
         sat_b = make_sat(phase_deg=0.0, inclination_deg=97.4)
         # slot midpoints (slot + 0.5) * tau with tau = period / 2
-        pa = subsatellite_point(sat_a, (0 + 0.5) * period / 2, rotate_earth=False)
-        pb = subsatellite_point(sat_b, (1 + 0.5) * period / 2, rotate_earth=False)
+        ta, tb = (0 + 0.5) * period / 2, (1 + 0.5) * period / 2
+        pa = subsatellite_point(sat_a, ta)
+        pb = subsatellite_point(sat_b, tb)
         assert pa[0] == pytest.approx(pb[0], abs=1e-9)
-        assert pa[1] == pytest.approx(pb[1], abs=1e-9)
+        gap = (pa[1] + EARTH_ROT_DEG_PER_MIN * ta) - (pb[1] + EARTH_ROT_DEG_PER_MIN * tb)
+        assert (gap + 180.0) % 360.0 - 180.0 == pytest.approx(0.0, abs=1e-9)
 
     def test_max_latitude_is_inclination_complement(self):
         sat = make_sat(inclination_deg=97.4)
