@@ -1,10 +1,17 @@
-"""Latency components, monetary costs, threshold excess, and run metrics.
+"""Latency components, monetary costs, and run metrics.
 
 Latency is accounted in unit-minutes: every MB is charged its own queuing
 wait, 1/R transmission time on each hop, and kappa minutes of processing.
 Propagation delay is excluded (negligible at LEO altitudes). Antenna rental
 is charged per antenna-slot whenever an antenna is assigned, independent of
 how many MB actually move.
+
+service_latency and downlink_cost are the one formula for what moving MB
+from a station to a data center takes and costs. The broker's edge weights
+and data-center choice, the baselines' prices and the engine's downlink
+records all read them, so what a policy priced is what the run books; only
+the brute-force oracle (scheduler._triple_contribution) derives the same
+terms again, on purpose, to check the weights.
 """
 
 from __future__ import annotations
@@ -55,34 +62,22 @@ def queuing_latency(popped: list[DataChunk], slot: int, tau: float) -> float:
     return total
 
 
-def transmission_latency(dtil_mb: float, rate_mb_per_min: float) -> float:
-    """Minutes to send dtil MB over one hop (ground link or backhaul)."""
-    if rate_mb_per_min <= 0:
-        raise ValueError("link rate must be > 0")
-    return dtil_mb / rate_mb_per_min
+def service_latency(mb, rate_mb_per_min, backhaul_mb_per_min, intensity_min_per_mb):
+    """(lt1, lt2, lc): the minutes to send `mb` MB over the ground link, to carry
+    them over the station's backhaul to the data center, and to process them
+    there. Elementwise over numbers or numpy arrays; every rate is positive,
+    as the contact table and scenario validation guarantee."""
+    return (mb / rate_mb_per_min, mb / backhaul_mb_per_min, intensity_min_per_mb * mb)
 
 
-def computation_latency(dtil_mb: float, intensity_min_per_mb: float) -> float:
-    if intensity_min_per_mb <= 0:
-        raise ValueError("processing intensity must be > 0")
-    return intensity_min_per_mb * dtil_mb
+def downlink_cost(mb, price_per_slot, dc_price_per_min, intensity_min_per_mb):
+    """(rental, compute) of one assigned antenna-slot that moves `mb` MB.
 
-
-def costs(dtil_mb: float, price_per_slot: float, dc_price_per_min: float,
-          intensity_min_per_mb: float) -> tuple[float, float, float]:
-    """(rental, compute, total) for one assigned antenna-slot.
-
-    Rental is the full per-slot antenna price even when dtil is below
-    capacity; compute is price * processing minutes.
+    Rental is the full per-slot antenna price even when `mb` is below
+    capacity, or zero; compute is the data center's price per minute times
+    its processing minutes. Elementwise over numbers or numpy arrays.
     """
-    cr = price_per_slot
-    cc = dc_price_per_min * intensity_min_per_mb * dtil_mb
-    return cr, cc, cr + cc
-
-
-def excess_latency(l_total: float, dtil_mb: float, xi: float) -> float:
-    """Latency beyond the threshold: L - xi * dtil."""
-    return l_total - xi * dtil_mb
+    return price_per_slot, dc_price_per_min * intensity_min_per_mb * mb
 
 
 def aggregate_metrics(records: list[DownlinkRecord], xi: float,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from skygs import rng
-from skygs.model import DEFAULT_RHO, Scenario, ScenarioError
+from skygs import accounting, rng
+from skygs.model import DEFAULT_RHO, Scenario
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
 from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
@@ -21,9 +21,9 @@ from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotG
 
 
 def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
-    """Cheapest data center per MB among the allowed ones; ties to lowest id.
-    Without data centers there is no satellite to schedule (make_policy)."""
-    return min(dc_positions, key=arrays.dc_cost_per_mb.__getitem__, default=0)
+    """Cheapest data center per MB among the allowed ones; ties to lowest id."""
+    _, per_mb = accounting.downlink_cost(1.0, 0.0, arrays.dc_price, arrays.dc_kappa)
+    return min(dc_positions, key=per_mb.__getitem__)
 
 
 def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float, int]]]:
@@ -70,6 +70,7 @@ class _GreedyCore:
         ordered = sorted((si for si, mb in enumerate(backlog) if mb > 0),
                          key=lambda si: -backlog[si])
         links = _slot_links(table, slot)
+        dc = arrays.dc_price[self.best_dc], arrays.dc_kappa[self.best_dc]
         triples: list[AssignmentTriple] = []
         for si in ordered:
             best = None  # (cost per MB, g_pos, table row)
@@ -80,8 +81,8 @@ class _GreedyCore:
                 if self.require_full_slot and backlog[si] < capacity:
                     continue
                 dtil = min(capacity, backlog[si])
-                per_mb = (arrays.price_slot[g_pos]
-                          + arrays.dc_cost_per_mb[self.best_dc] * dtil) / dtil
+                cr, cc = accounting.downlink_cost(dtil, arrays.price_slot[g_pos], *dc)
+                per_mb = (cr + cc) / dtil
                 # station positions follow the ids, so ties go to the lowest id
                 if best is None or (per_mb, g_pos) < best[:2]:
                     best = (per_mb, g_pos, k)
@@ -177,7 +178,10 @@ class IlpHpqPolicy:
         row = np.arange(*table.slot_ptr[slot:slot + 2])[held]
         si, gi = si[held], gi[held]
         dtil = np.minimum(rate[held] * tau, backlog[si])
-        cost = arrays.price_slot[gi] + arrays.dc_cost_per_mb[self.best_dc] * dtil
+        cr, cc = accounting.downlink_cost(dtil, arrays.price_slot[gi],
+                                          arrays.dc_price[self.best_dc],
+                                          arrays.dc_kappa[self.best_dc])
+        cost = cr + cc
 
         m_forced = sum(np.abs(cost).tolist()) + 1.0
         fallback = np.zeros(len(backlog))
@@ -208,7 +212,5 @@ _POLICY_CLASSES = {cls.name: cls for cls in (SkyGSPolicy, SGPolicy, BGPolicy, BR
 
 
 def make_policy(scenario: Scenario):
-    """Instantiate the policy the scenario selects (validating its params)."""
-    if scenario.satellites and not scenario.data_centers:
-        raise ScenarioError("scheduling requires at least one data center")
+    """Instantiate the policy the scenario selects; validation has checked its params."""
     return _POLICY_CLASSES[scenario.policy](scenario)

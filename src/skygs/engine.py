@@ -72,18 +72,14 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     for tr in assignment.triples:
         k, di = tr.contact, tr.dc
         sat_id, gi = arrays.sat_ids[table.sat[k]], int(table.gs[k])
-        rate = float(table.rate_mb_per_min[k])
-        capacity = queues.downlink_capacity(rate, scenario.tau)
-        moved, popped = queues.actual_downlink(sim.states[sat_id], capacity)
+        rate, kappa = table.rate_mb_per_min[k], arrays.dc_kappa[di]
+        moved, popped = queues.actual_downlink(sim.states[sat_id], float(rate * scenario.tau))
         lq = accounting.queuing_latency(popped, t, scenario.tau)
-        lt1 = accounting.transmission_latency(moved, rate)
-        lt2 = accounting.transmission_latency(moved, float(arrays.backhaul[gi, di]))
-        lc = accounting.computation_latency(moved, float(arrays.dc_kappa[di]))
+        lt1, lt2, lc = accounting.service_latency(moved, rate, arrays.backhaul[gi, di], kappa)
+        cr, cc = accounting.downlink_cost(moved, arrays.price_slot[gi], arrays.dc_price[di], kappa)
         l_total = lq + lt1 + lt2 + lc
-        cr, cc, c_total = accounting.costs(moved, float(arrays.price_slot[gi]),
-                                           float(arrays.dc_price[di]),
-                                           float(arrays.dc_kappa[di]))
-        phi_s = accounting.excess_latency(l_total, moved, scenario.xi)
+        c_total = cr + cc
+        phi_s = l_total - scenario.xi * moved  # latency beyond the threshold
         service_latency += lt1 + lt2 + lc
         slot_records.append(DownlinkRecord(
             slot=t, satellite_id=sat_id,

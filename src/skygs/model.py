@@ -344,10 +344,7 @@ def _sim_fields(sim: Mapping[str, Any], ground_stations: Sequence[GroundStation]
     noise = (_as_number(noise_raw[0], "sim.noise[0]"), _as_number(noise_raw[1], "sim.noise[1]"))
     _require(0 < noise[0] <= noise[1] < 2, "sim.noise: range must lie within (0, 2)")
 
-    policy = sim.get("policy", "skygs")
-    if not isinstance(policy, str) or policy.lower() not in POLICIES:
-        raise ScenarioError(f"sim.policy: unknown policy {policy!r} (valid: {', '.join(POLICIES)})")
-    policy = policy.lower()
+    policy = policy_name(sim.get("policy", "skygs"))
     policy_params = sim.get("policy_params", {})
     _require(isinstance(policy_params, Mapping), "sim.policy_params: must be an object")
     policy_params = dict(policy_params)
@@ -377,6 +374,14 @@ def _sim_fields(sim: Mapping[str, Any], ground_stations: Sequence[GroundStation]
                 noise=noise, contact_plan_path=contact_plan_path)
 
 
+def policy_name(value: Any) -> str:
+    """The policy `value` names, lower-cased; an unknown name is rejected with
+    the scenario file's sim.policy message, wherever it comes from."""
+    if not isinstance(value, str) or value.lower() not in POLICIES:
+        raise ScenarioError(f"sim.policy: unknown policy {value!r} (valid: {', '.join(POLICIES)})")
+    return value.lower()
+
+
 def _tau(sim: Mapping[str, Any]) -> float:
     if "tau" not in sim:
         raise ScenarioError("sim.tau: missing")
@@ -398,6 +403,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
         raise ScenarioError("scenario: missing 'sim' section")
 
     data_centers = [_validate_data_center(d) for d in raw.get("data_centers", [])]
+    _require(bool(data_centers), "data_centers: scheduling requires at least one data center")
     _unique_ids(data_centers, "data center")
     dc_ids = [d.id for d in data_centers]
 

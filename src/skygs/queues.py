@@ -40,13 +40,6 @@ class SatelliteState:
         return self.chunks[0].arrival_slot if self.chunks else None
 
 
-def downlink_capacity(rate_mb_per_min: float, tau: float) -> float:
-    """Maximum MB movable over one slot at the given link rate."""
-    if rate_mb_per_min <= 0 or tau <= 0:
-        raise ValueError("downlink_capacity needs positive rate and tau")
-    return rate_mb_per_min * tau
-
-
 def actual_downlink(state: SatelliteState, capacity_mb: float) -> tuple[float, list[DataChunk]]:
     """Pop min(capacity, backlog) from the FIFO head.
 

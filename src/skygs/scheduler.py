@@ -13,9 +13,12 @@ weight
     V * cost  -  (backlog + Q / xi) * dtil  +  Q / (tau * xi) * (lt1 + lt2 + lc)
 
 with dtil = min(rate * tau, backlog) previewed under the candidate link, and
-the data center chosen per edge to minimize the weight. Holding data is never
-free: every MB left onboard keeps charging Q, so a large Q pushes the broker to
-downlink, whatever the age of the backlog. Terms independent of the decision
+the data center chosen per edge to minimize the weight. The cost (rental
+plus compute) and the service latency lt1 + lt2 + lc of dtil MB come from
+accounting.downlink_cost and accounting.service_latency, the functions that
+the engine's downlink records read, so a run books what the broker priced.
+Holding data is never free: every MB left onboard keeps charging Q, so a
+large Q pushes the broker to downlink, whatever the age of the backlog. Terms independent of the decision
 (arrivals, the backlog carried without a downlink) are dropped from every edge
 of a satellite, which leaves the argmin matching unchanged. A min-cost
 left-perfect matching then yields the slot's assignment.
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skygs import hungarian, queues
+from skygs import accounting, hungarian, queues
 from skygs.model import Scenario
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
@@ -91,9 +94,6 @@ class ScenarioArrays:
     dc_price: np.ndarray            # [n_d] $ per processing-minute
     dc_kappa: np.ndarray            # [n_d] processing min per MB
     backhaul: np.ndarray            # [n_g, n_d] MB per min
-    inv_backhaul: np.ndarray        # [n_g, n_d] 1 / (MB per min)
-    dc_cost_per_mb: np.ndarray      # [n_d] price * kappa
-    dc_lat_per_mb: np.ndarray       # [n_g, n_d] kappa + 1/backhaul
     provider_gs: tuple[str, ...]
     provider_dc: tuple[str, ...]
 
@@ -113,7 +113,6 @@ class ScenarioArrays:
         dc_kappa = np.array([d.intensity_min_per_mb for d in dcs], dtype=float)
         backhaul = np.array([[g.backhaul_mb_per_min[d.id] for d in dcs] for g in stations],
                             dtype=float) if n_g and n_d else np.zeros((n_g, n_d))
-        inv_backhaul = np.where(backhaul > 0, 1.0 / np.where(backhaul > 0, backhaul, 1.0), np.inf)
         return cls(
             sat_ids=tuple(s.id for s in sats),
             gs_ids=tuple(g.id for g in stations),
@@ -128,9 +127,6 @@ class ScenarioArrays:
             dc_price=dc_price,
             dc_kappa=dc_kappa,
             backhaul=backhaul,
-            inv_backhaul=inv_backhaul,
-            dc_cost_per_mb=dc_price * dc_kappa,
-            dc_lat_per_mb=dc_kappa[None, :] + inv_backhaul,
             provider_gs=tuple(g.provider for g in stations),
             provider_dc=tuple(d.provider for d in dcs),
         )
@@ -143,10 +139,13 @@ class ScenarioArrays:
         """Weight-minimizing data center per station; ties go to the lowest id.
 
         `qw` is the queue weight (see queue_weight) that prices each MB's
-        backhaul and processing latency against its compute cost.
+        backhaul and processing latency against its compute cost. Both are
+        read at 1 MB for every station and data center; the ground link's
+        latency and the rental are the same for every data center.
         """
-        coef = v * self.dc_cost_per_mb[None, :] + qw * self.dc_lat_per_mb
-        return np.argmin(coef, axis=1)
+        _, lt2, lc = accounting.service_latency(1.0, 1.0, self.backhaul, self.dc_kappa)
+        _, cc = accounting.downlink_cost(1.0, 0.0, self.dc_price, self.dc_kappa)
+        return np.argmin(v * cc + qw * (lt2 + lc), axis=1)
 
 
 @dataclass(frozen=True)
@@ -251,11 +250,10 @@ def _edge_terms(backlog: np.ndarray, gi: np.ndarray, rate: np.ndarray, q: float,
     qw = queue_weight(q, scenario)
     di = arrays.best_dc_per_station(v, qw)[gi]
     dtil = np.minimum(rate * tau, backlog)
-    lt1 = dtil / rate
-    lt2 = dtil * arrays.inv_backhaul[gi, di]
-    lc = arrays.dc_kappa[di] * dtil
-    c_total = arrays.price_slot[gi] + arrays.dc_cost_per_mb[di] * dtil
-    weight = v * c_total - (backlog + qw * tau) * dtil + qw * (lt1 + lt2 + lc)
+    kappa = arrays.dc_kappa[di]
+    lt1, lt2, lc = accounting.service_latency(dtil, rate, arrays.backhaul[gi, di], kappa)
+    cr, cc = accounting.downlink_cost(dtil, arrays.price_slot[gi], arrays.dc_price[di], kappa)
+    weight = v * (cr + cc) - (backlog + qw * tau) * dtil + qw * (lt1 + lt2 + lc)
     return weight, dtil, di
 
 
@@ -372,8 +370,7 @@ def _triple_contribution(state: SatelliteState, rate: float, gi: int, di: int,
     tau, xi = scenario.tau, scenario.xi
     backlog = state.total_mb
     dtil = min(rate * tau, backlog)
-    service = (dtil / rate + dtil * arrays.inv_backhaul[gi, di]
-               + arrays.dc_kappa[di] * dtil)
+    service = dtil / rate + dtil / arrays.backhaul[gi, di] + arrays.dc_kappa[di] * dtil
     cost = arrays.price_slot[gi] + arrays.dc_price[di] * arrays.dc_kappa[di] * dtil
     sent = queues.latency_accrual(backlog - dtil, service, 0.0, tau, xi)
     held = queues.latency_accrual(backlog, 0.0, 0.0, tau, xi)

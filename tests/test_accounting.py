@@ -1,8 +1,8 @@
+import numpy as np
 import pytest
 
-from skygs.accounting import (DownlinkRecord, aggregate_metrics,
-                              computation_latency, costs, excess_latency,
-                              queuing_latency, transmission_latency)
+from skygs.accounting import (DownlinkRecord, aggregate_metrics, downlink_cost,
+                              queuing_latency, service_latency)
 from skygs.queues import DataChunk
 
 
@@ -31,58 +31,71 @@ class TestQueuingLatency:
 
 
 class TestTransmission:
+    """lt1 and lt2 of service_latency: MB over the hop's rate."""
+
     def test_gsl(self):
-        assert transmission_latency(600.0, 100.0) == 6.0
+        assert service_latency(600.0, 100.0, 7_500.0, 0.006)[0] == 6.0
 
     def test_gsl_zero_data(self):
-        assert transmission_latency(0.0, 100.0) == 0.0
+        assert service_latency(0.0, 100.0, 7_500.0, 0.006) == (0.0, 0.0, 0.0)
 
     def test_gsl_full_slot(self):
-        assert transmission_latency(12_000.0, 12_000.0) == 1.0
+        assert service_latency(12_000.0, 12_000.0, 7_500.0, 0.006)[0] == 1.0
 
     def test_backhaul_one_gbps(self):
-        assert transmission_latency(7_500.0, 7_500.0) == 1.0
+        assert service_latency(7_500.0, 12_000.0, 7_500.0, 0.006)[1] == 1.0
 
     def test_backhaul_half(self):
-        assert transmission_latency(3_750.0, 7_500.0) == 0.5
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            transmission_latency(1.0, 0.0)
+        assert service_latency(3_750.0, 12_000.0, 7_500.0, 0.006)[1] == 0.5
 
 
 class TestComputation:
+    """lc of service_latency: intensity times MB."""
+
     def test_point_one_hour_per_gb(self):
-        assert computation_latency(1_000.0, 0.006) == pytest.approx(6.0)
+        assert service_latency(1_000.0, 12_000.0, 7_500.0, 0.006)[2] == pytest.approx(6.0)
 
     def test_zero(self):
-        assert computation_latency(0.0, 0.006) == 0.0
+        assert service_latency(0.0, 12_000.0, 7_500.0, 0.006)[2] == 0.0
 
     def test_other_intensity(self):
-        assert computation_latency(500.0, 0.012) == pytest.approx(6.0)
+        assert service_latency(500.0, 12_000.0, 7_500.0, 0.012)[2] == pytest.approx(6.0)
 
 
 class TestCosts:
     def test_rental_plus_compute(self):
-        cr, cc, total = costs(1_000.0, 22.0, 1.0 / 60.0, 0.006)
+        cr, cc = downlink_cost(1_000.0, 22.0, 1.0 / 60.0, 0.006)
         assert cr == 22.0
         assert cc == pytest.approx(0.1)
-        assert total == pytest.approx(22.1)
 
     def test_empty_downlink_still_pays_rent(self):
-        cr, cc, total = costs(0.0, 22.0, 1.0 / 60.0, 0.006)
-        assert (cr, cc, total) == (22.0, 0.0, 22.0)
+        assert downlink_cost(0.0, 22.0, 1.0 / 60.0, 0.006) == (22.0, 0.0)
 
 
-class TestExcessLatency:
-    def test_positive(self):
-        assert excess_latency(130.0, 2.0, 60.0) == pytest.approx(10.0)
+class TestElementwise:
+    """Both functions take numpy arrays and broadcast them, as the broker's
+    edges and its per-station data-center choice use them."""
 
-    def test_no_downlink(self):
-        assert excess_latency(0.0, 0.0, 60.0) == 0.0
+    def test_service_latency_over_edges(self):
+        edges = [(600.0, 100.0, 7_500.0, 0.006), (0.0, 50.0, 7_500.0, 0.012),
+                 (3_750.0, 12_000.0, 15_000.0, 0.002)]
+        lt1, lt2, lc = service_latency(*(np.array(column) for column in zip(*edges)))
+        assert list(zip(lt1, lt2, lc)) == [service_latency(*edge) for edge in edges]
 
-    def test_negative(self):
-        assert excess_latency(100.0, 2.0, 60.0) == pytest.approx(-20.0)
+    def test_stations_by_data_centers_at_one_mb(self):
+        backhaul = np.array([[7_500.0, 750.0], [15_000.0, 7_500.0]])
+        kappa = np.array([0.006, 0.012])
+        _, lt2, lc = service_latency(1.0, 1.0, backhaul, kappa)
+        assert lt2.shape == (2, 2) and lt2[0, 1] == 1.0 / 750.0
+        assert lc.tolist() == [0.006, 0.012]
+        _, cc = downlink_cost(1.0, 0.0, np.array([1.0, 0.5]), kappa)
+        assert cc.tolist() == [0.006, 0.006]
+
+    def test_rent_per_edge_compute_per_mb(self):
+        cr, cc = downlink_cost(np.array([0.0, 1_000.0]), np.array([22.0, 18.0]),
+                               1.0 / 60.0, 0.006)
+        assert cr.tolist() == [22.0, 18.0]
+        assert cc[0] == 0.0 and cc[1] == pytest.approx(0.1)
 
 
 class TestAggregateMetrics:

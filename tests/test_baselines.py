@@ -7,6 +7,7 @@ from skygs.model import POLICIES, ScenarioError, validate_scenario
 from instances import contact_table, named
 from skygs.orbit import Contact
 from skygs.queues import DataChunk, SatelliteState
+from skygs.scenarios import desk_scenario
 from skygs.scheduler import ScenarioArrays, check_assignment
 
 
@@ -304,7 +305,8 @@ class TestCommon:
         assert tuple(_POLICY_CLASSES) == POLICIES
 
     def test_make_policy_requires_data_centers(self):
-        sc = make_scenario(TWO_PROVIDERS)
-        sc = sc.__class__(**{**sc.__dict__, "data_centers": ()})
-        with pytest.raises(ScenarioError, match="data center"):
-            make_policy(sc)
+        # checked where the scenario enters, so every policy has a data center
+        raw = desk_scenario(seed=1, horizon=5)
+        raw["data_centers"] = []
+        with pytest.raises(ScenarioError, match="requires at least one data center"):
+            validate_scenario(raw)

@@ -35,6 +35,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "skygs" in err and "bwg" in err
 
+    def test_no_data_centers_exits_one(self, tmp_path, capsys):
+        raw = desk_scenario(seed=1, horizon=60)
+        raw["data_centers"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: data_centers: scheduling requires at least one data center\n")
+
 
 class TestGenContacts:
     def test_zero_satellites_header_only(self, tmp_path):

@@ -4,13 +4,14 @@ from dataclasses import replace
 import pytest
 
 from skygs import engine
+from skygs.baselines import make_policy
 from skygs.engine import InfeasibleAssignmentError, run
 from skygs.model import ScenarioError, validate_scenario
 from instances import contact_row, contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
-from skygs.queues import ArrivalModel
+from skygs.queues import ArrivalModel, SatelliteState
 from skygs.scenarios import desk_scenario
-from skygs.scheduler import Assignment, AssignmentTriple
+from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays
 
 
 def tiny_scenario(horizon=5, policy="skygs", v=0.0, contact_plan_path=None):
@@ -135,6 +136,70 @@ class TestStepSemantics:
         assert record.records == ()
         assert metrics.total_cost == 0.0
         assert metrics.avg_latency_min_per_mb is None
+
+
+def slow_backhaul_world(horizon=600):
+    """Three satellites that collect far more than their links can send, two
+    single-antenna stations in view by turns, and 1-4 Mbps backhauls to two
+    data centers. A slot lasts 0.001 min, so carrying a downlink over the
+    backhaul takes longer than the slot, and once Q grows the weight's latency
+    term cancels most of its backlog term: a one-ulp change in lt2 shows in
+    the weight."""
+    sc = validate_scenario({
+        "satellites": [{"id": f"sat-{i}", "altitude_km": 475.0,
+                        "daily_volume_mb": 1e9 * (i + 1)} for i in range(3)],
+        "ground_stations": [{"id": f"gs-{j}", "provider": "p", "lat_deg": 0.0, "lon_deg": 0.0,
+                             "antennas": 1, "price_per_slot": 1.0,
+                             "backhaul": {"dc-0": f"{1.37 + j} Mbps", "dc-1": f"{3.11 - j} Mbps"}}
+                            for j in range(2)],
+        "data_centers": [{"id": f"dc-{k}", "provider": "p", "price_per_min": 1.0,
+                          "intensity_min_per_mb": 0.006 * (k + 1)} for k in range(2)],
+        "sim": {"tau": 0.001, "horizon": horizon, "xi": 0.2, "v": 0.0, "seed": 1,
+                "r_max": 12_000.0},
+    })
+    rows = [Contact(t, f"sat-{i}", f"gs-{j}", 45.0, 3000.0 + 517.3 * i + 711.9 * j + 0.37 * (t % 7))
+            for t in range(horizon) for i in range(3) for j in range(2) if (t + i + j) % 3]
+    return sc, contact_table(sc, rows)
+
+
+def desk_world(v):
+    sc = validate_scenario(desk_scenario(seed=1, v=v))
+    return sc, build_contact_table(sc)
+
+
+class TestBookedEqualsPriced:
+    """A downlink record books the latencies and costs that the broker priced:
+    rebuilding the edge weight from the record's lt1, lt2, lc, cr and cc, the
+    start-of-slot Q and the satellite's start-of-slot backlog gives the
+    broker's weight bit for bit, wherever the engine moved exactly the MB
+    that the edge previewed."""
+
+    @pytest.mark.parametrize("world", [lambda: desk_world(5e4), lambda: desk_world(1e7),
+                                       slow_backhaul_world],
+                             ids=["desk-v5e4", "desk-v1e7", "slow-backhaul"])
+    def test_record_rebuilds_the_edge_weight(self, world):
+        sc, table = world()
+        arrays = ScenarioArrays.from_scenario(sc)
+        policy = make_policy(sc)
+        sim = engine.SimState(slot=0, q=0.0,
+                              states={s.id: SatelliteState(s.id) for s in sc.satellites})
+        arrivals = ArrivalModel(sc)
+        checked = 0
+        for _ in range(sc.horizon):
+            qw = sim.q / (sc.tau * sc.xi)
+            backlog = {sat_id: state.total_mb for sat_id, state in sim.states.items()}
+            for r in engine.step(sim, policy, sc, table, arrivals, arrays):
+                graph = policy.graph
+                k = graph.edge_of[arrays.sat_index[r.satellite_id],
+                                  arrays.gs_index[r.ground_station_id]]
+                assert arrays.dc_ids[graph.edge_dc[k]] == r.data_center_id
+                if r.mb != graph.edge_dtil[k]:
+                    continue
+                weight = (sc.v * (r.cr + r.cc) - (backlog[r.satellite_id] + qw * sc.tau) * r.mb
+                          + qw * (r.lt1 + r.lt2 + r.lc))
+                assert weight == graph.edge_w[k], (r, float(graph.edge_w[k]))
+                checked += 1
+        assert checked >= 300
 
 
 class TestInfeasiblePolicies:

@@ -115,6 +115,27 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown data center"):
             validate_scenario(raw)
 
+    @pytest.mark.parametrize("rate", [0, -7500, "0 Gbps"])
+    def test_nonpositive_backhaul_rejected(self, rate):
+        raw = tiny_raw()
+        raw["ground_stations"][0]["backhaul"] = {"dc-a": rate}
+        with pytest.raises(ScenarioError, match="backhaul rate to 'dc-a' must be > 0"):
+            validate_scenario(raw)
+
+    def test_nonpositive_default_backhaul_rejected(self):
+        with pytest.raises(ScenarioError, match="backhaul rate to 'dc-a' must be > 0"):
+            validate_scenario(tiny_raw(backhaul_rate="-1 Gbps"))
+
+    @pytest.mark.parametrize("key, value", [("intensity_min_per_mb", 0.0),
+                                            ("intensity_min_per_mb", -0.006),
+                                            ("intensity", "0 h/GB")])
+    def test_nonpositive_intensity_rejected(self, key, value):
+        raw = tiny_raw()
+        del raw["data_centers"][0]["intensity"]
+        raw["data_centers"][0][key] = value
+        with pytest.raises(ScenarioError, match="'dc-a': intensity must be > 0"):
+            validate_scenario(raw)
+
     def test_every_pair_has_exactly_one_rate(self):
         sc = validate_scenario(desk_scenario())
         dc_ids = {d.id for d in sc.data_centers}

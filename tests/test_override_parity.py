@@ -11,7 +11,7 @@ from skygs.model import ScenarioError, validate_scenario
 from skygs.scenarios import desk_scenario
 
 OUT_OF_RANGE = [("seed", -1), ("seed", 2 ** 64), ("v", -1), ("xi", 0), ("policy", "nope")]
-COMPARE_FLAG = {"seed": "--seeds", "v": "--v", "xi": "--xi"}
+COMPARE_FLAG = {"seed": "--seeds", "v": "--v", "xi": "--xi", "policy": "--policies"}
 
 
 def raw_scenario():
@@ -54,7 +54,8 @@ def test_simulate_rejects_like_the_file(field, value, scenario_file, tmp_path, c
 @pytest.mark.parametrize("field, value", [fv for fv in OUT_OF_RANGE if fv[0] in COMPARE_FLAG])
 def test_compare_rejects_like_the_file(field, value, scenario_file, tmp_path, capsys):
     out = tmp_path / "compare.csv"
+    flags = {"--policies": "bg", COMPARE_FLAG[field]: str(value)}
     assert main(["compare", "--scenario", scenario_file, "--out", str(out),
-                 "--policies", "bg", COMPARE_FLAG[field], str(value)]) == 1
+                 *(word for flag in flags.items() for word in flag)]) == 1
     assert capsys.readouterr().err == f"error: {file_message(field, value)}\n"
     assert not out.exists()

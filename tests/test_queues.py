@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skygs import engine
 from skygs.model import validate_scenario
+from skygs.orbit import Contact, ContactTable
 from skygs.queues import (ArrivalModel, DataChunk, SatelliteState,
-                          actual_downlink, advance_backlog, downlink_capacity,
-                          update_virtual_queue)
+                          actual_downlink, advance_backlog, update_virtual_queue)
+from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays
 
 
 def state_with(chunks):
@@ -16,19 +18,43 @@ def state_with(chunks):
     return st_
 
 
+def downlinked(rate, tau, backlog_mb):
+    """MB that engine.step moves in slot 0 over one contact at `rate` MB/min
+    from a satellite holding `backlog_mb`."""
+    sc = validate_scenario({
+        "satellites": [{"id": "sat-a", "altitude_km": 475.0, "daily_volume_mb": 1.0}],
+        "ground_stations": [{"id": "gs-a", "provider": "p", "lat_deg": 0.0, "lon_deg": 0.0,
+                             "antennas": 1, "price_per_slot": 1.0}],
+        "data_centers": [{"id": "dc-a", "provider": "p", "price_per_min": 1.0,
+                          "intensity_min_per_mb": 0.006}],
+        "sim": {"tau": tau, "horizon": 1, "xi": 60.0, "seed": 1},
+    })
+    table = ContactTable.from_contacts(1, ["sat-a"], ["gs-a"],
+                                       [Contact(0, "sat-a", "gs-a", 45.0, rate)])
+
+    class Downlink:
+        name = "downlink"
+
+        def schedule(self, states, q, slot, table):
+            return Assignment(slot, (AssignmentTriple(contact=0, antenna=0, dc=0),))
+
+    sim = engine.SimState(slot=0, states={"sat-a": state_with([(0, backlog_mb)])}, q=0.0)
+    (record,) = engine.step(sim, Downlink(), sc, table, ArrivalModel(sc),
+                            ScenarioArrays.from_scenario(sc))
+    return record.mb
+
+
 class TestCapacity:
+    """A downlink moves at most one slot of its link: rate * tau MB."""
+
     def test_full_rate_slot(self):
-        assert downlink_capacity(12_000.0, 1.0) == 12_000.0
+        assert downlinked(12_000.0, 1.0, 20_000.0) == 12_000.0
 
     def test_simple(self):
-        assert downlink_capacity(500.0, 1.0) == 500.0
+        assert downlinked(500.0, 1.0, 20_000.0) == 500.0
 
     def test_fractional_slot(self):
-        assert downlink_capacity(1000.0, 0.5) == 500.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            downlink_capacity(0.0, 1.0)
+        assert downlinked(1000.0, 0.5, 20_000.0) == 500.0
 
 
 class TestActualDownlink:
@@ -130,7 +156,8 @@ def arrivals_scenario(duty, horizon=1440, volume=(1_000_000.0, 1_000_000.0)):
              "daily_volume_mb": list(volume), "duty_cycle": duty},
         ],
         "ground_stations": [],
-        "data_centers": [],
+        "data_centers": [{"id": "dc-a", "provider": "p", "price_per_min": 1.0,
+                          "intensity_min_per_mb": 0.006}],
         "sim": {"tau": 1.0, "horizon": horizon, "xi": 60.0, "v": 0.0, "seed": 11,
                 "policy": "skygs"},
     })

@@ -269,7 +269,7 @@ def test_scalar_and_vectorized_weights_agree(seed):
         scalar = [_triple_contribution(state, rate, gi, d, q, scenario, arrays)
                   for d in range(len(arrays.dc_ids))]
         # the scalar form cancels terms as large as Q * backlog / xi
-        cost = arrays.price_slot[gi] + arrays.dc_cost_per_mb.max() * batched.dtil_mb
+        cost = arrays.price_slot[gi] + (arrays.dc_price * arrays.dc_kappa).max() * batched.dtil_mb
         tol = 1e-12 * (scenario.v * cost + (state.total_mb + q / scenario.xi) * state.total_mb
                        + 1.0)
         assert batched.weight == pytest.approx(
