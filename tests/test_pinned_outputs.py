@@ -3,7 +3,9 @@
 Criterion 9 only checks that two processes agree with each other. These
 SHA-256 digests check that a commit writes byte for byte what the commit
 before it wrote: the desk seed-1 contact plan, a 48-slot full-scale plan at
-seed 1, the desk seed-1 records and summary of every policy, and those of
+seed 1 with the skygs records and summary of that world, whose slots give the
+matching kernel many rows in many components, the desk seed-1 records and
+summary of every policy, and those of
 skygs and ilp_hpq in a desk world whose backhaul rate varies by station and
 data center, so that the broker's data-center choice turns on the backhaul
 latency. A refactor
@@ -43,6 +45,10 @@ PINNED = {
         "f072aeb3ba9877ed4e348b3025107c71103cf7ef1b6e20b81ce967d5efbeb62e",
     "full_scale_48_plan.csv":
         "7529a7b29fbb4ceca68e22f86a96be5b3b01b43a4295c99ba8872afd2cb1d4cb",
+    "full_scale_48/records_skygs_seed1.csv":
+        "b7e5cb8289a0109bad2e63b76accf721e98afb45f1136abe46176721eb7329ee",
+    "full_scale_48/summary_skygs_seed1.json":
+        "7f86fc176248fade97e12597ba2b0f6d0be571e669859f3ebe8a7878b097dc30",
     "records_skygs_seed1.csv":
         "bcc4a240fcd150deb086abcac34cf3dad250bd2ec21117394e35c7f57bbe2eee",
     "summary_skygs_seed1.json":
@@ -87,7 +93,9 @@ def outputs(tmp_path_factory):
     backhaul.write_text(json.dumps(varied_backhaul_desk()), encoding="utf-8")
     runs = [["gen-contacts", "--scenario", str(DESK), "--out", str(out / "desk_plan.csv")],
             ["gen-contacts", "--scenario", str(full), "--out",
-             str(out / "full_scale_48_plan.csv")]]
+             str(out / "full_scale_48_plan.csv")],
+            ["simulate", "--scenario", str(full), "--policy", "skygs", "--seed", "1",
+             "--out", str(out / "full_scale_48")]]
     runs += [["simulate", "--scenario", str(DESK), "--policy", policy, "--seed", "1",
               "--out", str(out)] for policy in POLICIES]
     runs += [["simulate", "--scenario", str(backhaul), "--policy", policy,
