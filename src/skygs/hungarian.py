@@ -1,10 +1,13 @@
 """Min-cost rectangular assignment (shortest augmenting path with potentials).
 
-This is the per-slot hot kernel: a vectorized numpy port of the shortest
-augmenting path algorithm with deterministic lowest-index tie-breaking.
-Slot matrices share one layout, which match_with_fallbacks exploits: real
-antenna columns first, then one private fallback column per row on the
-diagonal. Only the rows that can beat their fallback reach the kernel.
+This is the per-slot hot kernel: the shortest augmenting path algorithm with
+deterministic lowest-index tie-breaking, run on Python lists. Slot matrices
+reach it already pruned to the rows that can beat their fallback
+(scheduler.hungarian_min_matching): about 17 x 36 at full scale, and 71 x 123
+when every full-scale satellite is backlogged. At those sizes a list scan
+costs less than numpy's fixed cost per call, while on a whole 153 x 249 slot
+matrix it takes 1.3-1.8 times as long as a vectorized scan (2-core host,
+Python 3.11, numpy 2.4).
 
 Costs may be negative. Rows must not outnumber columns, and every row must be
 matchable (callers guarantee this by giving each row a private fallback
@@ -12,6 +15,8 @@ column). Forbidden pairs are encoded as a large finite cost.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,69 +38,49 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
 
-    u = np.zeros(n_rows)
-    v = np.zeros(n_cols)
-    col4row = np.full(n_rows, -1, dtype=np.int64)
-    row4col = np.full(n_cols, -1, dtype=np.int64)
+    costs = cost.tolist()
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
     for cur_row in range(n_rows):
-        shortest = np.full(n_cols, np.inf)
-        path = np.full(n_cols, -1, dtype=np.int64)
-        on_tree_col = np.zeros(n_cols, dtype=bool)
-        on_tree_row = np.zeros(n_rows, dtype=bool)
+        shortest = [math.inf] * n_cols
+        path = [-1] * n_cols
+        off_tree = list(range(n_cols))  # ascending, so ties go to the lowest column
+        tree_rows: list[int] = []
+        tree_cols: list[int] = []
         min_val = 0.0
         i = cur_row
         sink = -1
         while sink == -1:
-            on_tree_row[i] = True
-            reduced = min_val + cost[i] - u[i] - v
-            improve = ~on_tree_col & (reduced < shortest)
-            shortest[improve] = reduced[improve]
-            path[improve] = i
-            masked = np.where(on_tree_col, np.inf, shortest)
-            j = int(np.argmin(masked))
-            min_val = float(masked[j])
-            on_tree_col[j] = True
+            tree_rows.append(i)
+            row, u_i = costs[i], u[i]
+            j, min_next = -1, math.inf
+            for c in off_tree:
+                s = shortest[c]
+                reduced = min_val + row[c] - u_i - v[c]
+                if reduced < s:
+                    shortest[c] = s = reduced
+                    path[c] = i
+                if s < min_next:
+                    j, min_next = c, s
+            min_val = min_next
+            off_tree.remove(j)
+            tree_cols.append(j)
             if row4col[j] == -1:
                 sink = j
             else:
-                i = int(row4col[j])
+                i = row4col[j]
         u[cur_row] += min_val
-        grow = on_tree_row.copy()
-        grow[cur_row] = False
-        rows = np.nonzero(grow)[0]
-        u[rows] += min_val - shortest[col4row[rows]]
-        cols = np.nonzero(on_tree_col)[0]
-        v[cols] -= min_val - shortest[cols]
+        for r in tree_rows[1:]:
+            u[r] += min_val - shortest[col4row[r]]
+        for c in tree_cols:
+            v[c] -= min_val - shortest[c]
         j = sink
         while True:
-            i = int(path[j])
+            i = path[j]
             row4col[j] = i
-            swap = col4row[i]
-            col4row[i] = j
+            col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
-            j = int(swap)
-    return col4row
-
-
-def match_with_fallbacks(cost: np.ndarray) -> np.ndarray:
-    """min_cost_assignment for a slot-layout matrix, on its useful part only.
-
-    cost: (n_rows, n_real + n_rows); row i's private fallback is column
-    n_real + i, and its other fallback cells must be forbidden. A row whose
-    fallback is no worse than its best real cell takes the fallback, since
-    swapping it there never raises the total. The kernel sees only the other
-    rows and the real columns where at least one of them beats its fallback;
-    no optimal matching uses any other real cell. Returns col4row over the
-    full matrix. Without exact fallback ties the result equals the kernel's
-    on the full matrix.
-    """
-    n_rows, n_cols = cost.shape
-    n_real = n_cols - n_rows
-    fallback_cols = n_real + np.arange(n_rows)
-    gains = cost[:, :n_real] < cost[np.arange(n_rows), fallback_cols][:, None]
-    rows = np.nonzero(gains.any(axis=1))[0]
-    cols = np.concatenate([np.nonzero(gains[rows].any(axis=0))[0], fallback_cols[rows]])
-    col4row = fallback_cols.copy()
-    col4row[rows] = cols[min_cost_assignment(cost[np.ix_(rows, cols)])]
-    return col4row
+    return np.array(col4row, dtype=np.int64)

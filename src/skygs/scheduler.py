@@ -40,13 +40,16 @@ validator checks the positions against the slot's rows and the scenario's
 antenna and data-center counts. Ids are read from the positions only where a
 downlink record is written.
 
-Only satellites that can gain reach the matching kernel. A satellite whose
-best real edge weighs no less than its virtual antenna (no contact, or every
-edge at or above zero) does not downlink, and only the antennas that some
-remaining satellite would rather use than hold its data stay in the kernel's
-matrix (hungarian.match_with_fallbacks). The total weight is still the
-minimum. An exact tie between a satellite's best edge and its virtual antenna
-goes to "do not downlink".
+Only satellites that can gain reach the matching kernel, and the dense
+matrix is built only for a reader that asks for SlotGraph.weights (a weight
+dump, a test). A satellite whose best edge weighs no less than its virtual
+antenna (no contact, or every edge at or above zero) does not downlink.
+hungarian_min_matching finds the others from the edge arrays and builds the
+kernel's block straight from them: those satellites' rows, the antennas of the
+stations where one of them gains, and their own virtual antennas. No minimum
+matching uses another real cell, so the total weight is still the minimum. An
+exact tie between a satellite's best edge and its virtual antenna goes to "do
+not downlink".
 
 brute_force_schedule enumerates every feasible assignment on small instances
 and is the test oracle for the matching path.
@@ -54,6 +57,7 @@ and is the test oracle for the matching path.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -170,16 +174,20 @@ class Assignment:
 
 @dataclass
 class SlotGraph:
-    """The slot's weight matrix and its edges, one per (satellite, station) contact."""
+    """The slot's edges, one per (satellite, station) contact, and the weight
+    matrix they define."""
 
     slot: int
     arrays: ScenarioArrays
-    weights: np.ndarray        # [n_s, n_real + n_s]
     edge_of: np.ndarray        # [n_s, n_g] edge position of each pair, -1 without a contact
+    edge_sat: np.ndarray       # [n_edges] satellite position of each edge
+    edge_gs: np.ndarray        # [n_edges] station position of each edge
     edge_row: np.ndarray       # [n_edges] contact-table row of each edge
     edge_w: np.ndarray         # [n_edges] weight of each edge
     edge_dtil: np.ndarray      # [n_edges]
     edge_dc: np.ndarray        # [n_edges] data center position
+    fallback: np.ndarray       # [n_s] weight of each satellite's virtual antenna
+    big: float                 # forbidden cells: no contact, another's virtual antenna
 
     @classmethod
     def from_edges(cls, slot: int, arrays: ScenarioArrays, table: ContactTable,
@@ -192,17 +200,31 @@ class SlotGraph:
         without a contact carry a bound above any sum of edges and fallbacks,
         so no minimum matching uses them.
         """
-        n_s, n_g = len(arrays.sat_ids), len(arrays.gs_ids)
-        n_real = arrays.n_real_antennas
-        edge_of = np.full((n_s, n_g), -1, dtype=np.int64)
-        edge_of[table.sat[row], table.gs[row]] = np.arange(len(weight))
+        sat, gs = table.sat[row], table.gs[row]
+        edge_of = np.full((len(arrays.sat_ids), len(arrays.gs_ids)), -1, dtype=np.int64)
+        edge_of[sat, gs] = np.arange(len(weight))
         big = 4.0 * (1.0 + sum(np.abs(weight).tolist()) + sum(np.abs(fallback).tolist()))
-        weights = np.full((n_s, n_real + n_s), big)
+        return cls(slot=slot, arrays=arrays, edge_of=edge_of, edge_sat=sat, edge_gs=gs,
+                   edge_row=row, edge_w=weight, edge_dtil=dtil, edge_dc=dc,
+                   fallback=fallback, big=big)
+
+    def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The block `rows` x `cols` of the weight matrix, whose columns are the
+        real antennas and then one virtual antenna per satellite; `cols` lists
+        its real columns first."""
+        n_real = self.n_real
+        real = cols[cols < n_real]
         # edge_of is -1 without a contact, which picks the appended bound
-        weights[:, :n_real] = np.append(weight, big)[edge_of[:, arrays.antenna_station]]
-        weights[:, n_real:].flat[::n_s + 1] = fallback  # the virtual block's diagonal
-        return cls(slot=slot, arrays=arrays, weights=weights, edge_of=edge_of, edge_row=row,
-                   edge_w=weight, edge_dtil=dtil, edge_dc=dc)
+        block = np.append(self.edge_w, self.big)[
+            self.edge_of[np.ix_(rows, self.arrays.antenna_station[real])]]
+        own = rows[:, None] == cols[len(real):] - n_real
+        return np.hstack([block, np.where(own, self.fallback[rows, None], self.big)])
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The whole [n_s, n_real + n_s] weight matrix, built on first use."""
+        n_s = len(self.fallback)
+        return self.matrix(np.arange(n_s), np.arange(self.n_real + n_s))
 
     @property
     def n_real(self) -> int:
@@ -274,14 +296,18 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
 
 def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     """Minimum-weight left-perfect matching on the slot graph, with its total
-    edge weight."""
+    edge weight; the kernel sees only the block of the satellites that can gain."""
     arrays = graph.arrays
     n_real = graph.n_real
-    col4row = hungarian.match_with_fallbacks(graph.weights)
+    gains = graph.edge_w < graph.fallback[graph.edge_sat]
+    rows = np.nonzero(np.bincount(graph.edge_sat[gains], minlength=len(graph.fallback)))[0]
+    stations = np.bincount(graph.edge_gs[gains], minlength=len(arrays.gs_ids))
+    cols = np.concatenate([np.nonzero(stations[arrays.antenna_station])[0], n_real + rows])
+    col4row = cols[hungarian.min_cost_assignment(graph.matrix(rows, cols))]
     triples: list[AssignmentTriple] = []
     objective = 0.0
     # rows follow the sorted satellite ids, so the triples come out sorted
-    for si, col in enumerate(col4row.tolist()):
+    for si, col in zip(rows.tolist(), col4row.tolist()):
         if col >= n_real:
             if col - n_real != si:
                 raise RuntimeError("matching used another satellite's virtual antenna")

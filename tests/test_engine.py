@@ -202,6 +202,27 @@ class TestBookedEqualsPriced:
         assert checked >= 300
 
 
+@pytest.mark.parametrize("policy", ["skygs", "ilp_hpq"])
+def test_scheduling_never_builds_the_dense_weight_matrix(policy):
+    """A matching policy reads its slot graph's edges; the dense weight
+    matrix is built only when a reader such as a weight dump asks for it."""
+    sc, table = desk_world(5e4)
+    sc = replace(sc, policy=policy)
+    arrays = ScenarioArrays.from_scenario(sc)
+    policy_obj = make_policy(sc)
+    sim = engine.SimState(slot=0, q=0.0,
+                          states={s.id: SatelliteState(s.id) for s in sc.satellites})
+    arrivals = ArrivalModel(sc)
+    downlinks = 0
+    for _ in range(sc.horizon):
+        downlinks += len(engine.step(sim, policy_obj, sc, table, arrivals, arrays))
+        assert "weights" not in vars(policy_obj.graph), sim.slot
+    assert downlinks > 100
+    n_s = len(arrays.sat_ids)
+    assert policy_obj.graph.weights.shape == (n_s, arrays.n_real_antennas + n_s)
+    assert "weights" in vars(policy_obj.graph)
+
+
 class TestInfeasiblePolicies:
     def test_aborts_with_feasibility_report(self):
         sc = tiny_scenario(horizon=3)

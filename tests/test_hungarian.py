@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skygs.hungarian import match_with_fallbacks, min_cost_assignment
+from instances import make_scenario, states_for
+from skygs.hungarian import min_cost_assignment
+from skygs.model import validate_scenario
+from skygs.orbit import ContactTable, build_contact_table
+from skygs.scenarios import full_scale_scenario
+from skygs.scheduler import ScenarioArrays, SlotGraph, build_bipartite, hungarian_min_matching
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -80,21 +85,65 @@ def test_matches_scipy(n_rows, extra_cols, seed):
     assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
 
 
-def slot_matrix(rng, n_sats, antennas, fallbacks, weights):
-    """Slot-layout matrix: each station's antennas are duplicated columns, a
-    large forbidden value sits everywhere else, and row i's private fallback
-    column n_real + i holds fallbacks[i]. weights() draws a contact's weight;
-    a row sees each station with probability 0.6."""
-    n_real = sum(antennas)
-    big = 1e9
-    cost = np.full((n_sats, n_real + n_sats), big)
-    starts = np.cumsum([0] + list(antennas))
-    for i in range(n_sats):
-        cost[i, n_real + i] = fallbacks[i]
-        for s, count in enumerate(antennas):
-            if rng.random() < 0.6:
-                cost[i, starts[s]:starts[s] + count] = weights()
-    return cost, big
+def slot_graph(rng, n_sats, antennas, fallbacks, weights, groups=1, ties=False):
+    """A one-slot graph through SlotGraph.from_edges, whose edge k is table
+    row k. Stations have the given antenna counts (an antenna column per
+    antenna, repeating its station's edge weight), and satellite i's virtual
+    antenna weighs fallbacks[i]. Station g and satellite i are in group
+    g % groups and i % groups; a satellite sees each station of its own group
+    with probability 0.6, and weights() draws each contact's weight. Several
+    groups give the gaining rows several components. With `ties`, one edge is
+    set to its satellite's fallback, and one satellite's edges at two
+    stations are made equal, where the graph has such edges."""
+    scenario = make_scenario(n_sats=n_sats, stations=tuple((a, 1.0) for a in antennas))
+    arrays = ScenarioArrays.from_scenario(scenario)
+    fallbacks = np.asarray(fallbacks, dtype=float)
+    pairs = [(i, g) for i in range(n_sats) for g in range(len(antennas))
+             if i % groups == g % groups and rng.random() < 0.6]
+    sat = np.array([i for i, _ in pairs], dtype=np.int64)
+    gs = np.array([g for _, g in pairs], dtype=np.int64)
+    n = len(pairs)
+    weight = np.array([weights() for _ in range(n)], dtype=float)
+    if ties and n:
+        k = int(rng.integers(n))
+        weight[k] = fallbacks[sat[k]]
+        shared = [i for i in range(n_sats) if (sat == i).sum() >= 2]
+        if shared:
+            k0, k1 = np.nonzero(sat == shared[int(rng.integers(len(shared)))])[0][:2]
+            weight[k1] = weight[k0]
+    table = ContactTable(1, arrays.sat_ids, arrays.gs_ids, np.zeros(n), sat, gs,
+                         np.full(n, 45.0), np.ones(n))
+    return SlotGraph.from_edges(0, arrays, table, np.arange(n), weight, np.ones(n),
+                                np.zeros(n, dtype=np.int64), fallbacks)
+
+
+def graph_col4row(graph, assignment):
+    """The matching's column per satellite row of graph.weights: the antenna
+    column of each triple, the satellite's own virtual antenna otherwise."""
+    cols = graph.n_real + np.arange(len(graph.fallback))
+    for tr in assignment.triples:
+        k = int(np.nonzero(graph.edge_row == tr.contact)[0][0])
+        cols[graph.edge_sat[k]] = graph.arrays.station_col0[graph.edge_gs[k]] + tr.antenna
+    return cols
+
+
+def components(graph):
+    """Connected components of the gaining rows, two rows joined when both
+    gain at one station."""
+    gains = graph.edge_w < graph.fallback[graph.edge_sat]
+    parent = {int(si): int(si) for si in graph.edge_sat[gains]}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    first = {}
+    for si, gi in zip(graph.edge_sat[gains].tolist(), graph.edge_gs[gains].tolist()):
+        if gi in first:
+            parent[find(si)] = find(first[gi])
+        first.setdefault(gi, si)
+    return len({find(si) for si in parent})
 
 
 def assert_slot_matching(cost, big, cols):
@@ -107,20 +156,30 @@ def assert_slot_matching(cost, big, cols):
     assert (cols[fallback] - n_real == np.nonzero(fallback)[0]).all()
 
 
+def assert_objective(graph, cols, objective):
+    """The matcher's objective is the edge weight of the cells it chose."""
+    real = cols < graph.n_real
+    assert objective == pytest.approx(assignment_cost(graph.weights[real], cols[real]),
+                                      rel=1e-12, abs=1e-9)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, seed):
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, groups, seed):
     """Slot graphs are tie-heavy: duplicated antenna columns, a large
     forbidden value everywhere else, zeros on the private virtual diagonal.
-    The pruned path and the kernel on the full matrix pick the same columns
+    The graph matcher and the kernel on the full matrix pick the same columns
     (no weight ties a fallback here) and reach scipy's minimum."""
     rng = np.random.default_rng(seed)
     n_stations = int(rng.integers(1, 4))
-    cost, big = slot_matrix(rng, n_sats, [antennas_per_station] * n_stations,
-                            np.zeros(n_sats), lambda: rng.uniform(-1e6, 1e3))
-    pruned = match_with_fallbacks(cost)
+    graph = slot_graph(rng, n_sats, [antennas_per_station] * n_stations, np.zeros(n_sats),
+                       lambda: rng.uniform(-1e6, 1e3), groups)
+    assignment, objective = hungarian_min_matching(graph)
+    pruned = graph_col4row(graph, assignment)
+    cost = graph.weights
     assert np.array_equal(pruned, min_cost_assignment(cost))
-    assert_slot_matching(cost, big, pruned)
+    assert_slot_matching(cost, graph.big, pruned)
+    assert_objective(graph, pruned, objective)
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
     assert assignment_cost(cost, pruned) == pytest.approx(cost[rows_s, cols_s].sum(),
                                                          rel=1e-12)
@@ -128,25 +187,85 @@ def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, s
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10), st.lists(st.integers(1, 3), min_size=1, max_size=4),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, seed):
+       st.booleans(), st.booleans(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, ties, groups, seed):
     """Duplicated antenna columns, rows without a contact, rows whose real
     cells are all positive, positive fallbacks (a forced downlink, as in
     ilp_hpq) and weights drawn from a small set, so real cells often tie a
-    fallback exactly. The pruned matcher reaches the full-matrix kernel's and
+    fallback exactly, with planted ties on demand and gaining rows in up to
+    three components. The graph matcher reaches the full-matrix kernel's and
     scipy's total and uses no forbidden cell and no other row's fallback."""
     rng = np.random.default_rng(seed)
     levels = np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
-    cost, big = slot_matrix(rng, n_sats, antennas, fallbacks,
-                            lambda: float(rng.choice(levels)))
-    pruned = match_with_fallbacks(cost)
-    assert_slot_matching(cost, big, pruned)
+    graph = slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
+                       groups, ties)
+    assignment, objective = hungarian_min_matching(graph)
+    pruned = graph_col4row(graph, assignment)
+    cost = graph.weights
+    assert_slot_matching(cost, graph.big, pruned)
+    assert_objective(graph, pruned, objective)
     full = assignment_cost(cost, min_cost_assignment(cost))
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
     assert assignment_cost(cost, pruned) == full == cost[rows_s, cols_s].sum()
     # a row that cannot beat its fallback takes it
-    n_real = cost.shape[1] - n_sats
+    n_real = graph.n_real
     no_gain = cost[:, :n_real].min(axis=1, initial=np.inf) >= cost[np.arange(n_sats),
                                                                    n_real + np.arange(n_sats)]
     assert (pruned[no_gain] == n_real + np.nonzero(no_gain)[0]).all()
+
+
+def test_gaining_rows_in_several_components():
+    """Satellites in three groups that share no station: the gaining rows
+    fall into several components, and the graph matcher still picks the
+    full-matrix kernel's columns and reaches scipy's minimum."""
+    split = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        graph = slot_graph(rng, 9, [2, 1, 1, 2, 1, 3], np.zeros(9),
+                           lambda: rng.uniform(-1e6, 1e3), groups=3)
+        split += components(graph) >= 2
+        assignment, objective = hungarian_min_matching(graph)
+        pruned = graph_col4row(graph, assignment)
+        cost = graph.weights
+        assert np.array_equal(pruned, min_cost_assignment(cost))
+        assert_objective(graph, pruned, objective)
+        rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
+        assert assignment_cost(cost, pruned) == pytest.approx(cost[rows_s, cols_s].sum(),
+                                                             rel=1e-12)
+    assert split >= 30
+
+
+def test_kernel_on_a_whole_full_scale_slot_matrix():
+    """153 satellites and 48 stations of two antennas give the full-scale
+    slot matrix, 153 x 249; the kernel solves it whole and reaches scipy's
+    total."""
+    rng = np.random.default_rng(11)
+    graph = slot_graph(rng, 153, [2] * 48, np.zeros(153), lambda: rng.uniform(-1e6, 1e3))
+    cost = graph.weights
+    assert cost.shape == (153, 249)
+    cols = min_cost_assignment(cost)
+    assert_slot_matching(cost, graph.big, cols)
+    rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
+    assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
+
+
+def test_broker_reaches_the_minimum_on_the_all_backlogged_full_scale_slot():
+    """Criterion 10's slot: every full-scale satellite holds 30 chunks, so
+    every satellite in view can gain and the kernel gets its largest matrix.
+    The broker's matching reaches scipy's minimum of the slot's weights."""
+    scenario = validate_scenario(full_scale_scenario(seed=1))
+    table = build_contact_table(scenario)
+    rng = np.random.default_rng(0)
+    states = states_for(scenario, {sat.id: [(-k, float(rng.uniform(100, 2000)))
+                                            for k in range(30)]
+                                   for sat in scenario.satellites})
+    graph = build_bipartite(states, 123.0, 0, scenario, table)
+    assert len(np.unique(graph.edge_sat[graph.edge_w < 0.0])) > 60  # kernel rows
+    assignment, objective = hungarian_min_matching(graph)
+    cols = graph_col4row(graph, assignment)
+    cost = graph.weights
+    assert_slot_matching(cost, graph.big, cols)
+    assert_objective(graph, cols, objective)
+    rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
+    assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
