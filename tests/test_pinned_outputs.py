@@ -8,8 +8,10 @@ matching kernel many rows in many components, the desk seed-1 records and
 summary of every policy, and those of
 skygs and ilp_hpq in a desk world whose backhaul rate varies by station and
 data center, so that the broker's data-center choice turns on the backhaul
-latency. A refactor
-must leave them as they are. A change that moves them on purpose updates the
+latency. Two more pin
+the canonical JSON text of a validated scenario (the desk file and the
+full-scale world at seed 1), and one the column order of `compare`'s CSV.
+A refactor must leave them as they are. A change that moves them on purpose updates the
 constants and says why in CHANGES.md; ROADMAP items 3 (independent random
 streams) and 4 (latency units) are expected to.
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from skygs import cli
-from skygs.model import POLICIES
+from skygs.model import POLICIES, validate_scenario
 from skygs.scenarios import desk_scenario, full_scale_scenario
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
@@ -108,3 +110,27 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", list(PINNED))
 def test_output_digest_is_pinned(outputs, name):
     assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == PINNED[name]
+
+
+SCENARIO_JSON_PINNED = {
+    "desk.json": "9449da3af028563d66466a8f3ffed3be564cb5f707df2b2f80f2757655034875",
+    "full_scale_scenario(1)":
+        "e1e4c1108e577934e1e7fdce293dc7c5c7cff03c22b873513c398f72af596101",
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_JSON_PINNED))
+def test_scenario_json_digest_is_pinned(name):
+    raw = (json.loads(DESK.read_text(encoding="utf-8")) if name == "desk.json"
+           else full_scale_scenario(1))
+    text = json.dumps(validate_scenario(raw).to_json_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SCENARIO_JSON_PINNED[name]
+
+
+def test_compare_csv_header_is_pinned(tmp_path):
+    out = tmp_path / "compare.csv"
+    assert cli.main(["compare", "--scenario", str(DESK), "--policies", "bg",
+                     "--seeds", "1", "--out", str(out)]) == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0]
+    assert header == ("policy,seed,status,total_cost,avg_latency_min_per_mb,"
+                      "violation_rate,final_backlog_mb,mean_q,max_q")
