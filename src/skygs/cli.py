@@ -2,7 +2,8 @@
 
 Subcommands: validate, gen-contacts, simulate, compare, sweep-v. All output
 is deterministic given identical inputs and seeds. Exit codes: 0 success,
-1 validation error, 2 runtime failure. SKYGS_LOG sets the log level.
+1 validation error, 2 runtime failure. Errors, and the warning for a failed
+`compare` cell, go to stderr.
 """
 
 from __future__ import annotations
@@ -10,30 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import logging
-import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from skygs import engine
+from skygs.accounting import RunMetrics
 from skygs.model import POLICIES, ScenarioError, load_scenario, policy_name, with_overrides
 from skygs.orbit import ContactPlanError, build_contact_table, write_contact_plan
-
-log = logging.getLogger("skygs")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-SUMMARY_FIELDS = ["total_cost", "avg_latency_min_per_mb", "violation_rate",
-                  "final_backlog_mb", "mean_q", "max_q"]
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("SKYGS_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+SUMMARY_FIELDS = [f.name for f in fields(RunMetrics)]
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -91,7 +82,7 @@ def _grid_row(scenario, policy: str, table) -> dict:
         for k in SUMMARY_FIELDS:
             row[k] = summary[k]
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the grid
-        log.warning("run %s/seed %s failed: %s", policy, scenario.seed, exc)
+        print(f"warning: run {policy}/seed {scenario.seed} failed: {exc}", file=sys.stderr)
         row["status"] = "failed"
         for k in SUMMARY_FIELDS:
             row[k] = ""
@@ -198,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from skygs import accounting, queues
@@ -37,6 +37,11 @@ class InfeasibleAssignmentError(RuntimeError):
 
 @dataclass
 class SimState:
+    """A run's state as it advances, and its result once the horizon is done;
+    reproducible from (scenario, seed, policy)."""
+
+    policy: str
+    seed: int
     slot: int
     states: dict[str, SatelliteState]
     q: float
@@ -44,18 +49,9 @@ class SimState:
     q_trace: list[float] = field(default_factory=list)        # Q(t+1) per slot
     backlog_trace: list[float] = field(default_factory=list)  # total backlog after arrivals
 
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Everything a run produced; reproducible from (scenario, seed, policy)."""
-
-    policy: str
-    seed: int
-    records: tuple[DownlinkRecord, ...]
-    q_trace: tuple[float, ...]
-    backlog_trace: tuple[float, ...]
-    final_backlogs: dict[str, float]
-    total_arrivals: dict[str, float]
+    @property
+    def final_backlogs(self) -> dict[str, float]:
+        return {sid: st.total_mb for sid, st in self.states.items()}
 
 
 def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
@@ -121,8 +117,9 @@ def _check_table(table: ContactTable, scenario: Scenario) -> None:
 def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
         v: float | None = None, xi: float | None = None,
         table: ContactTable | None = None,
-        dump_weights: str | None = None) -> tuple[RunRecord, RunMetrics]:
-    """Execute one full simulation, with optional overrides (see model.with_overrides).
+        dump_weights: str | None = None) -> tuple[SimState, RunMetrics]:
+    """Execute one full simulation, with optional overrides (see model.with_overrides),
+    and return the SimState it advanced over the horizon with the run's metrics.
 
     `dump_weights` names a directory that receives, after every slot, the
     weight matrix the policy matched (scheduler.dump_weight_matrix); a policy
@@ -142,6 +139,8 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
             raise ScenarioError(f"dump_weights: policy {scenario.policy!r} matches no slot graph")
         os.makedirs(dump_weights, exist_ok=True)
     sim = SimState(
+        policy=scenario.policy,
+        seed=scenario.seed,
         slot=0,
         states={s.id: SatelliteState(s.id) for s in scenario.satellites},
         q=0.0,
@@ -152,44 +151,24 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
             dump_weight_matrix(policy_obj.graph,
                                os.path.join(dump_weights, f"weights_slot{t:05d}.csv"))
 
-    total_arrivals = dict(zip((sat.id for sat in scenario.satellites),
-                              arrivals.mb.sum(axis=1).tolist()))
-    record = RunRecord(
-        policy=scenario.policy,
-        seed=scenario.seed,
-        records=tuple(sim.records),
-        q_trace=tuple(sim.q_trace),
-        backlog_trace=tuple(sim.backlog_trace),
-        final_backlogs={sid: st.total_mb for sid, st in sim.states.items()},
-        total_arrivals=total_arrivals,
-    )
     metrics = accounting.aggregate_metrics(
-        list(record.records), scenario.xi,
-        final_backlog_mb=float(sum(record.final_backlogs.values())),
-        q_trace=record.q_trace,
+        sim.records, scenario.xi,
+        final_backlog_mb=float(sum(sim.final_backlogs.values())),
+        q_trace=sim.q_trace,
     )
-    return record, metrics
+    return sim, metrics
 
 
-def summary_dict(record: RunRecord, metrics: RunMetrics) -> dict[str, Any]:
-    return {
-        "policy": record.policy,
-        "seed": record.seed,
-        "total_cost": metrics.total_cost,
-        "avg_latency_min_per_mb": metrics.avg_latency_min_per_mb,
-        "violation_rate": metrics.violation_rate,
-        "final_backlog_mb": metrics.final_backlog_mb,
-        "mean_q": metrics.mean_q,
-        "max_q": metrics.max_q,
-    }
+def summary_dict(record: SimState, metrics: RunMetrics) -> dict[str, Any]:
+    return {"policy": record.policy, "seed": record.seed, **asdict(metrics)}
 
 
-def write_summary_json(path: str, record: RunRecord, metrics: RunMetrics) -> None:
+def write_summary_json(path: str, record: SimState, metrics: RunMetrics) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary_dict(record, metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_records_csv(path: str, record: RunRecord) -> None:
-    accounting.write_run_csv(path, record.policy, list(record.records),
+def write_records_csv(path: str, record: SimState) -> None:
+    accounting.write_run_csv(path, record.policy, record.records,
                              record.q_trace, record.backlog_trace)

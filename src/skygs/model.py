@@ -8,7 +8,7 @@ Gbps, $/hour, or h/GB are converted once at load time and never afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 MB_PER_MIN_PER_GBPS = 7500.0  # 1e9 bits/s / 8 / 1e6 bytes-per-MB * 60 s/min
@@ -140,44 +140,14 @@ class Scenario:
     contact_plan_path: str | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        """Canonical JSON form (all values in canonical units).
-
-        Validating this dict again reproduces an identical Scenario.
+        """Canonical JSON form (all values in canonical units), one key per
+        dataclass field. Validating this dict again reproduces an identical
+        Scenario, whose station backhaul maps validation keeps sorted by id.
         """
         return {
-            "satellites": [
-                {
-                    "id": s.id,
-                    "altitude_km": s.altitude_km,
-                    "inclination_deg": s.inclination_deg,
-                    "raan_deg": s.raan_deg,
-                    "phase_deg": s.phase_deg,
-                    "daily_volume_mb": list(s.daily_volume_mb),
-                    "duty_cycle": s.duty_cycle,
-                }
-                for s in self.satellites
-            ],
-            "ground_stations": [
-                {
-                    "id": g.id,
-                    "provider": g.provider,
-                    "lat_deg": g.lat_deg,
-                    "lon_deg": g.lon_deg,
-                    "antennas": g.antennas,
-                    "price_per_slot": g.price_per_slot,
-                    "backhaul_mb_per_min": dict(sorted(g.backhaul_mb_per_min.items())),
-                }
-                for g in self.ground_stations
-            ],
-            "data_centers": [
-                {
-                    "id": d.id,
-                    "provider": d.provider,
-                    "price_per_min": d.price_per_min,
-                    "intensity_min_per_mb": d.intensity_min_per_mb,
-                }
-                for d in self.data_centers
-            ],
+            "satellites": [asdict(s) for s in self.satellites],
+            "ground_stations": [asdict(g) for g in self.ground_stations],
+            "data_centers": [asdict(d) for d in self.data_centers],
             "sim": {name: getattr(self, name) for name in SIM_FIELDS},
         }
 

@@ -9,7 +9,7 @@ downlink keeps the remainder at the head with its original arrival slot.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +25,13 @@ class DataChunk:
     size_mb: float
 
 
+@dataclass
 class SatelliteState:
-    """FIFO backlog for one satellite."""
+    """FIFO backlog for one satellite, compared by value."""
 
-    def __init__(self, satellite_id: str):
-        self.satellite_id = satellite_id
-        self.chunks: deque[DataChunk] = deque()
-        self.total_mb = 0.0
+    satellite_id: str
+    chunks: deque[DataChunk] = field(default_factory=deque)
+    total_mb: float = 0.0
 
     def __repr__(self) -> str:
         return f"SatelliteState({self.satellite_id!r}, total={self.total_mb:.1f} MB)"
@@ -112,8 +112,8 @@ class ArrivalModel:
     scenario's i-th satellite collects in slot t.
     """
 
-    def __init__(self, scenario: Scenario, seed: int | None = None):
-        seed = scenario.seed if seed is None else seed
+    def __init__(self, scenario: Scenario):
+        seed = scenario.seed
         self._row = {sat.id: si for si, sat in enumerate(scenario.satellites)}
         self.mb = np.zeros((len(scenario.satellites), scenario.horizon))
         for si, sat in enumerate(scenario.satellites):

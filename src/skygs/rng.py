@@ -8,7 +8,7 @@ what makes paired policy comparisons on identical sample paths possible.
 
 The streams are not independent, though: the first id shares Philox
 counter[0] with the draw counter, so streams whose first ids differ by n
-are the same sequence shifted by 4n draws (see stream and ROADMAP item 3).
+are the same sequence shifted by 4n draws (see stream and ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
     ids[0] = i + 1 is the stream for i without its first four draws. The
     arrival masks of satellites 0 and 1 share 1,436 of their 1,440 draws
     this way, and the rate noise of (satellite 1, station g) at slot t equals
-    that of (satellite 0, station g) at slot t + 4. ROADMAP item 3 is the fix.
+    that of (satellite 0, station g) at slot t + 4. ROADMAP item 4 is the fix.
     """
     if len(ids) > 3:
         raise ValueError("at most three stream ids supported")

@@ -9,9 +9,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from skygs import engine  # noqa: E402
 from skygs.model import validate_scenario  # noqa: E402
 from skygs.orbit import build_contact_table  # noqa: E402
+from skygs.queues import ArrivalModel  # noqa: E402
 from skygs.scenarios import desk_scenario  # noqa: E402
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
+
+
+def total_arrivals(scenario):
+    """MB that each satellite of the scenario collects over the horizon, by id."""
+    return dict(zip((sat.id for sat in scenario.satellites),
+                    ArrivalModel(scenario).mb.sum(axis=1).tolist()))
 
 
 def avg_phi(record):

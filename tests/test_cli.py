@@ -233,7 +233,7 @@ class TestCompare:
         assert "error: sim.xi: must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_failed_run_marked_others_proceed(self, tmp_path):
+    def test_failed_run_marked_others_proceed(self, tmp_path, capsys):
         # provider p1 owns stations but no data centers, so the sg row cannot
         # be scheduled; bg must still produce a valid row
         raw = desk_scenario(seed=1, horizon=20)
@@ -248,6 +248,9 @@ class TestCompare:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("sg,1,failed,")
         assert lines[2].startswith("bg,1,ok,")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: run sg/seed 1 failed: ")
 
 
 class TestExitCodes:

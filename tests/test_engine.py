@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import total_arrivals
 from skygs import engine
 from skygs.baselines import make_policy
 from skygs.engine import InfeasibleAssignmentError, run
-from skygs.model import ScenarioError, validate_scenario
+from skygs.model import ScenarioError, validate_scenario, with_overrides
 from instances import contact_row, contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
 from skygs.queues import ArrivalModel, SatelliteState
@@ -43,7 +44,7 @@ class TestStepSemantics:
         sc = tiny_scenario(horizon=1)
         record, metrics = run(sc, table=empty_table(1))
         assert metrics.total_cost == 0.0
-        assert record.q_trace == (0.0,)
+        assert record.q_trace == [0.0]
         # 144,000 MB/day over 1440 slots = 100 MB in the single slot
         assert metrics.final_backlog_mb == pytest.approx(100.0)
 
@@ -61,7 +62,7 @@ class TestStepSemantics:
                                    for t in range(0, 40, 3)])
         record, _ = run(sc, table=table)
         moved = sum(r.mb for r in record.records)
-        arrived = record.total_arrivals["sat-0"]
+        arrived = total_arrivals(sc)["sat-0"]
         residual = record.final_backlogs["sat-0"]
         assert arrived == pytest.approx(moved + residual, rel=1e-9)
 
@@ -133,7 +134,7 @@ class TestStepSemantics:
         sc = tiny_scenario(horizon=1)
         sc = replace(sc, horizon=0)
         record, metrics = run(sc, table=empty_table(0))
-        assert record.records == ()
+        assert record.records == []
         assert metrics.total_cost == 0.0
         assert metrics.avg_latency_min_per_mb is None
 
@@ -181,7 +182,7 @@ class TestBookedEqualsPriced:
         sc, table = world()
         arrays = ScenarioArrays.from_scenario(sc)
         policy = make_policy(sc)
-        sim = engine.SimState(slot=0, q=0.0,
+        sim = engine.SimState(policy=sc.policy, seed=sc.seed, slot=0, q=0.0,
                               states={s.id: SatelliteState(s.id) for s in sc.satellites})
         arrivals = ArrivalModel(sc)
         checked = 0
@@ -210,7 +211,7 @@ def test_scheduling_never_builds_the_dense_weight_matrix(policy):
     sc = replace(sc, policy=policy)
     arrays = ScenarioArrays.from_scenario(sc)
     policy_obj = make_policy(sc)
-    sim = engine.SimState(slot=0, q=0.0,
+    sim = engine.SimState(policy=sc.policy, seed=sc.seed, slot=0, q=0.0,
                           states={s.id: SatelliteState(s.id) for s in sc.satellites})
     arrivals = ArrivalModel(sc)
     downlinks = 0
@@ -236,8 +237,8 @@ class TestInfeasiblePolicies:
 
         arrays = engine.ScenarioArrays.from_scenario(sc)
         arrivals = engine.ArrivalModel(sc)
-        sim = engine.SimState(slot=0, states={"sat-0": engine.SatelliteState("sat-0")},
-                              q=0.0)
+        sim = engine.SimState(policy="broken", seed=sc.seed, slot=0,
+                              states={"sat-0": engine.SatelliteState("sat-0")}, q=0.0)
         with pytest.raises(InfeasibleAssignmentError, match="visibility"):
             engine.step(sim, BrokenPolicy(), sc, empty_table(3), arrivals, arrays)
 
@@ -255,13 +256,15 @@ class TestDeterminism:
         sc = validate_scenario(desk_scenario(seed=4, horizon=60))
         a, _ = run(sc, policy="bg")
         b, _ = run(sc, policy="bwg")
-        assert a.total_arrivals == b.total_arrivals
+        assert total_arrivals(with_overrides(sc, policy=a.policy)) == \
+            total_arrivals(with_overrides(sc, policy=b.policy))
 
     def test_seed_changes_sample_paths(self):
         sc = validate_scenario(desk_scenario(seed=4, horizon=60))
         a, _ = run(sc, policy="bg")
         b, _ = run(sc, policy="bg", seed=5)
-        assert a.total_arrivals != b.total_arrivals
+        assert total_arrivals(with_overrides(sc, seed=a.seed)) != \
+            total_arrivals(with_overrides(sc, seed=b.seed))
 
 
 class TestOutputs:

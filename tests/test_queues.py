@@ -38,7 +38,8 @@ def downlinked(rate, tau, backlog_mb):
         def schedule(self, states, q, slot, table):
             return Assignment(slot, (AssignmentTriple(contact=0, antenna=0, dc=0),))
 
-    sim = engine.SimState(slot=0, states={"sat-a": state_with([(0, backlog_mb)])}, q=0.0)
+    sim = engine.SimState(policy="downlink", seed=1, slot=0,
+                          states={"sat-a": state_with([(0, backlog_mb)])}, q=0.0)
     (record,) = engine.step(sim, Downlink(), sc, table, ArrivalModel(sc),
                             ScenarioArrays.from_scenario(sc))
     return record.mb
