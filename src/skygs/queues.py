@@ -30,8 +30,8 @@ class SatelliteState:
     """FIFO backlog for one satellite, compared by value."""
 
     satellite_id: str
-    chunks: deque[DataChunk] = field(default_factory=deque)
-    total_mb: float = 0.0
+    chunks: deque[DataChunk] = field(default_factory=deque, init=False)
+    total_mb: float = field(default=0.0, init=False)
 
     def __repr__(self) -> str:
         return f"SatelliteState({self.satellite_id!r}, total={self.total_mb:.1f} MB)"

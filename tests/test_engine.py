@@ -7,7 +7,7 @@ from conftest import total_arrivals
 from skygs import engine
 from skygs.baselines import make_policy
 from skygs.engine import InfeasibleAssignmentError, run
-from skygs.model import ScenarioError, validate_scenario, with_overrides
+from skygs.model import ScenarioError, validate_scenario
 from instances import contact_row, contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
 from skygs.queues import ArrivalModel, SatelliteState
@@ -243,6 +243,14 @@ class TestInfeasiblePolicies:
             engine.step(sim, BrokenPolicy(), sc, empty_table(3), arrivals, arrays)
 
 
+def booked_arrivals(record):
+    """MB each satellite collected in a run: what it downlinked plus what it still holds."""
+    arrived = dict(record.final_backlogs)
+    for r in record.records:
+        arrived[r.satellite_id] += r.mb
+    return arrived
+
+
 class TestDeterminism:
     def test_identical_runs_identical_records(self):
         sc = validate_scenario(desk_scenario(seed=4, horizon=100, v=5e4))
@@ -256,15 +264,17 @@ class TestDeterminism:
         sc = validate_scenario(desk_scenario(seed=4, horizon=60))
         a, _ = run(sc, policy="bg")
         b, _ = run(sc, policy="bwg")
-        assert total_arrivals(with_overrides(sc, policy=a.policy)) == \
-            total_arrivals(with_overrides(sc, policy=b.policy))
+        got_a, got_b = booked_arrivals(a), booked_arrivals(b)
+        assert got_a.keys() == got_b.keys()
+        for sat_id, mb in got_a.items():
+            assert got_b[sat_id] == pytest.approx(mb, rel=1e-9, abs=1e-9)
 
     def test_seed_changes_sample_paths(self):
         sc = validate_scenario(desk_scenario(seed=4, horizon=60))
         a, _ = run(sc, policy="bg")
         b, _ = run(sc, policy="bg", seed=5)
-        assert total_arrivals(with_overrides(sc, seed=a.seed)) != \
-            total_arrivals(with_overrides(sc, seed=b.seed))
+        got_a, got_b = booked_arrivals(a), booked_arrivals(b)
+        assert any(got_b[sat_id] != pytest.approx(mb, rel=1e-6) for sat_id, mb in got_a.items())
 
 
 class TestOutputs:

@@ -12,8 +12,8 @@ latency. Two more pin
 the canonical JSON text of a validated scenario (the desk file and the
 full-scale world at seed 1), and one the column order of `compare`'s CSV.
 A refactor must leave them as they are. A change that moves them on purpose updates the
-constants and says why in CHANGES.md; ROADMAP items 3 (independent random
-streams) and 4 (latency units) are expected to.
+constants and says why in CHANGES.md; ROADMAP items 4 (independent random
+streams) and 5 (latency units) are expected to.
 """
 
 import hashlib
