@@ -233,6 +233,14 @@ class TestCompare:
         assert "error: sim.xi: must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_seed_list_exits_one(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--scenario", scenario_file, "--seeds", "1,x",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seeds: expected a comma-separated list of integers\n")
+        assert not out.exists()
+
     def test_failed_run_marked_others_proceed(self, tmp_path, capsys):
         # provider p1 owns stations but no data centers, so the sg row cannot
         # be scheduled; bg must still produce a valid row
@@ -276,4 +284,12 @@ class TestSweepV:
         assert main(["sweep-v", "--scenario", scenario_file,
                      "--v-list=-1e5", "--out", str(out)]) == 1
         assert "error: sim.v: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_v_list_exits_one(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-v", "--scenario", scenario_file, "--v-list", "1,x",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --v-list: expected a comma-separated list of numbers\n")
         assert not out.exists()

@@ -8,7 +8,11 @@ matching kernel many rows in many components, the desk seed-1 records and
 summary of every policy, and those of
 skygs and ilp_hpq in a desk world whose backhaul rate varies by station and
 data center, so that the broker's data-center choice turns on the backhaul
-latency. Two more pin
+latency. The desk file's `compare --seeds 1,2` and
+`sweep-v --v-list 0,1e4,1e7 --xi 50` CSVs, the skygs weight dumps of a
+48-slot desk run at V = 1e7 (over the sorted file names and bytes), and the
+records of a 3-slot desk world with no satellites pin every CSV writer,
+down to an empty run's `0.0` backlog. Two more pin
 the canonical JSON text of a validated scenario (the desk file and the
 full-scale world at seed 1), and one the column order of `compare`'s CSV.
 A refactor must leave them as they are. A change that moves them on purpose updates the
@@ -41,6 +45,20 @@ def varied_backhaul_desk():
             dc["id"]: f"{BACKHAUL_MBPS[(3 * gi + 5 * di) % len(BACKHAUL_MBPS)]} Mbps"
             for di, dc in enumerate(raw["data_centers"])}
     return raw
+
+
+def digest(path: Path) -> str:
+    """SHA-256 of a file's bytes, or of a directory's file names and bytes in
+    name order."""
+    h = hashlib.sha256()
+    if path.is_dir():
+        for f in sorted(path.iterdir()):
+            h.update(f.name.encode("utf-8"))
+            h.update(f.read_bytes())
+    else:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
 
 PINNED = {
     "desk_plan.csv":
@@ -83,6 +101,14 @@ PINNED = {
         "4b0378667e7be508b8e8e956d079aec3fd965a8846185f78e0d8ab98091c4a77",
     "backhaul/summary_ilp_hpq_seed1.json":
         "1006cbc85ad30bbf6db672164a0b0cad0b17154cf3dfe4e96a8cbbc1db2d8791",
+    "compare_seeds_1_2.csv":
+        "e2320ca62fd3c3b217f50cebeff8c0fe23cbce509b2eb65f3efc2742ca20f909",
+    "sweep_v.csv":
+        "68ec7e899f287eaa5050062d8f93d56dd53d28928776ac7b01b3b042c71641b5",
+    "weights_48":
+        "0895b6632a96c349f340cfc6d608f13ea4b0b57885f9b56597122b36773193aa",
+    "no_satellites/records_skygs_seed1.csv":
+        "d436f413aa9443769ae079e45c9bba747d878af8980ef79ab3e26ec3e91afbf9",
 }
 
 
@@ -93,6 +119,11 @@ def outputs(tmp_path_factory):
     full.write_text(json.dumps(full_scale_scenario(1, horizon=48)), encoding="utf-8")
     backhaul = out / "desk_backhaul.json"
     backhaul.write_text(json.dumps(varied_backhaul_desk()), encoding="utf-8")
+    desk_48 = out / "desk_48.json"
+    desk_48.write_text(json.dumps(desk_scenario(1, v=1e7, horizon=48)), encoding="utf-8")
+    no_sats = out / "no_satellites.json"
+    no_sats.write_text(json.dumps({**desk_scenario(1, horizon=3), "satellites": []}),
+                       encoding="utf-8")
     runs = [["gen-contacts", "--scenario", str(DESK), "--out", str(out / "desk_plan.csv")],
             ["gen-contacts", "--scenario", str(full), "--out",
              str(out / "full_scale_48_plan.csv")],
@@ -102,6 +133,13 @@ def outputs(tmp_path_factory):
               "--out", str(out)] for policy in POLICIES]
     runs += [["simulate", "--scenario", str(backhaul), "--policy", policy,
               "--out", str(out / "backhaul")] for policy in BACKHAUL_POLICIES]
+    runs += [["compare", "--scenario", str(DESK), "--seeds", "1,2",
+              "--out", str(out / "compare_seeds_1_2.csv")],
+             ["sweep-v", "--scenario", str(DESK), "--v-list", "0,1e4,1e7", "--xi", "50",
+              "--out", str(out / "sweep_v.csv")],
+             ["simulate", "--scenario", str(desk_48), "--policy", "skygs",
+              "--out", str(out / "desk_48"), "--dump-weights", str(out / "weights_48")],
+             ["simulate", "--scenario", str(no_sats), "--out", str(out / "no_satellites")]]
     for argv in runs:
         assert cli.main(argv) == 0, argv
     return out
@@ -109,7 +147,7 @@ def outputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", list(PINNED))
 def test_output_digest_is_pinned(outputs, name):
-    assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == PINNED[name]
+    assert digest(outputs / name) == PINNED[name]
 
 
 SCENARIO_JSON_PINNED = {
