@@ -16,9 +16,9 @@ terms again, on purpose, to check the weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
+from skygs.model import write_csv
 from skygs.queues import DataChunk
 
 
@@ -121,24 +121,18 @@ def write_run_csv(path: str, policy: str, records: list[DownlinkRecord],
     """One row per downlink event plus one summary row per slot.
 
     The summary row leaves `satellite` empty and carries Q(t+1) in `q_after`
-    and the total backlog after arrivals in `mb`.
+    and the total backlog after arrivals in `mb`. `records` are in slot
+    order, as the engine appends them.
     """
-    by_slot: dict[int, list[DownlinkRecord]] = {}
-    for r in records:
-        by_slot.setdefault(r.slot, []).append(r)
-    n_slots = len(q_trace)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_CSV_HEADER)
-        for t in range(n_slots):
-            q_after = repr(float(q_trace[t]))
-            for r in by_slot.get(t, []):
-                writer.writerow(
-                    [r.slot, policy, r.satellite_id, r.ground_station_id,
-                     r.antenna, r.data_center_id]
-                    + [repr(float(x)) for x in (r.mb, r.lq, r.lt1, r.lt2, r.lc,
-                                                r.l_total, r.cr, r.cc, r.c_total,
-                                                r.phi_s)]
-                    + [q_after])
-            writer.writerow([t, policy, "", "", "", "", repr(float(backlog_trace[t])),
-                             "", "", "", "", "", "", "", "", "", q_after])
+    def rows():
+        i = 0
+        for t, (backlog, q_after) in enumerate(zip(backlog_trace, q_trace)):
+            while i < len(records) and records[i].slot == t:
+                r = records[i]
+                yield [r.slot, policy, r.satellite_id, r.ground_station_id, r.antenna,
+                       r.data_center_id, r.mb, r.lq, r.lt1, r.lt2, r.lc, r.l_total,
+                       r.cr, r.cc, r.c_total, r.phi_s, q_after]
+                i += 1
+            yield [t, policy, "", "", "", "", backlog] + [""] * 9 + [q_after]
+
+    write_csv(path, RUN_CSV_HEADER, rows())

@@ -9,7 +9,6 @@ is deterministic given identical inputs and seeds. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from dataclasses import fields, replace
@@ -17,7 +16,8 @@ from pathlib import Path
 
 from skygs import engine
 from skygs.accounting import RunMetrics
-from skygs.model import POLICIES, ScenarioError, load_scenario, policy_name, with_overrides
+from skygs.model import (POLICIES, ScenarioError, load_scenario, policy_name, with_overrides,
+                         write_csv)
 from skygs.orbit import ContactPlanError, build_contact_table, write_contact_plan
 
 EXIT_OK = 0
@@ -27,18 +27,12 @@ EXIT_RUNTIME = 2
 SUMMARY_FIELDS = [f.name for f in fields(RunMetrics)]
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ScenarioError(f"{flag}: expected a comma-separated list of numbers")
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ScenarioError(f"{flag}: expected a comma-separated list of integers")
+        noun = "integers" if kind is int else "numbers"
+        raise ScenarioError(f"{flag}: expected a comma-separated list of {noun}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -73,27 +67,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid_row(scenario, policy: str, table) -> dict:
+def _grid_row(scenario, policy: str, table) -> list:
     """One cell of the compare grid; `table()` returns the seed's contact table."""
-    row = {"policy": policy, "seed": scenario.seed, "status": "ok"}
     try:
-        record, metrics = engine.run(scenario, policy=policy, table=table())
-        summary = engine.summary_dict(record, metrics)
-        for k in SUMMARY_FIELDS:
-            row[k] = summary[k]
+        _record, metrics = engine.run(scenario, policy=policy, table=table())
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the grid
         print(f"warning: run {policy}/seed {scenario.seed} failed: {exc}", file=sys.stderr)
-        row["status"] = "failed"
-        for k in SUMMARY_FIELDS:
-            row[k] = ""
-    return row
+        return [policy, scenario.seed, "failed"] + [""] * len(SUMMARY_FIELDS)
+    return [policy, scenario.seed, "ok"] + [getattr(metrics, k) for k in SUMMARY_FIELDS]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario = with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
     # names only: an sg provider without a data center fails its own grid rows
     policies = [policy_name(p.strip()) for p in args.policies.split(",") if p.strip()]
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    seeds = _parse_list(args.seeds, "--seeds", int)
     seeded = {seed: with_overrides(scenario, seed=seed) for seed in seeds}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -105,41 +93,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for policy in policies:
             cells[policy, seed] = _grid_row(scenario, policy, table)
     rows = [cells[policy, seed] for policy in policies for seed in seeds]
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["policy", "seed", "status"] + SUMMARY_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+    write_csv(str(out), ["policy", "seed", "status"] + SUMMARY_FIELDS, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
 
 def cmd_sweep_v(args: argparse.Namespace) -> int:
     scenario = with_overrides(load_scenario(args.scenario), seed=args.seed, xi=args.xi)
-    v_list = _parse_float_list(args.v_list, "--v-list")
+    v_list = _parse_list(args.v_list, "--v-list")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table = build_contact_table(scenario)
-
-    def sweep_row(v: float) -> dict:
+    columns = ["total_cost", "avg_latency_min_per_mb", "violation_rate", "mean_q"]
+    rows = []
+    for v in v_list:
         _record, metrics = engine.run(scenario, policy="skygs", v=v, table=table)
-        return {
-            "v": repr(float(v)),
-            "total_cost": repr(float(metrics.total_cost)),
-            "avg_latency_min_per_mb": repr(float(metrics.avg_latency_min_per_mb))
-            if metrics.avg_latency_min_per_mb is not None else "",
-            "violation_rate": repr(float(metrics.violation_rate)),
-            "mean_q": repr(float(metrics.mean_q)),
-        }
-
-    rows = [sweep_row(v) for v in v_list]
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["v", "total_cost", "avg_latency_min_per_mb",
-                            "violation_rate", "mean_q"])
-        writer.writeheader()
-        writer.writerows(rows)
+        rows.append([v] + [getattr(metrics, f) for f in columns])
+    write_csv(str(out), ["v"] + columns, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -68,11 +68,14 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     for tr in assignment.triples:
         k, di = tr.contact, tr.dc
         sat_id, gi = arrays.sat_ids[table.sat[k]], int(table.gs[k])
-        rate, kappa = table.rate_mb_per_min[k], arrays.dc_kappa[di]
-        moved, popped = queues.actual_downlink(sim.states[sat_id], float(rate * scenario.tau))
+        # Python floats: the records CSV writes them faster than numpy scalars
+        rate, kappa = float(table.rate_mb_per_min[k]), float(arrays.dc_kappa[di])
+        moved, popped = queues.actual_downlink(sim.states[sat_id], rate * scenario.tau)
         lq = accounting.queuing_latency(popped, t, scenario.tau)
-        lt1, lt2, lc = accounting.service_latency(moved, rate, arrays.backhaul[gi, di], kappa)
-        cr, cc = accounting.downlink_cost(moved, arrays.price_slot[gi], arrays.dc_price[di], kappa)
+        lt1, lt2, lc = accounting.service_latency(moved, rate, float(arrays.backhaul[gi, di]),
+                                                  kappa)
+        cr, cc = accounting.downlink_cost(moved, float(arrays.price_slot[gi]),
+                                          float(arrays.dc_price[di]), kappa)
         l_total = lq + lt1 + lt2 + lc
         c_total = cr + cc
         phi_s = l_total - scenario.xi * moved  # latency beyond the threshold
@@ -89,7 +92,7 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     for sat, amount in zip(scenario.satellites, arrivals.mb[:, t].tolist()):
         queues.advance_backlog(sim.states[sat.id], amount, t)
         arrived += amount
-    backlog = sum(s.total_mb for s in sim.states.values())
+    backlog = float(sum(s.total_mb for s in sim.states.values()))  # 0.0, not 0, with no satellites
     sim.q = queues.update_virtual_queue(
         sim.q, queues.latency_accrual(backlog, service_latency, arrived,
                                       scenario.tau, scenario.xi))

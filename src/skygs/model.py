@@ -3,13 +3,16 @@
 Canonical units throughout the package: data in MB, rates in MB/minute,
 time in minutes (slot index times tau), money in USD. Inputs expressed in
 Gbps, $/hour, or h/GB are converted once at load time and never afterwards.
+Every CSV the package writes goes through write_csv, which fixes the output
+number format.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 MB_PER_MIN_PER_GBPS = 7500.0  # 1e9 bits/s / 8 / 1e6 bytes-per-MB * 60 s/min
 
@@ -415,3 +418,13 @@ def load_scenario(path: str) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     return validate_scenario(raw)
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header line and then the rows. The csv module writes a float,
+    numpy's included, as its shortest round-trip repr and None as an empty
+    field, so no caller formats a cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

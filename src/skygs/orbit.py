@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from skygs import rng
-from skygs.model import Scenario
+from skygs.model import Scenario, write_csv
 
 EARTH_RADIUS_KM = 6371.0
 MU_KM3_S2 = 398600.4418
@@ -197,12 +197,7 @@ def _propagate_contacts(scenario: Scenario) -> ContactTable:
 
 
 def write_contact_plan(table: ContactTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONTACT_PLAN_HEADER)
-        for c in table.all_contacts():
-            writer.writerow([c.slot, c.satellite_id, c.ground_station_id,
-                             repr(c.elevation_deg), repr(c.rate_mb_per_min)])
+    write_csv(path, CONTACT_PLAN_HEADER, table.all_contacts())
 
 
 def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from skygs import accounting, hungarian, queues
-from skygs.model import Scenario
+from skygs.model import Scenario, write_csv
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
 
@@ -109,14 +109,13 @@ class ScenarioArrays:
         n_g, n_d = len(stations), len(dcs)
         price_slot = np.array([g.price_per_slot for g in stations], dtype=float)
         counts = np.array([g.antennas for g in stations], dtype=np.int64)
-        ant_station = np.repeat(np.arange(n_g), counts) if n_g else np.empty(0, np.int64)
-        ant_no = (np.concatenate([np.arange(c) for c in counts]) if n_g
-                  else np.empty(0, np.int64))
-        col0 = np.concatenate([[0], np.cumsum(counts)[:-1]]) if n_g else np.empty(0, np.int64)
+        col0 = np.cumsum(counts) - counts
+        ant_station = np.repeat(np.arange(n_g), counts)
+        ant_no = np.arange(len(ant_station)) - col0[ant_station]
         dc_price = np.array([d.price_per_min for d in dcs], dtype=float)
         dc_kappa = np.array([d.intensity_min_per_mb for d in dcs], dtype=float)
-        backhaul = np.array([[g.backhaul_mb_per_min[d.id] for d in dcs] for g in stations],
-                            dtype=float) if n_g and n_d else np.zeros((n_g, n_d))
+        backhaul = np.array([g.backhaul_mb_per_min[d.id] for g in stations for d in dcs],
+                            dtype=float).reshape(n_g, n_d)
         return cls(
             sat_ids=tuple(s.id for s in sats),
             gs_ids=tuple(g.id for g in stations),
@@ -125,9 +124,9 @@ class ScenarioArrays:
             gs_index={g.id: i for i, g in enumerate(stations)},
             price_slot=price_slot,
             antenna_counts=counts,
-            antenna_station=ant_station.astype(np.int64),
-            antenna_no=ant_no.astype(np.int64),
-            station_col0=col0.astype(np.int64),
+            antenna_station=ant_station,
+            antenna_no=ant_no,
+            station_col0=col0,
             dc_price=dc_price,
             dc_kappa=dc_kappa,
             backhaul=backhaul,
@@ -324,17 +323,12 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
 
 def dump_weight_matrix(graph: SlotGraph, path: str) -> None:
     """Debug CSV of the slot's weight matrix (satellites x antenna columns)."""
-    import csv
-
     arrays = graph.arrays
     cols = [f"{arrays.gs_ids[arrays.antenna_station[c]]}#{arrays.antenna_no[c]}"
             for c in range(graph.n_real)]
     cols += [f"virtual:{sid}" for sid in arrays.sat_ids]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["satellite"] + cols)
-        for si, sid in enumerate(arrays.sat_ids):
-            writer.writerow([sid] + [repr(float(w)) for w in graph.weights[si]])
+    write_csv(path, ["satellite"] + cols,
+              ([sid] + w for sid, w in zip(arrays.sat_ids, graph.weights.tolist())))
 
 
 # ---------------------------------------------------------------------------
