@@ -3,8 +3,10 @@
 Criterion 9 only checks that two processes agree with each other. These
 SHA-256 digests check that a commit writes byte for byte what the commit
 before it wrote: the desk seed-1 contact plan, a 48-slot full-scale plan at
-seed 1 with the skygs records and summary of that world, whose slots give the
-matching kernel many rows in many components, the desk seed-1 records and
+seed 1 with the skygs, bg and ilp_hpq records and summaries of that world,
+whose slots give the matching kernel many rows in many components (ilp_hpq
+once more at rho = 0.25, since at the default rho no backlog in 48 slots ages
+to rho * xi and that run downlinks nothing), the desk seed-1 records and
 summary of every policy, and those of
 skygs and ilp_hpq in a desk world whose backhaul rate varies by station and
 data center, so that the broker's data-center choice turns on the backhaul
@@ -69,6 +71,18 @@ PINNED = {
         "b7e5cb8289a0109bad2e63b76accf721e98afb45f1136abe46176721eb7329ee",
     "full_scale_48/summary_skygs_seed1.json":
         "7f86fc176248fade97e12597ba2b0f6d0be571e669859f3ebe8a7878b097dc30",
+    "full_scale_48/records_bg_seed1.csv":
+        "da3a673fc46e24fd995af607d053d95cea79757f3467471aeb9f554f33732fa8",
+    "full_scale_48/summary_bg_seed1.json":
+        "202d7795cd936bd843a2cfc0727a0fddbd4e0cd12140772b33773b5c1f49e889",
+    "full_scale_48/records_ilp_hpq_seed1.csv":
+        "f6e5b6d8a01eeca610c460307285abe06022b71799c0c1ccf1f0ebe0f60a9d54",
+    "full_scale_48/summary_ilp_hpq_seed1.json":
+        "554456ca0dc73359153aa8ac51ccaedc7e9a5bec1d0a068330dabb7f0e6b27b8",
+    "full_scale_48_rho/records_ilp_hpq_seed1.csv":
+        "dd0748e913fea54e2384b3cd42e74717dd333304869dbb66eb60d10739633e14",
+    "full_scale_48_rho/summary_ilp_hpq_seed1.json":
+        "f854a90552b4bfc48304324baff0e495672d38eebce39746ddf49047557e0910",
     "records_skygs_seed1.csv":
         "bcc4a240fcd150deb086abcac34cf3dad250bd2ec21117394e35c7f57bbe2eee",
     "summary_skygs_seed1.json":
@@ -117,6 +131,10 @@ def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("pinned")
     full = out / "full_scale_48.json"
     full.write_text(json.dumps(full_scale_scenario(1, horizon=48)), encoding="utf-8")
+    full_rho = out / "full_scale_48_rho.json"
+    raw = full_scale_scenario(1, horizon=48)
+    raw["sim"]["policy_params"] = {"rho": 0.25}
+    full_rho.write_text(json.dumps(raw), encoding="utf-8")
     backhaul = out / "desk_backhaul.json"
     backhaul.write_text(json.dumps(varied_backhaul_desk()), encoding="utf-8")
     desk_48 = out / "desk_48.json"
@@ -127,8 +145,10 @@ def outputs(tmp_path_factory):
     runs = [["gen-contacts", "--scenario", str(DESK), "--out", str(out / "desk_plan.csv")],
             ["gen-contacts", "--scenario", str(full), "--out",
              str(out / "full_scale_48_plan.csv")],
-            ["simulate", "--scenario", str(full), "--policy", "skygs", "--seed", "1",
-             "--out", str(out / "full_scale_48")]]
+            ["simulate", "--scenario", str(full_rho), "--policy", "ilp_hpq", "--seed", "1",
+             "--out", str(out / "full_scale_48_rho")]]
+    runs += [["simulate", "--scenario", str(full), "--policy", policy, "--seed", "1",
+              "--out", str(out / "full_scale_48")] for policy in ("skygs", "bg", "ilp_hpq")]
     runs += [["simulate", "--scenario", str(DESK), "--policy", policy, "--seed", "1",
               "--out", str(out)] for policy in POLICIES]
     runs += [["simulate", "--scenario", str(backhaul), "--policy", policy,
