@@ -2,6 +2,7 @@
 
 Latency is accounted in unit-minutes: every MB is charged its own queuing
 wait, 1/R transmission time on each hop, and kappa minutes of processing.
+The queuing wait comes from queues.queuing_latency, beside the FIFO it reads.
 Propagation delay is excluded (negligible at LEO altitudes). Antenna rental
 is charged per antenna-slot whenever an antenna is assigned, independent of
 how many MB actually move.
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from skygs.model import write_csv
-from skygs.queues import DataChunk
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,6 @@ class RunMetrics:
     final_backlog_mb: float
     mean_q: float
     max_q: float
-
-
-def queuing_latency(popped: list[DataChunk], slot: int, tau: float) -> float:
-    """Sum over popped chunks of size * (slot - arrival_slot) * tau."""
-    total = 0.0
-    for chunk in popped:
-        if chunk.arrival_slot > slot:
-            raise ValueError(
-                f"chunk arrived at slot {chunk.arrival_slot}, popped at earlier slot {slot}")
-        total += chunk.size_mb * (slot - chunk.arrival_slot) * tau
-    return total
 
 
 def service_latency(mb, rate_mb_per_min, backhaul_mb_per_min, intensity_min_per_mb):

@@ -31,8 +31,8 @@ def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, flo
     contacts, in station id order. A desk slot has too few contacts for numpy
     to pay."""
     links: dict[int, list[tuple[int, float, int]]] = {}
-    rows = zip(*(c.tolist() for c in table.slot_contacts(slot)))
-    for k, (s, g, rate) in enumerate(rows, int(table.slot_ptr[slot])):
+    columns = (c.tolist() for c in table.slot_contacts(slot))
+    for k, s, g, rate in zip(table.slot_rows(slot), *columns):
         links.setdefault(s, []).append((g, rate, k))
     return links
 
@@ -175,7 +175,7 @@ class IlpHpqPolicy:
         backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
         si, gi, rate = table.slot_contacts(slot)
         held = backlog[si] > 0
-        row = np.arange(*table.slot_ptr[slot:slot + 2])[held]
+        row = table.slot_rows(slot).start + np.flatnonzero(held)
         si, gi = si[held], gi[held]
         dtil = np.minimum(rate[held] * tau, backlog[si])
         cr, cc = accounting.downlink_cost(dtil, arrays.price_slot[gi],

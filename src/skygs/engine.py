@@ -71,7 +71,7 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
         # Python floats: the records CSV writes them faster than numpy scalars
         rate, kappa = float(table.rate_mb_per_min[k]), float(arrays.dc_kappa[di])
         moved, popped = queues.actual_downlink(sim.states[sat_id], rate * scenario.tau)
-        lq = accounting.queuing_latency(popped, t, scenario.tau)
+        lq = queues.queuing_latency(popped, t, scenario.tau)
         lt1, lt2, lc = accounting.service_latency(moved, rate, float(arrays.backhaul[gi, di]),
                                                   kappa)
         cr, cc = accounting.downlink_cost(moved, float(arrays.price_slot[gi]),

@@ -8,9 +8,11 @@ for every slot, which satellites see which stations and at what link rate.
 The table is columnar, compressed sparse rows over slots. The columns `sat`,
 `gs`, `elevation_deg` and `rate_mb_per_min` hold one row per contact, sorted
 by (slot, satellite, station), and slot t's contacts are the rows
-slot_ptr[t]:slot_ptr[t + 1]. `sat` and `gs` are positions in the table's
-sorted satellite and station ids, the order of scheduler.ScenarioArrays, so
-every policy reads a slot's rows as they stand.
+slot_ptr[t]:slot_ptr[t + 1]. Only this module reads slot_ptr: others get a
+slot's row range from ContactTable.slot_rows and its columns from
+slot_contacts. `sat` and `gs` are positions in the table's sorted satellite
+and station ids, the order of scheduler.ScenarioArrays, so every policy reads
+a slot's rows as they stand.
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ class ContactTable:
                 raise ValueError(f"unknown {kind} {min(unknown)!r}")
         return cls(n_slots, sat_ids, gs_ids, slot, np.searchsorted(sat_ids, sats),
                    np.searchsorted(gs_ids, stations), elevation, rate)
+
+    def slot_rows(self, slot: int) -> range:
+        """The table rows of the slot's contacts, for a slot in [0, n_slots)."""
+        return range(int(self.slot_ptr[slot]), int(self.slot_ptr[slot + 1]))
 
     def slot_contacts(self, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(satellite position, station position, rate) views of the slot's rows."""

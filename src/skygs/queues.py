@@ -4,6 +4,8 @@ Backlogs are FIFO sequences of chunks, each chunk aggregating the data that
 arrived in one slot. Aggregation is exact for latency accounting because every
 MB in a chunk shares the same arrival slot; splitting a chunk on a partial
 downlink keeps the remainder at the head with its original arrival slot.
+Only this module reads the chunks: others fill a backlog with advance_backlog,
+drain it with actual_downlink, and read queuing_latency and oldest_arrival_slot.
 """
 
 from __future__ import annotations
@@ -64,10 +66,19 @@ def actual_downlink(state: SatelliteState, capacity_mb: float) -> tuple[float, l
             state.chunks[0] = DataChunk(head.arrival_slot, head.size_mb - remaining)
             moved += remaining
             remaining = 0.0
-    state.total_mb = max(state.total_mb - moved, 0.0)
-    if not state.chunks:
-        state.total_mb = 0.0
+    state.total_mb = max(state.total_mb - moved, 0.0) if state.chunks else 0.0
     return moved, popped
+
+
+def queuing_latency(popped: list[DataChunk], slot: int, tau: float) -> float:
+    """Sum over popped chunks of size * (slot - arrival_slot) * tau."""
+    total = 0.0
+    for chunk in popped:
+        if chunk.arrival_slot > slot:
+            raise ValueError(
+                f"chunk arrived at slot {chunk.arrival_slot}, popped at earlier slot {slot}")
+        total += chunk.size_mb * (slot - chunk.arrival_slot) * tau
+    return total
 
 
 def advance_backlog(state: SatelliteState, arrivals_mb: float, slot: int) -> None:

@@ -31,7 +31,7 @@ price for ilp_hpq's high-priority satellites. Each station's antenna columns
 repeat its edge weights, and pairs without a contact carry a finite bound
 above every edge and fallback. hungarian_min_matching decodes the matching of
 any such graph into an Assignment. Each edge keeps the contact-table row of
-its link.
+its link, from ContactTable.slot_rows; SlotGraph.candidates is a dict of them.
 
 An AssignmentTriple is three positions: the contact-table row its policy
 chose, which fixes the slot, satellite and station; the antenna within that
@@ -58,8 +58,8 @@ and is the test oracle for the matching path.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,8 +151,7 @@ class ScenarioArrays:
         return np.argmin(v * cc + qw * (lt2 + lc), axis=1)
 
 
-@dataclass(frozen=True)
-class EdgeCandidate:
+class EdgeCandidate(NamedTuple):
     data_center_id: str
     weight: float
     dtil_mb: float
@@ -230,31 +229,11 @@ class SlotGraph:
         return self.arrays.n_real_antennas
 
     @property
-    def candidates(self) -> Mapping[tuple[int, int], EdgeCandidate]:
-        return _Candidates(self)
-
-
-class _Candidates(Mapping):
-    """(satellite position, station position) -> EdgeCandidate, read from a graph's edges."""
-
-    def __init__(self, graph: SlotGraph):
-        self._graph = graph
-
-    def __getitem__(self, key: tuple[int, int]) -> EdgeCandidate:
-        g = self._graph
-        si, gi = key
-        n_s, n_g = g.edge_of.shape
-        k = g.edge_of[si, gi] if 0 <= si < n_s and 0 <= gi < n_g else -1
-        if k < 0:
-            raise KeyError(key)
-        return EdgeCandidate(data_center_id=g.arrays.dc_ids[g.edge_dc[k]],
-                             weight=float(g.edge_w[k]), dtil_mb=float(g.edge_dtil[k]))
-
-    def __iter__(self):
-        return zip(*(idx.tolist() for idx in np.nonzero(self._graph.edge_of >= 0)))
-
-    def __len__(self) -> int:
-        return len(self._graph.edge_w)
+    def candidates(self) -> dict[tuple[int, int], EdgeCandidate]:
+        """(satellite position, station position) -> EdgeCandidate of each edge."""
+        dcs = map(self.arrays.dc_ids.__getitem__, self.edge_dc.tolist())
+        return dict(zip(zip(self.edge_sat.tolist(), self.edge_gs.tolist()),
+                        map(EdgeCandidate, dcs, self.edge_w.tolist(), self.edge_dtil.tolist())))
 
 
 def queue_weight(q: float, scenario: Scenario) -> float:
@@ -289,7 +268,8 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
     si, gi, rate = table.slot_contacts(slot)
     backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
     weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
-    return SlotGraph.from_edges(slot, arrays, table, np.arange(*table.slot_ptr[slot:slot + 2]),
+    rows = table.slot_rows(slot)
+    return SlotGraph.from_edges(slot, arrays, table, np.arange(rows.start, rows.stop),
                                 weight, dtil, di, np.zeros(len(backlog)))
 
 
@@ -347,15 +327,15 @@ def check_assignment(assignment: Assignment, arrays: ScenarioArrays,
     """
     violations: list[str] = []
     slot = assignment.slot
-    lo, hi = table.slot_ptr[slot:slot + 2].tolist() if 0 <= slot < table.n_slots else (0, 0)
+    rows = table.slot_rows(slot) if 0 <= slot < table.n_slots else range(0)
     n_d = len(arrays.dc_ids)
     seen_sats: set[int] = set()
     used_antennas: set[tuple[int, int]] = set()
     for tr in assignment.triples:
         k = tr.contact
-        if not lo <= k < hi:
+        if k not in rows:
             violations.append(f"constraint(visibility): contact row {k} is not one of "
-                              f"slot {slot}'s rows [{lo}, {hi})")
+                              f"slot {slot}'s rows [{rows.start}, {rows.stop})")
             continue
         si, gi = int(table.sat[k]), int(table.gs[k])
         if si in seen_sats:
@@ -415,8 +395,7 @@ def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
 
     # sat position -> [(ant col, dc pos, rate, table row)]
     options: dict[int, list[tuple[int, int, float, int]]] = {s: [] for s in visible}
-    rows = enumerate(zip(row_sat, row_gs, row_rate), int(table.slot_ptr[slot]))
-    for k, (s, g_pos, rate) in rows:
+    for k, s, g_pos, rate in zip(table.slot_rows(slot), row_sat, row_gs, row_rate):
         c0 = int(arrays.station_col0[g_pos])
         for a in range(int(arrays.antenna_counts[g_pos])):
             for d_pos in range(len(arrays.dc_ids)):

@@ -6,7 +6,7 @@ import numpy as np
 
 from skygs.model import validate_scenario
 from skygs.orbit import Contact, ContactTable
-from skygs.queues import DataChunk, SatelliteState
+from skygs.queues import SatelliteState, advance_backlog
 from skygs.scheduler import brute_force_schedule, build_bipartite, hungarian_min_matching
 
 
@@ -44,8 +44,7 @@ def contact_table(scenario, rows, n_slots=None):
 
 def contact_row(table, slot, sat_id, gs_id):
     """Table row of the (slot, satellite, station) contact, -1 without one."""
-    lo, hi = table.slot_ptr[slot:slot + 2].tolist()
-    for k in range(lo, hi):
+    for k in table.slot_rows(slot):
         if (table.sat_ids[table.sat[k]], table.gs_ids[table.gs[k]]) == (sat_id, gs_id):
             return k
     return -1
@@ -73,8 +72,7 @@ def states_for(scenario, backlogs):
     for sat in scenario.satellites:
         st = SatelliteState(sat.id)
         for arrival, size in backlogs.get(sat.id, []):
-            st.chunks.append(DataChunk(arrival, size))
-            st.total_mb += size
+            advance_backlog(st, size, arrival)
         out[sat.id] = st
     return out
 

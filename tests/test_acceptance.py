@@ -20,7 +20,7 @@ from skygs import engine
 from skygs.baselines import SkyGSPolicy
 from skygs.model import validate_scenario
 from skygs.orbit import build_contact_table
-from skygs.queues import DataChunk, SatelliteState
+from skygs.queues import SatelliteState, advance_backlog
 from skygs.scenarios import desk_scenario, full_scale_scenario
 from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays, check_assignment
 
@@ -243,8 +243,7 @@ def test_criterion_10_performance(desk, tuned_v):
     for sat in scenario.satellites:
         st = SatelliteState(sat.id)
         for k in range(30):
-            st.chunks.append(DataChunk(-k, float(rng.uniform(100, 2000))))
-        st.total_mb = sum(c.size_mb for c in st.chunks)
+            advance_backlog(st, float(rng.uniform(100, 2000)), -k)
         states[sat.id] = st
     broker = SkyGSPolicy(scenario)
     broker.schedule(states, 0.0, 0, table)  # warm the kernel

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from skygs.accounting import (DownlinkRecord, aggregate_metrics, downlink_cost,
-                              queuing_latency, service_latency)
-from skygs.queues import DataChunk
+from skygs.accounting import DownlinkRecord, aggregate_metrics, downlink_cost, service_latency
 
 
 def record(slot=0, mb=1.0, l_total=0.0, c_total=0.0):
@@ -12,22 +10,6 @@ def record(slot=0, mb=1.0, l_total=0.0, c_total=0.0):
                           antenna=0, data_center_id="d", mb=mb, lq=lq, lt1=0.0,
                           lt2=0.0, lc=0.0, l_total=l_total, cr=c_total, cc=0.0,
                           c_total=c_total, phi_s=0.0)
-
-
-class TestQueuingLatency:
-    def test_single_chunk(self):
-        assert queuing_latency([DataChunk(0, 100.0)], 5, 1.0) == 500.0
-
-    def test_same_slot_pop_is_zero(self):
-        assert queuing_latency([DataChunk(5, 100.0)], 5, 1.0) == 0.0
-
-    def test_two_chunks(self):
-        popped = [DataChunk(7, 10.0), DataChunk(9, 20.0)]
-        assert queuing_latency(popped, 10, 1.0) == 50.0
-
-    def test_future_chunk_rejected(self):
-        with pytest.raises(ValueError):
-            queuing_latency([DataChunk(6, 1.0)], 5, 1.0)
 
 
 class TestTransmission:

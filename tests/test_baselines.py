@@ -6,7 +6,7 @@ from skygs.baselines import (_POLICY_CLASSES, BGPolicy, BRPolicy, BWGPolicy, Ilp
 from skygs.model import POLICIES, ScenarioError, validate_scenario
 from instances import contact_table, named
 from skygs.orbit import Contact
-from skygs.queues import DataChunk, SatelliteState
+from skygs.queues import SatelliteState, advance_backlog
 from skygs.scenarios import desk_scenario
 from skygs.scheduler import ScenarioArrays, check_assignment
 
@@ -44,8 +44,7 @@ def states_for(scenario, backlogs):
     for sat in scenario.satellites:
         st = SatelliteState(sat.id)
         for arrival, size in backlogs.get(sat.id, []):
-            st.chunks.append(DataChunk(arrival, size))
-            st.total_mb += size
+            advance_backlog(st, size, arrival)
         out[sat.id] = st
     return out
 
@@ -205,8 +204,10 @@ class TestIlpHpq:
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1, policy="ilp_hpq")
         table = table_for(sc, [], slot=60)
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        asg = IlpHpqPolicy(sc).schedule(states, 0.0, 60, table)
+        policy = IlpHpqPolicy(sc)
+        asg = policy.schedule(states, 0.0, 60, table)
         assert asg.triples == ()
+        assert policy.graph.edge_row.dtype == np.int64  # indexes table.sat, even when empty
 
     def test_serves_maximum_high_priority_coverage(self):
         # every high-priority satellite that a feasible matching could serve
@@ -232,8 +233,8 @@ class TestIlpHpq:
                 s.id: [(0 if rng.random() < 0.6 else 55, float(rng.uniform(10, 9000)))]
                 for s in sc.satellites if rng.random() < 0.85
             })
-            hp = {sid for sid, st in states.items()
-                  if st.chunks and (slot - st.chunks[0].arrival_slot) >= 0.8 * 60}
+            hp = {sid for sid, st in states.items() if st.oldest_arrival_slot() is not None
+                  and (slot - st.oldest_arrival_slot()) >= 0.8 * 60}
             asg = IlpHpqPolicy(sc).schedule(states, 0.0, slot, table)
             ids = [named(t, table, sc) for t in asg.triples]
             served = {n.satellite for n in ids}

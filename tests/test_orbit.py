@@ -299,6 +299,7 @@ class TestCallerBuiltTable:
         table = ContactTable.from_contacts(3, ["b", "a"], ["h", "g"], rows)
         assert table.sat_ids == ("a", "b") and table.gs_ids == ("g", "h")
         assert table.slot_ptr.tolist() == [0, 2, 2, 4]
+        assert [table.slot_rows(t) for t in range(3)] == [range(0, 2), range(2, 2), range(2, 4)]
         assert table.all_contacts() == sorted(rows)
         assert [c.tolist() for c in table.slot_contacts(2)] == [[0, 1], [1, 0], [1.0, 3.0]]
 

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 from skygs import engine
 from skygs.model import validate_scenario
 from skygs.orbit import Contact, ContactTable
-from skygs.queues import (ArrivalModel, DataChunk, SatelliteState,
-                          actual_downlink, advance_backlog, update_virtual_queue)
+from skygs.queues import (ArrivalModel, DataChunk, SatelliteState, actual_downlink,
+                          advance_backlog, queuing_latency, update_virtual_queue)
 from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays
 
 
 def state_with(chunks):
     st_ = SatelliteState("s")
     for arr, size in chunks:
-        st_.chunks.append(DataChunk(arr, size))
-        st_.total_mb += size
+        advance_backlog(st_, size, arr)
     return st_
 
 
@@ -89,6 +88,22 @@ class TestActualDownlink:
         assert [c.arrival_slot for c in popped] == [0, 1]
         assert popped[1].size_mb == 15.0
         assert s.chunks[0] == DataChunk(1, 5.0)
+
+
+class TestQueuingLatency:
+    def test_single_chunk(self):
+        assert queuing_latency([DataChunk(0, 100.0)], 5, 1.0) == 500.0
+
+    def test_same_slot_pop_is_zero(self):
+        assert queuing_latency([DataChunk(5, 100.0)], 5, 1.0) == 0.0
+
+    def test_two_chunks(self):
+        popped = [DataChunk(7, 10.0), DataChunk(9, 20.0)]
+        assert queuing_latency(popped, 10, 1.0) == 50.0
+
+    def test_future_chunk_rejected(self):
+        with pytest.raises(ValueError):
+            queuing_latency([DataChunk(6, 1.0)], 5, 1.0)
 
 
 class TestAdvanceBacklog:

@@ -67,6 +67,7 @@ class TestBuildBipartite:
         sc = make_scenario(n_sats=3)
         table = table_for(sc, [])
         graph = build_bipartite(states_for(sc, {}), 0.0, 0, sc, table)
+        assert graph.edge_row.dtype == np.int64  # indexes table.sat, even when empty
         assignment, objective = hungarian_min_matching(graph)
         assert assignment.triples == ()
         assert objective == 0.0
