@@ -233,8 +233,9 @@ class TestIlpHpq:
                 s.id: [(0 if rng.random() < 0.6 else 55, float(rng.uniform(10, 9000)))]
                 for s in sc.satellites if rng.random() < 0.85
             })
-            hp = {sid for sid, st in states.items() if st.oldest_arrival_slot() is not None
-                  and (slot - st.oldest_arrival_slot()) >= 0.8 * 60}
+            hp = {sid for sid, st in states.items()
+                  if (oldest := st.oldest_arrival_slot()) is not None
+                  and (slot - oldest) >= 0.8 * 60}
             asg = IlpHpqPolicy(sc).schedule(states, 0.0, slot, table)
             ids = [named(t, table, sc) for t in asg.triples]
             served = {n.satellite for n in ids}
