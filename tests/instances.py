@@ -11,11 +11,14 @@ from skygs.scheduler import brute_force_schedule, build_bipartite, hungarian_min
 
 
 def make_scenario(n_sats=2, stations=((2, 22.0),), n_dcs=2, v=0.0, xi=60.0,
-                  dc_prices=None, dc_kappas=None):
+                  dc_prices=None, dc_kappas=None, horizon=400, volumes=None):
+    """A validated scenario with tau = 1 min; satellite i collects exactly
+    `volumes[i]` MB a day (1000 unless given), the same amount every slot."""
     return validate_scenario({
         "satellites": [
             {"id": f"sat-{i}", "altitude_km": 475.0, "inclination_deg": 97.4,
-             "raan_deg": 0.0, "phase_deg": 0.0, "daily_volume_mb": [1000, 1000]}
+             "raan_deg": 0.0, "phase_deg": 0.0,
+             "daily_volume_mb": [(volumes or [1000] * n_sats)[i]] * 2}
             for i in range(n_sats)
         ],
         "ground_stations": [
@@ -29,7 +32,7 @@ def make_scenario(n_sats=2, stations=((2, 22.0),), n_dcs=2, v=0.0, xi=60.0,
              "intensity_min_per_mb": (dc_kappas or [0.006] * n_dcs)[k]}
             for k in range(n_dcs)
         ],
-        "sim": {"tau": 1.0, "horizon": 400, "xi": xi, "v": v, "seed": 1,
+        "sim": {"tau": 1.0, "horizon": horizon, "xi": xi, "v": v, "seed": 1,
                 "policy": "skygs", "r_max": 12_000.0, "backhaul_rate": "1 Gbps"},
     })
 
