@@ -13,17 +13,22 @@ and data-center choice, the baselines' prices and the engine's downlink
 records all read them, so what a policy priced is what the run books; only
 the brute-force oracle (scheduler._triple_contribution) derives the same
 terms again, on purpose, to check the weights.
+
+A DownlinkRecord is a NamedTuple whose fields from satellite_id on are the
+records CSV's columns between policy and q_after, in order: write_run_csv
+writes each event row from the record's slice, so adding, removing or
+reordering a field changes that file's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from skygs.model import write_csv
 
 
-@dataclass(frozen=True)
-class DownlinkRecord:
+class DownlinkRecord(NamedTuple):
     slot: int
     satellite_id: str
     ground_station_id: str
@@ -117,10 +122,7 @@ def write_run_csv(path: str, policy: str, records: list[DownlinkRecord],
         i = 0
         for t, (backlog, q_after) in enumerate(zip(backlog_trace, q_trace)):
             while i < len(records) and records[i].slot == t:
-                r = records[i]
-                yield [r.slot, policy, r.satellite_id, r.ground_station_id, r.antenna,
-                       r.data_center_id, r.mb, r.lq, r.lt1, r.lt2, r.lc, r.l_total,
-                       r.cr, r.cc, r.c_total, r.phi_s, q_after]
+                yield [t, policy, *records[i][1:], q_after]
                 i += 1
             yield [t, policy, "", "", "", "", backlog] + [""] * 9 + [q_after]
 

@@ -1,7 +1,8 @@
 """Onboard backlog dynamics and the latency virtual queue.
 
 Backlogs are FIFO sequences of chunks, each chunk aggregating the data that
-arrived in one slot. Aggregation is exact for latency accounting because every
+arrived in one slot. A chunk is a NamedTuple of its arrival slot and MB, so a
+slot's arrival or a split on a partial downlink costs one tuple. Aggregation is exact for latency accounting because every
 MB in a chunk shares the same arrival slot; splitting a chunk on a partial
 downlink keeps the remainder at the head with its original arrival slot.
 Only this module reads the chunks: others fill a backlog with advance_backlog,
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,7 @@ from skygs.model import Scenario
 MINUTES_PER_DAY = 1440.0
 
 
-@dataclass(frozen=True)
-class DataChunk:
+class DataChunk(NamedTuple):
     arrival_slot: int
     size_mb: float
 

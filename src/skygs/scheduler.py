@@ -138,17 +138,28 @@ class ScenarioArrays:
     def n_real_antennas(self) -> int:
         return len(self.antenna_station)
 
+    @functools.cached_property
+    def dc_cost_per_mb(self) -> np.ndarray:
+        """[n_d] compute cost of processing 1 MB at each data center."""
+        return accounting.downlink_cost(1.0, 0.0, self.dc_price, self.dc_kappa)[1]
+
+    @functools.cached_property
+    def dc_latency_per_mb(self) -> np.ndarray:
+        """[n_g, n_d] backhaul plus processing minutes of 1 MB sent from each
+        station to each data center."""
+        _, lt2, lc = accounting.service_latency(1.0, 1.0, self.backhaul, self.dc_kappa)
+        return lt2 + lc
+
     def best_dc_per_station(self, v: float, qw: float) -> np.ndarray:
         """Weight-minimizing data center per station; ties go to the lowest id.
 
         `qw` is the queue weight (see queue_weight) that prices each MB's
         backhaul and processing latency against its compute cost. Both are
-        read at 1 MB for every station and data center; the ground link's
-        latency and the rental are the same for every data center.
+        read at 1 MB for every station and data center, once per scenario;
+        the ground link's latency and the rental are the same for every data
+        center.
         """
-        _, lt2, lc = accounting.service_latency(1.0, 1.0, self.backhaul, self.dc_kappa)
-        _, cc = accounting.downlink_cost(1.0, 0.0, self.dc_price, self.dc_kappa)
-        return np.argmin(v * cc + qw * (lt2 + lc), axis=1)
+        return np.argmin(v * self.dc_cost_per_mb + qw * self.dc_latency_per_mb, axis=1)
 
 
 class EdgeCandidate(NamedTuple):
@@ -157,15 +168,13 @@ class EdgeCandidate(NamedTuple):
     dtil_mb: float
 
 
-@dataclass(frozen=True)
-class AssignmentTriple:
+class AssignmentTriple(NamedTuple):
     contact: int               # contact-table row: the slot, satellite and station
     antenna: int               # antenna within the row's station
     dc: int                    # data center position
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     slot: int
     triples: tuple[AssignmentTriple, ...]
 

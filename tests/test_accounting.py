@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skygs.accounting import DownlinkRecord, aggregate_metrics, downlink_cost, service_latency
+from skygs.accounting import (RUN_CSV_HEADER, DownlinkRecord, aggregate_metrics, downlink_cost,
+                              service_latency)
 
 
 def record(slot=0, mb=1.0, l_total=0.0, c_total=0.0):
@@ -106,3 +107,21 @@ class TestAggregateMetrics:
         r = record(mb=2.0, l_total=10.0, c_total=3.0)
         assert r.l_total == pytest.approx(r.lq + r.lt1 + r.lt2 + r.lc)
         assert r.c_total == pytest.approx(r.cr + r.cc)
+
+
+class TestRecordShape:
+    """write_run_csv writes a record's fields from `satellite_id` on, in
+    field order, between the `policy` and `q_after` columns."""
+
+    def test_fields_are_the_records_csv_columns_in_order(self):
+        columns = [c for c in RUN_CSV_HEADER if c not in ("policy", "q_after")]
+        assert [f.removesuffix("_id") for f in DownlinkRecord._fields] == columns
+
+    def test_immutable(self):
+        r = record()
+        with pytest.raises(AttributeError):
+            r.mb = 2.0
+
+    def test_compares_by_value(self):
+        assert record(mb=2.0, c_total=1.0) == record(mb=2.0, c_total=1.0)
+        assert record(mb=2.0) != record(mb=3.0)

@@ -90,6 +90,25 @@ class TestActualDownlink:
         assert s.chunks[0] == DataChunk(1, 5.0)
 
 
+@pytest.mark.parametrize("cls, kwargs", [
+    (DataChunk, {"arrival_slot": 0, "size_mb": 5.0}),
+    (AssignmentTriple, {"contact": 4, "antenna": 1, "dc": 2}),
+    (Assignment, {"slot": 3, "triples": (AssignmentTriple(contact=4, antenna=1, dc=2),)}),
+], ids=["DataChunk", "AssignmentTriple", "Assignment"])
+def test_event_values_are_immutable_and_compare_by_value(cls, kwargs):
+    """The values the slot loop makes per chunk and per decision: built by
+    keyword or by position in field order, equal when their fields are,
+    shown with their field names, and never changed after construction."""
+    value = cls(**kwargs)
+    assert value == cls(*kwargs.values())
+    first = next(iter(kwargs))
+    assert value != cls(**dict(kwargs, **{first: kwargs[first] + 1}))
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
 class TestQueuingLatency:
     def test_single_chunk(self):
         assert queuing_latency([DataChunk(0, 100.0)], 5, 1.0) == 500.0
