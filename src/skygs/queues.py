@@ -2,9 +2,10 @@
 
 Backlogs are FIFO sequences of chunks, each chunk aggregating the data that
 arrived in one slot. A chunk is a NamedTuple of its arrival slot and MB, so a
-slot's arrival or a split on a partial downlink costs one tuple. Aggregation is exact for latency accounting because every
-MB in a chunk shares the same arrival slot; splitting a chunk on a partial
-downlink keeps the remainder at the head with its original arrival slot.
+slot's arrival or a split on a partial downlink costs one tuple. Aggregation
+is exact for latency accounting because every MB in a chunk shares the same
+arrival slot; splitting a chunk on a partial downlink keeps the remainder at
+the head with its original arrival slot.
 Only this module reads the chunks: others fill a backlog with advance_backlog,
 drain it with actual_downlink, and read queuing_latency and oldest_arrival_slot.
 """
