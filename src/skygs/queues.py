@@ -12,6 +12,7 @@ drain it with actual_downlink, and read queuing_latency and oldest_arrival_slot.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -27,6 +28,11 @@ MINUTES_PER_DAY = 1440.0
 class DataChunk(NamedTuple):
     arrival_slot: int
     size_mb: float
+
+
+# DataChunk((arrival_slot, size_mb)) without NamedTuple's Python-level __new__:
+# the slot loop builds one per arrival and one per split
+_chunk = functools.partial(tuple.__new__, DataChunk)
 
 
 @dataclass
@@ -64,8 +70,8 @@ def actual_downlink(state: SatelliteState, capacity_mb: float) -> tuple[float, l
             moved += head.size_mb
             remaining -= head.size_mb
         else:
-            popped.append(DataChunk(head.arrival_slot, remaining))
-            state.chunks[0] = DataChunk(head.arrival_slot, head.size_mb - remaining)
+            popped.append(_chunk((head.arrival_slot, remaining)))
+            state.chunks[0] = _chunk((head.arrival_slot, head.size_mb - remaining))
             moved += remaining
             remaining = 0.0
     state.total_mb = max(state.total_mb - moved, 0.0) if state.chunks else 0.0
@@ -88,7 +94,7 @@ def advance_backlog(state: SatelliteState, arrivals_mb: float, slot: int) -> Non
     if arrivals_mb < 0:
         raise ValueError("arrivals must be >= 0")
     if arrivals_mb > 0:
-        state.chunks.append(DataChunk(slot, arrivals_mb))
+        state.chunks.append(_chunk((slot, arrivals_mb)))
         state.total_mb += arrivals_mb
 
 
