@@ -83,17 +83,6 @@ def elevation_deg(sub_lat, sub_lon, altitude_km, station_lat, station_lon):
     return float(el) if el.ndim == 0 else el
 
 
-def rate_noise_factors(seed: int, sat_idx: int, gs_idx: int, n_slots: int,
-                       noise: tuple[float, float]) -> np.ndarray:
-    """Per-slot multiplicative noise for one (satellite, station) pair.
-
-    Keyed by (seed, sat, station); position t in the stream belongs to slot t,
-    so draws are independent of which contacts a schedule actually uses.
-    """
-    return rng.uniform(seed, rng.TAG_RATE_NOISE, (sat_idx, gs_idx), n_slots,
-                       noise[0], noise[1])
-
-
 class Contact(NamedTuple):
     slot: int
     satellite_id: str
@@ -188,18 +177,21 @@ def _propagate_contacts(scenario: Scenario) -> ContactTable:
     # one row of elevations per station, from the stations' column vectors
     gs_lat = np.array([g.lat_deg for g in stations])[:, None]
     gs_lon = np.array([g.lon_deg for g in stations])[:, None]
+    sat_pos = np.array([sat_ids.index(s.id) for s in scenario.satellites], dtype=np.int64)
     gs_pos = np.array([gs_ids.index(g.id) for g in stations], dtype=np.int64)
-    columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),) * 2]
+    # per contact: slot, satellite and station positions in the scenario file, elevation
+    columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
     for si, sat in enumerate(scenario.satellites):
         lat, lon = subsatellite_point(sat, t_mid)
         el = elevation_deg(lat, lon, sat.altitude_km, gs_lat, gs_lon)
         gi, t = np.nonzero(el >= scenario.elevation_mask_deg)
-        noise = np.empty_like(el)
-        for g in np.unique(gi).tolist():  # only the pairs ever in view draw noise
-            noise[g] = rate_noise_factors(scenario.seed, si, g, T, scenario.noise)
-        rate = scenario.r_max * np.sin(np.radians(el[gi, t])) * noise[gi, t]
-        columns.append((t, np.full(len(t), sat_ids.index(sat.id)), gs_pos[gi], el[gi, t], rate))
-    return ContactTable(T, sat_ids, gs_ids, *(np.concatenate(c) for c in zip(*columns)))
+        columns.append((t, np.full(len(t), si), gi, el[gi, t]))
+    t, si, gi, el = (np.concatenate(c) for c in zip(*columns))
+    # a contact's noise is draw t of its (satellite, station) stream, keyed by
+    # file positions, so draws never depend on which contacts a schedule uses
+    noise = rng.uniform_at(scenario.seed, rng.TAG_RATE_NOISE, (si, gi), t, *scenario.noise)
+    rate = scenario.r_max * np.sin(np.radians(el)) * noise
+    return ContactTable(T, sat_ids, gs_ids, t, sat_pos[si], gs_pos[gi], el, rate)
 
 
 def write_contact_plan(table: ContactTable, path: str) -> None:

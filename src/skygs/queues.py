@@ -132,18 +132,18 @@ class ArrivalModel:
     """
 
     def __init__(self, scenario: Scenario):
-        seed = scenario.seed
-        self._row = {sat.id: si for si, sat in enumerate(scenario.satellites)}
-        self.mb = np.zeros((len(scenario.satellites), scenario.horizon))
-        for si, sat in enumerate(scenario.satellites):
-            lo, hi = sat.daily_volume_mb
-            volume = float(rng.uniform(seed, rng.TAG_DAILY_VOLUME, (si,), 1, lo, hi)[0])
-            per_slot = volume * scenario.tau / (MINUTES_PER_DAY * sat.duty_cycle)
-            if sat.duty_cycle >= 1.0:
-                self.mb[si] = per_slot
-            else:
-                draws = rng.uniform(seed, rng.TAG_ARRIVAL_MASK, (si,), scenario.horizon, 0.0, 1.0)
-                self.mb[si, draws < sat.duty_cycle] = per_slot
+        sats = scenario.satellites
+        self._row = {sat.id: si for si, sat in enumerate(sats)}
+        lo, hi = np.array([sat.daily_volume_mb for sat in sats], dtype=float).reshape(-1, 2).T
+        duty = np.array([sat.duty_cycle for sat in sats])
+        rows = np.arange(len(sats))
+        volume = rng.uniform_at(scenario.seed, rng.TAG_DAILY_VOLUME, (rows,), 0, lo, hi)
+        per_slot = volume * scenario.tau / (MINUTES_PER_DAY * duty)
+        self.mb = np.repeat(per_slot[:, None], scenario.horizon, axis=1)
+        gated = rows[duty < 1.0]
+        draws = rng.uniform_at(scenario.seed, rng.TAG_ARRIVAL_MASK, (gated[:, None],),
+                               np.arange(scenario.horizon))
+        self.mb[gated] = np.where(draws < duty[gated, None], per_slot[gated, None], 0.0)
 
     def arrivals_for_slot(self, satellite_id: str, slot: int) -> float:
         return float(self.mb[self._row[satellite_id], slot])

@@ -6,9 +6,19 @@ stream keyed by the master seed, a purpose tag, and the entity/slot indices.
 Draws therefore never depend on scheduling decisions or call order, which is
 what makes paired policy comparisons on identical sample paths possible.
 
+Philox is counter-based: a draw is a pure function of its stream and its
+index (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+So one primitive, uniform_at, draws any set of (stream, index) cells in one
+vectorised pass, and set-up draws its link noise, daily volumes and arrival
+masks with it. stream returns numpy's Generator over the same stream, kept
+for the random baseline, which needs its permutation and integers.
+
 The streams are not independent, though: the first id shares Philox
 counter[0] with the draw counter, so streams whose first ids differ by n
-are the same sequence shifted by 4n draws (see stream and ROADMAP item 4).
+are the same sequence shifted by 4n draws (see stream). uniform_at keeps
+that counter layout, so its draws overlap the same way. ROADMAP item 4b
+moves the ids out of counter[0] and keys entities by id; for set-up's draws
+that is an edit to uniform_at alone.
 """
 
 from __future__ import annotations
@@ -22,6 +32,13 @@ TAG_DAILY_VOLUME = 3
 TAG_BR_POLICY = 4
 
 _MASK64 = (1 << 64) - 1
+_SHIFT32, _LO32 = np.uint64(32), np.uint64((1 << 32) - 1)
+# Philox4x64-10 (Random123, as in numpy): the two round multipliers, each as
+# (itself, high half, low half), and the two key increments
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m % (1 << 32)))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
 
 
 def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
@@ -33,7 +50,7 @@ def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
     ids[0] = i + 1 is the stream for i without its first four draws. The
     arrival masks of satellites 0 and 1 share 1,436 of their 1,440 draws
     this way, and the rate noise of (satellite 1, station g) at slot t equals
-    that of (satellite 0, station g) at slot t + 4. ROADMAP item 4 is the fix.
+    that of (satellite 0, station g) at slot t + 4. ROADMAP item 4b is the fix.
     """
     if len(ids) > 3:
         raise ValueError("at most three stream ids supported")
@@ -46,7 +63,47 @@ def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
                                                 key=np.array(key, dtype=np.uint64)))
 
 
-def uniform(seed: int, tag: int, ids: tuple[int, ...], n: int, lo: float, hi: float) -> np.ndarray:
-    """n uniform draws on [lo, hi) from the given stream."""
-    g = stream(seed, tag, *ids)
-    return lo + (hi - lo) * g.random(n)
+def _mulhilo(multiplier: tuple[np.uint64, np.uint64, np.uint64],
+             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products multiplier * x."""
+    m, m_hi, m_lo = multiplier
+    x_hi, x_lo = x >> _SHIFT32, x & _LO32
+    mid = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    mid2 = x_lo * m_hi + (mid & _LO32)
+    return x_hi * m_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32), x * m
+
+
+def uniform_at(seed: int, tag: int, ids: tuple[np.ndarray | int, ...], t: np.ndarray | int,
+               lo: np.ndarray | float = 0.0, hi: np.ndarray | float = 1.0) -> np.ndarray:
+    """Draw t of stream(seed, tag, *ids), scaled to [lo, hi), for every cell.
+
+    ids (up to three) and t are non-negative integer arrays broadcast against
+    each other; lo and hi broadcast too. Equal, bit for bit, to
+    lo + (hi - lo) * stream(seed, tag, *ids).random(t + 1)[t] per cell: draw t
+    is word t % 4 of the Philox block at counter (ids, 0) + 1 + t // 4, the
+    addition carrying into the higher counter words as numpy's does.
+    """
+    if len(ids) > 3:
+        raise ValueError("at most three stream ids supported")
+    cells = np.broadcast_arrays(*(np.asarray(a, dtype=np.uint64) for a in (t, *ids)))
+    shape = cells[0].shape
+    t, *ids = (c.reshape(-1) for c in cells)  # 1-d: no numpy-scalar overflow warnings
+    ids += [np.zeros_like(t)] * (3 - len(ids))
+    block = (t >> np.uint64(2)) + np.uint64(1)
+    c0 = ids[0] + block
+    carry = c0 < block
+    c1 = ids[1] + carry
+    carry &= c1 == 0
+    c2 = ids[2] + carry
+    c3 = (carry & (c2 == 0)).astype(np.uint64)
+    # the key schedule in Python ints masked to 64 bits: a uint64 scalar warns on the wrap
+    k0, k1 = int(seed) & _MASK64, int(tag) & _MASK64
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    word = np.choose((t & np.uint64(3)).astype(np.intp), (c0, c1, c2, c3))
+    # numpy's double from a 64-bit word: its top 53 bits times 2**-53
+    u = (word >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return lo + (hi - lo) * u.reshape(shape)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skygs import rng
 from skygs.model import Satellite, validate_scenario
 from skygs.orbit import (EARTH_ROT_DEG_PER_MIN, Contact, ContactPlanError, ContactTable,
                          build_contact_table, elevation_deg, orbital_period_minutes,
-                         rate_noise_factors, read_contact_plan, subsatellite_point,
-                         write_contact_plan)
+                         read_contact_plan, subsatellite_point, write_contact_plan)
 
 EARTH_RADIUS = 6371.0
 
@@ -83,13 +83,25 @@ class TestElevation:
                                                  lat[g, 0], lon[g, 0])
 
 
+def reference_noise(sc, si, gi):
+    """The (satellite, station) pair's noise at every slot, from numpy's own
+    generator over the pair's stream: si and gi are scenario-file positions."""
+    lo, hi = sc.noise
+    return lo + (hi - lo) * rng.stream(sc.seed, rng.TAG_RATE_NOISE, si, gi).random(sc.horizon)
+
+
+def rate_noise(seed, si, gi, n_slots, noise):
+    """The propagator's noise draws for one pair's first n_slots slots."""
+    return rng.uniform_at(seed, rng.TAG_RATE_NOISE, (si, gi), np.arange(n_slots), *noise)
+
+
 class TestGslRate:
     def test_zenith_full_rate(self):
         # a station under slot 0's sub-satellite point sees the satellite at zenith
         lat, lon = subsatellite_point(make_sat(inclination_deg=97.4), (0 + 0.5) * 1.0)
         sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw(lat=lat, lon=lon)],
                                             horizon=1))
-        noise = rate_noise_factors(sc.seed, 0, 0, 1, sc.noise)
+        noise = reference_noise(sc, 0, 0)
         [contact] = build_contact_table(sc).all_contacts()
         assert contact.elevation_deg == pytest.approx(90.0)
         assert contact.rate_mb_per_min == pytest.approx(12_000.0 * noise[0], rel=1e-12)
@@ -98,8 +110,7 @@ class TestGslRate:
         # every propagated rate is r_max * sin(elevation) * the pair's noise draw
         sc = validate_scenario(scenario_raw([sat_raw(), sat_raw("sat-b", phase=90.0)],
                                             [gs_raw(lat=83.0), gs_raw("gs-b", lat=-83.0)]))
-        noise = {(si, gi): rate_noise_factors(sc.seed, si, gi, sc.horizon, sc.noise)
-                 for si in range(2) for gi in range(2)}
+        noise = {(si, gi): reference_noise(sc, si, gi) for si in range(2) for gi in range(2)}
         contacts = build_contact_table(sc).all_contacts()
         assert len(contacts) > 10
         for c in contacts:
@@ -110,14 +121,14 @@ class TestGslRate:
             assert c.rate_mb_per_min == pytest.approx(expected, rel=1e-12)
 
     def test_noise_deterministic(self):
-        a = rate_noise_factors(42, 1, 2, 100, (0.9, 1.1))
-        b = rate_noise_factors(42, 1, 2, 100, (0.9, 1.1))
+        a = rate_noise(42, 1, 2, 100, (0.9, 1.1))
+        b = rate_noise(42, 1, 2, 100, (0.9, 1.1))
         assert np.array_equal(a, b)
         assert ((a >= 0.9) & (a < 1.1)).all()
 
     def test_noise_streams_distinct(self):
-        a = rate_noise_factors(42, 1, 2, 100, (0.9, 1.1))
-        b = rate_noise_factors(42, 1, 3, 100, (0.9, 1.1))
+        a = rate_noise(42, 1, 2, 100, (0.9, 1.1))
+        b = rate_noise(42, 1, 3, 100, (0.9, 1.1))
         assert not np.array_equal(a, b)
 
 
