@@ -288,6 +288,85 @@ class TestContactPlanFile:
         assert [c.slot for c in table.all_contacts()] == [2]
 
 
+PLAN_HEADER = "slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
+GOOD_ROW = "3,sat-a,gs-a,45.0,500\n"
+# one row per kind of line error, in the order they are checked within a line
+FIELD_COUNT_ROW, FIELD_COUNT = "3,sat-a,gs-a,45.0\n", "expected 5 fields, got 4"
+PARSE_ROW, PARSE = "3,sat-a,gs-a,45.0,oops\n", "could not convert string to float: 'oops'"
+ELEVATION_ROW, ELEVATION = "3,sat-a,gs-a,4.0,500\n", "elevation 4.0 outside [mask 10.0, 90]"
+RATE_ROW, RATE = "3,sat-a,gs-a,45.0,99999\n", "rate 99999.0 outside (0, 13200.000000000002]"
+LINE_ERRORS = {"field count": (FIELD_COUNT_ROW, FIELD_COUNT), "parse": (PARSE_ROW, PARSE),
+               "elevation": (ELEVATION_ROW, ELEVATION), "rate": (RATE_ROW, RATE)}
+
+
+class TestContactPlanErrorOrder:
+    """Which error a bad plan reports: the earliest bad line, whatever its kind;
+    then unknown ids, satellites first; then the table's own checks (a slot
+    outside the horizon, then a duplicate), all prefixed with the path."""
+
+    @staticmethod
+    def read(tmp_path, *rows):
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text(PLAN_HEADER + "".join(rows))
+        with pytest.raises(ContactPlanError) as info:
+            read_contact_plan(str(path), sc)
+        return str(info.value).removeprefix(f"{path}: ")
+
+    @pytest.mark.parametrize("first", sorted(LINE_ERRORS))
+    @pytest.mark.parametrize("second", sorted(LINE_ERRORS))
+    def test_earliest_bad_line_wins_across_kinds(self, tmp_path, first, second):
+        (row_a, message_a), (row_b, _) = LINE_ERRORS[first], LINE_ERRORS[second]
+        got = self.read(tmp_path, GOOD_ROW, row_a, GOOD_ROW, row_b)
+        assert got == f"line 3: {message_a}"
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,sat-a,gs-a,4.0,99999\n", "invalid literal for int() with base 10: 'x'"),
+        ("3,sat-a,gs-a,nope,99999\n", "could not convert string to float: 'nope'"),
+        ("3,sat-a,gs-a,4.0,99999\n", ELEVATION),
+        ("3,sat-a,gs-a,4.0,99999,6\n", "expected 5 fields, got 6"),
+    ])
+    def test_within_a_line_count_then_parse_then_elevation_then_rate(self, tmp_path, row,
+                                                                       message):
+        assert self.read(tmp_path, row) == f"line 2: {message}"
+
+    def test_a_parse_error_beats_an_earlier_unknown_id(self, tmp_path):
+        got = self.read(tmp_path, "3,ghost,gs-a,45.0,500\n", GOOD_ROW, "4,sat-a,gs-a,45.0,500\n",
+                        PARSE_ROW)
+        assert got == f"line 5: {PARSE}"
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        assert self.read(tmp_path, "\n", GOOD_ROW, "\n", "\n", RATE_ROW) == f"line 6: {RATE}"
+
+    def test_blank_lines_load(self, tmp_path):
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text(PLAN_HEADER + "\n" + GOOD_ROW + "\n")
+        assert read_contact_plan(str(path), sc).all_contacts() == [
+            Contact(3, "sat-a", "gs-a", 45.0, 500.0)]
+
+    def test_unknown_satellites_before_stations_least_id_first(self, tmp_path):
+        got = self.read(tmp_path, "3,sat-a,gs-x,45.0,500\n", "4,zz,gs-a,45.0,500\n",
+                        "5,ghost,gs-a,45.0,500\n")
+        assert got == "unknown satellite 'ghost'"
+        assert self.read(tmp_path, "3,sat-a,gs-y,45.0,500\n",
+                         "4,sat-a,gs-x,45.0,500\n") == "unknown ground station 'gs-x'"
+
+    def test_an_unknown_id_beats_an_earlier_slot_outside_the_horizon(self, tmp_path):
+        got = self.read(tmp_path, "10,sat-a,gs-a,45.0,500\n", "3,sat-a,ghost,45.0,500\n")
+        assert got == "unknown ground station 'ghost'"
+
+    def test_a_slot_outside_the_horizon_beats_an_earlier_duplicate(self, tmp_path):
+        got = self.read(tmp_path, GOOD_ROW, GOOD_ROW, "-1,sat-a,gs-a,45.0,500\n",
+                        "12,sat-a,gs-a,45.0,500\n")
+        assert got == "slot -1 outside [0, 10)"
+
+    def test_the_duplicate_reported_is_the_least_contact(self, tmp_path):
+        got = self.read(tmp_path, "5,sat-a,gs-a,45.0,500\n", "5,sat-a,gs-a,45.0,500\n",
+                        "2,sat-a,gs-a,45.0,500\n", "2,sat-a,gs-a,45.0,600\n")
+        assert got == "duplicate contact (2, 'sat-a', 'gs-a')"
+
+
 class TestCallerBuiltTable:
     """The constructor checks a caller's rows the way the plan reader's are checked."""
 
