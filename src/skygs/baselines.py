@@ -22,8 +22,7 @@ from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotG
 
 def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
     """Cheapest data center per MB among the allowed ones; ties to lowest id."""
-    _, per_mb = accounting.downlink_cost(1.0, 0.0, arrays.dc_price, arrays.dc_kappa)
-    return min(dc_positions, key=per_mb.__getitem__)
+    return min(dc_positions, key=arrays.dc_cost_per_mb.__getitem__)
 
 
 def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float, int]]]:

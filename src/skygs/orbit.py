@@ -13,12 +13,24 @@ slot's row range from ContactTable.slot_rows and its columns from
 slot_contacts. `sat` and `gs` are positions in the table's sorted satellite
 and station ids, the order of scheduler.ScenarioArrays, so every policy reads
 a slot's rows as they stand.
+
+The propagator evaluates elevation only on the (station, slot) cells inside
+each satellite's visibility cone: the Earth-central angle between station and
+sub-satellite point is at most lambda_max = 90 - mask - asin(k cos mask)
+degrees, k = R / (R + h) (Wertz & Larson, Space Mission Analysis and Design,
+3rd ed., sec. 5.2). A cell is a candidate when the dot product of the two
+unit vectors is at least cos(lambda_max) - CONE_MARGIN. The margin dwarfs
+the rounding of either test, so `elevation >= mask` on the candidates picks
+exactly the contacts that testing every cell would. Contact plans are written
+from the columns in blocks and read straight into typed columns, so no path
+holds a Python object per contact.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -30,6 +42,11 @@ from skygs.model import Scenario, write_csv
 EARTH_RADIUS_KM = 6371.0
 MU_KM3_S2 = 398600.4418
 EARTH_ROT_DEG_PER_MIN = 360.0 / 1436.0
+
+# a cell whose central-angle cosine is this far below the visibility cone's
+# still has its elevation evaluated, so rounding never drops a contact
+CONE_MARGIN = 1e-9
+PLAN_BLOCK = 1024          # contact-plan rows written per block
 
 CONTACT_PLAN_HEADER = ["slot", "satellite_id", "ground_station_id", "elevation_deg",
                        "rate_mb_per_min"]
@@ -110,16 +127,19 @@ class ContactTable:
         bad = ~(np.isfinite(rate) & (rate > 0))
         if bad.any():
             raise ValueError(f"rate {rate[bad][0]} is not finite and positive")
-        key = (slot * len(sat_ids) + sat) * len(gs_ids) + gs
+        per_slot = len(sat_ids) * len(gs_ids)
+        key = slot * per_slot + sat * len(gs_ids) + gs
         order = np.argsort(key, kind="stable")
-        twice = np.nonzero(np.diff(key[order]) == 0)[0]
+        key = key[order]
+        twice = np.nonzero(np.diff(key) == 0)[0]
         if twice.size:
             k = order[twice[0]]
             raise ValueError(f"duplicate contact "
                              f"{(int(slot[k]), sat_ids[sat[k]], gs_ids[gs[k]])}")
         self.n_slots = n_slots
         self.sat_ids, self.gs_ids = tuple(sat_ids), tuple(gs_ids)
-        self.slot_ptr = np.searchsorted(slot[order], np.arange(n_slots + 1))
+        self.slot_ptr = np.searchsorted(key, np.arange(n_slots + 1) * per_slot)
+        del key  # before the columns are gathered: a lower peak
         self.sat, self.gs = sat[order], gs[order]
         self.elevation_deg = np.asarray(elevation, dtype=float)[order]
         self.rate_mb_per_min = rate[order]
@@ -131,13 +151,13 @@ class ContactTable:
         Raises ValueError on a row naming another id, as well as the constructor's."""
         sat_ids, gs_ids = tuple(sorted(sat_ids)), tuple(sorted(gs_ids))
         slot, sats, stations, elevation, rate = list(zip(*contacts)) or [()] * 5
+        positions = []
         for kind, named, ids in (("satellite", sats, sat_ids),
                                  ("ground station", stations, gs_ids)):
-            unknown = set(named) - set(ids)
-            if unknown:
-                raise ValueError(f"unknown {kind} {min(unknown)!r}")
-        return cls(n_slots, sat_ids, gs_ids, slot, np.searchsorted(sat_ids, sats),
-                   np.searchsorted(gs_ids, stations), elevation, rate)
+            index = _index(ids)
+            _check_known(kind, set(named) - index.keys())
+            positions.append([index[name] for name in named])
+        return cls(n_slots, sat_ids, gs_ids, slot, *positions, elevation, rate)
 
     def slot_rows(self, slot: int) -> range:
         """The table rows of the slot's contacts, for a slot in [0, n_slots)."""
@@ -156,6 +176,17 @@ class ContactTable:
                 for t, s, g, e, r in zip(*(c.tolist() for c in columns))]
 
 
+def _index(ids: tuple[str, ...]) -> dict[str, int]:
+    """Each id's position in the sorted ids."""
+    return {name: position for position, name in enumerate(ids)}
+
+
+def _check_known(kind: str, unknown: set[str]) -> None:
+    """Raise ValueError naming the least of these ids of this kind, if any."""
+    if unknown:
+        raise ValueError(f"unknown {kind} {min(unknown)!r}")
+
+
 def scenario_ids(scenario: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The scenario's satellite and station ids, sorted: a table's position order."""
     return (tuple(sorted(s.id for s in scenario.satellites)),
@@ -172,36 +203,74 @@ def build_contact_table(scenario: Scenario) -> ContactTable:
 def _propagate_contacts(scenario: Scenario) -> ContactTable:
     T = scenario.horizon
     t_mid = (np.arange(T) + 0.5) * scenario.tau
+    mask = scenario.elevation_mask_deg
     sat_ids, gs_ids = scenario_ids(scenario)
     stations = scenario.ground_stations
-    # one row of elevations per station, from the stations' column vectors
-    gs_lat = np.array([g.lat_deg for g in stations])[:, None]
-    gs_lon = np.array([g.lon_deg for g in stations])[:, None]
+    gs_lat = np.array([g.lat_deg for g in stations])
+    gs_lon = np.array([g.lon_deg for g in stations])
+    gs_unit = [c[:, None] for c in _unit_vectors(gs_lat, gs_lon)]
     sat_pos = np.array([sat_ids.index(s.id) for s in scenario.satellites], dtype=np.int64)
     gs_pos = np.array([gs_ids.index(g.id) for g in stations], dtype=np.int64)
-    # per contact: slot, satellite and station positions in the scenario file, elevation
-    columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
-    for si, sat in enumerate(scenario.satellites):
+    # per contact: slot, station position in the scenario file, elevation
+    columns = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]
+    counts = []
+    for sat in scenario.satellites:
         lat, lon = subsatellite_point(sat, t_mid)
-        el = elevation_deg(lat, lon, sat.altitude_km, gs_lat, gs_lon)
-        gi, t = np.nonzero(el >= scenario.elevation_mask_deg)
-        columns.append((t, np.full(len(t), si), gi, el[gi, t]))
-    t, si, gi, el = (np.concatenate(c) for c in zip(*columns))
+        # the (station, slot) cells inside the visibility cone, by the cosine of
+        # the central angle between the station and the sub-satellite point
+        k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + sat.altitude_km)
+        cap_deg = 90.0 - mask - math.degrees(math.asin(k * math.cos(math.radians(mask))))
+        cos_angle = sum(g * s for g, s in zip(gs_unit, _unit_vectors(lat, lon)))
+        gi, t = np.nonzero(cos_angle >= math.cos(math.radians(cap_deg)) - CONE_MARGIN)
+        el = elevation_deg(lat[t], lon[t], sat.altitude_km, gs_lat[gi], gs_lon[gi])
+        seen = el >= mask
+        columns.append((t[seen], gi[seen], el[seen]))
+        counts.append(int(seen.sum()))
+    t, gi, el = (np.concatenate(c) for c in zip(*columns))
+    del columns
+    si = np.repeat(np.arange(len(counts)), counts)
     # a contact's noise is draw t of its (satellite, station) stream, keyed by
     # file positions, so draws never depend on which contacts a schedule uses
-    noise = rng.uniform_at(scenario.seed, rng.TAG_RATE_NOISE, (si, gi), t, *scenario.noise)
-    rate = scenario.r_max * np.sin(np.radians(el)) * noise
-    return ContactTable(T, sat_ids, gs_ids, t, sat_pos[si], gs_pos[gi], el, rate)
+    rate = rng.uniform_at(scenario.seed, rng.TAG_RATE_NOISE, (si, gi), t, *scenario.noise)
+    rate *= scenario.r_max * np.sin(np.radians(el))
+    si, gi = sat_pos[si], gs_pos[gi]
+    return ContactTable(T, sat_ids, gs_ids, t, si, gi, el, rate)
+
+
+def _unit_vectors(lat_deg: np.ndarray, lon_deg: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, y, z) of the unit vectors to these points of the sphere."""
+    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+    return np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)
 
 
 def write_contact_plan(table: ContactTable, path: str) -> None:
-    write_csv(path, CONTACT_PLAN_HEADER, table.all_contacts())
+    """Write the table as a contact-plan CSV, from its columns, PLAN_BLOCK rows
+    at a time."""
+    def rows():
+        n = len(table.sat)
+        for lo in range(0, n, PLAN_BLOCK):
+            hi = min(lo + PLAN_BLOCK, n)
+            slot = np.searchsorted(table.slot_ptr, np.arange(lo, hi), "right") - 1
+            sat, gs, el, rate = (c[lo:hi].tolist() for c in (
+                table.sat, table.gs, table.elevation_deg, table.rate_mb_per_min))
+            yield from zip(slot.tolist(), map(table.sat_ids.__getitem__, sat),
+                           map(table.gs_ids.__getitem__, gs), el, rate)
+
+    write_csv(path, CONTACT_PLAN_HEADER, rows())
 
 
 def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
-    """Load and validate a contact-plan CSV against the scenario."""
+    """Load and validate a contact-plan CSV against the scenario.
+
+    Rows stream into typed columns. The earliest bad line is reported, then
+    unknown ids, then the table's own checks."""
     rate_cap = scenario.r_max * scenario.noise[1]
-    contacts: list[Contact] = []
+    sat_ids, gs_ids = scenario_ids(scenario)
+    sat_index, gs_index = _index(sat_ids), _index(gs_ids)
+    slots, sats, stations = array("q"), array("q"), array("q")
+    elevations, rates = array("d"), array("d")
+    unknown_sats: set[str] = set()
+    unknown_stations: set[str] = set()
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -230,8 +299,24 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
             if not 0 < rate <= rate_cap:
                 raise ContactPlanError(
                     f"{path}: line {lineno}: rate {rate} outside (0, {rate_cap}]")
-            contacts.append(Contact(slot, row[1], row[2], el, rate))
-    try:
-        return ContactTable.from_contacts(scenario.horizon, *scenario_ids(scenario), contacts)
-    except ValueError as exc:  # unknown ids, slots outside the horizon, duplicates
+            try:
+                slots.append(slot)
+            except OverflowError:  # beyond 64 bits, so beyond any horizon
+                raise ContactPlanError(f"{path}: line {lineno}: slot {slot} outside "
+                                       f"[0, {scenario.horizon})") from None
+            for index, column, unknown, name in ((sat_index, sats, unknown_sats, row[1]),
+                                                 (gs_index, stations, unknown_stations, row[2])):
+                position = index.get(name)
+                if position is None:
+                    unknown.add(name)
+                    position = -1
+                column.append(position)
+            elevations.append(el)
+            rates.append(rate)
+    try:  # unknown ids, then slots outside the horizon and duplicates
+        _check_known("satellite", unknown_sats)
+        _check_known("ground station", unknown_stations)
+        return ContactTable(scenario.horizon, sat_ids, gs_ids, slots, sats, stations,
+                            elevations, rates)
+    except ValueError as exc:
         raise ContactPlanError(f"{path}: {exc}") from None

@@ -39,6 +39,8 @@ _PHILOX_M = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m % (1 << 32)))
                   for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+# cells per pass of uniform_at's kernel, about 150 bytes of temporaries each
+UNIFORM_BLOCK = 2048
 
 
 def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
@@ -81,13 +83,26 @@ def uniform_at(seed: int, tag: int, ids: tuple[np.ndarray | int, ...], t: np.nda
     each other; lo and hi broadcast too. Equal, bit for bit, to
     lo + (hi - lo) * stream(seed, tag, *ids).random(t + 1)[t] per cell: draw t
     is word t % 4 of the Philox block at counter (ids, 0) + 1 + t // 4, the
-    addition carrying into the higher counter words as numpy's does.
+    addition carrying into the higher counter words as numpy's does. The cells
+    go through the kernel UNIFORM_BLOCK at a time, so its temporaries stay the
+    same few MB however many cells there are.
     """
     if len(ids) > 3:
         raise ValueError("at most three stream ids supported")
-    cells = np.broadcast_arrays(*(np.asarray(a, dtype=np.uint64) for a in (t, *ids)))
-    shape = cells[0].shape
-    t, *ids = (c.reshape(-1) for c in cells)  # 1-d: no numpy-scalar overflow warnings
+    n_ids = len(ids)
+    operands = [np.asarray(a) for a in (t, *ids, lo, hi)] + [None]
+    cells = np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
+                      op_flags=[["readonly"]] * (n_ids + 3) + [["writeonly", "allocate"]],
+                      op_dtypes=[np.uint64] * (n_ids + 1) + [np.float64] * 3,
+                      casting="unsafe", order="C", buffersize=UNIFORM_BLOCK)
+    with cells:
+        for t, *ids, lo, hi, out in cells:
+            out[...] = lo + (hi - lo) * _uniform(seed, tag, t, ids)
+        return cells.operands[-1]
+
+
+def _uniform(seed: int, tag: int, t: np.ndarray, ids: list[np.ndarray]) -> np.ndarray:
+    """uniform_at's unscaled draws for 1-d uint64 draw indices and ids."""
     ids += [np.zeros_like(t)] * (3 - len(ids))
     block = (t >> np.uint64(2)) + np.uint64(1)
     c0 = ids[0] + block
@@ -105,5 +120,4 @@ def uniform_at(seed: int, tag: int, ids: tuple[np.ndarray | int, ...], t: np.nda
         k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
     word = np.choose((t & np.uint64(3)).astype(np.intp), (c0, c1, c2, c3))
     # numpy's double from a 64-bit word: its top 53 bits times 2**-53
-    u = (word >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return lo + (hi - lo) * u.reshape(shape)
+    return (word >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
