@@ -31,7 +31,8 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -155,8 +156,8 @@ class ContactTable:
         for kind, named, ids in (("satellite", sats, sat_ids),
                                  ("ground station", stations, gs_ids)):
             index = _index(ids)
-            _check_known(kind, set(named) - index.keys())
-            positions.append([index[name] for name in named])
+            positions.append([index.setdefault(name, len(index)) for name in named])
+            _check_known(kind, ids, index)
         return cls(n_slots, sat_ids, gs_ids, slot, *positions, elevation, rate)
 
     def slot_rows(self, slot: int) -> range:
@@ -168,12 +169,17 @@ class ContactTable:
         lo, hi = self.slot_ptr[slot], self.slot_ptr[slot + 1]
         return self.sat[lo:hi], self.gs[lo:hi], self.rate_mb_per_min[lo:hi]
 
+    def rows(self, lo: int, hi: int) -> Iterator[tuple[int, str, str, float, float]]:
+        """(slot, satellite id, station id, elevation, rate) of rows lo:hi."""
+        slot = np.searchsorted(self.slot_ptr, np.arange(lo, hi), "right") - 1
+        sat, gs, el, rate = (c[lo:hi].tolist() for c in (
+            self.sat, self.gs, self.elevation_deg, self.rate_mb_per_min))
+        return zip(slot.tolist(), map(self.sat_ids.__getitem__, sat),
+                   map(self.gs_ids.__getitem__, gs), el, rate)
+
     def all_contacts(self) -> list[Contact]:
         """Every row as a Contact, in (slot, satellite, station) order."""
-        columns = (np.repeat(np.arange(self.n_slots), np.diff(self.slot_ptr)), self.sat,
-                   self.gs, self.elevation_deg, self.rate_mb_per_min)
-        return [Contact(t, self.sat_ids[s], self.gs_ids[g], e, r)
-                for t, s, g, e, r in zip(*(c.tolist() for c in columns))]
+        return list(map(Contact._make, self.rows(0, len(self.sat))))
 
 
 def _index(ids: tuple[str, ...]) -> dict[str, int]:
@@ -181,8 +187,9 @@ def _index(ids: tuple[str, ...]) -> dict[str, int]:
     return {name: position for position, name in enumerate(ids)}
 
 
-def _check_known(kind: str, unknown: set[str]) -> None:
-    """Raise ValueError naming the least of these ids of this kind, if any."""
+def _check_known(kind: str, ids: tuple[str, ...], index: dict[str, int]) -> None:
+    """Raise ValueError naming the least name that `index` holds beyond `ids`."""
+    unknown = list(index)[len(ids):]
     if unknown:
         raise ValueError(f"unknown {kind} {min(unknown)!r}")
 
@@ -201,20 +208,27 @@ def build_contact_table(scenario: Scenario) -> ContactTable:
 
 
 def _propagate_contacts(scenario: Scenario) -> ContactTable:
-    T = scenario.horizon
-    t_mid = (np.arange(T) + 0.5) * scenario.tau
-    mask = scenario.elevation_mask_deg
     sat_ids, gs_ids = scenario_ids(scenario)
-    stations = scenario.ground_stations
-    gs_lat = np.array([g.lat_deg for g in stations])
-    gs_lon = np.array([g.lon_deg for g in stations])
+    t, si, gi, el = _visible_cells(scenario)
+    # a contact's noise is draw t of its (satellite, station) stream, keyed by
+    # file positions, so draws never depend on which contacts a schedule uses
+    rate = rng.uniform_at(scenario.seed, rng.TAG_RATE_NOISE, (si, gi), t, *scenario.noise)
+    rate *= scenario.r_max * np.sin(np.radians(el))
+    si = np.array([sat_ids.index(s.id) for s in scenario.satellites], dtype=np.int64)[si]
+    gi = np.array([gs_ids.index(g.id) for g in scenario.ground_stations], dtype=np.int64)[gi]
+    return ContactTable(scenario.horizon, sat_ids, gs_ids, t, si, gi, el, rate)
+
+
+def _visible_cells(scenario: Scenario) -> tuple[np.ndarray, ...]:
+    """Slot, satellite and station positions in the scenario file, and
+    elevation, of every (satellite, station, slot) cell at or above the mask."""
+    t_mid = (np.arange(scenario.horizon) + 0.5) * scenario.tau
+    mask = scenario.elevation_mask_deg
+    gs_lat = np.array([g.lat_deg for g in scenario.ground_stations])
+    gs_lon = np.array([g.lon_deg for g in scenario.ground_stations])
     gs_unit = [c[:, None] for c in _unit_vectors(gs_lat, gs_lon)]
-    sat_pos = np.array([sat_ids.index(s.id) for s in scenario.satellites], dtype=np.int64)
-    gs_pos = np.array([gs_ids.index(g.id) for g in stations], dtype=np.int64)
-    # per contact: slot, station position in the scenario file, elevation
-    columns = [(np.empty(0, np.int64),) * 2 + (np.empty(0),)]
-    counts = []
-    for sat in scenario.satellites:
+    columns = [(np.empty(0, np.int64),) * 3 + (np.empty(0),)]
+    for si, sat in enumerate(scenario.satellites):
         lat, lon = subsatellite_point(sat, t_mid)
         # the (station, slot) cells inside the visibility cone, by the cosine of
         # the central angle between the station and the sub-satellite point
@@ -224,39 +238,22 @@ def _propagate_contacts(scenario: Scenario) -> ContactTable:
         gi, t = np.nonzero(cos_angle >= math.cos(math.radians(cap_deg)) - CONE_MARGIN)
         el = elevation_deg(lat[t], lon[t], sat.altitude_km, gs_lat[gi], gs_lon[gi])
         seen = el >= mask
-        columns.append((t[seen], gi[seen], el[seen]))
-        counts.append(int(seen.sum()))
-    t, gi, el = (np.concatenate(c) for c in zip(*columns))
-    del columns
-    si = np.repeat(np.arange(len(counts)), counts)
-    # a contact's noise is draw t of its (satellite, station) stream, keyed by
-    # file positions, so draws never depend on which contacts a schedule uses
-    rate = rng.uniform_at(scenario.seed, rng.TAG_RATE_NOISE, (si, gi), t, *scenario.noise)
-    rate *= scenario.r_max * np.sin(np.radians(el))
-    si, gi = sat_pos[si], gs_pos[gi]
-    return ContactTable(T, sat_ids, gs_ids, t, si, gi, el, rate)
+        columns.append((t[seen], np.full(np.count_nonzero(seen), si), gi[seen], el[seen]))
+    return tuple(np.concatenate(c) for c in zip(*columns))
 
 
 def _unit_vectors(lat_deg: np.ndarray, lon_deg: np.ndarray) -> tuple[np.ndarray, ...]:
     """(x, y, z) of the unit vectors to these points of the sphere."""
     lat, lon = np.radians(lat_deg), np.radians(lon_deg)
-    return np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)
+    cos_lat = np.cos(lat)
+    return cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)
 
 
 def write_contact_plan(table: ContactTable, path: str) -> None:
-    """Write the table as a contact-plan CSV, from its columns, PLAN_BLOCK rows
-    at a time."""
-    def rows():
-        n = len(table.sat)
-        for lo in range(0, n, PLAN_BLOCK):
-            hi = min(lo + PLAN_BLOCK, n)
-            slot = np.searchsorted(table.slot_ptr, np.arange(lo, hi), "right") - 1
-            sat, gs, el, rate = (c[lo:hi].tolist() for c in (
-                table.sat, table.gs, table.elevation_deg, table.rate_mb_per_min))
-            yield from zip(slot.tolist(), map(table.sat_ids.__getitem__, sat),
-                           map(table.gs_ids.__getitem__, gs), el, rate)
-
-    write_csv(path, CONTACT_PLAN_HEADER, rows())
+    """Write the table as a contact-plan CSV, PLAN_BLOCK rows at a time."""
+    n = len(table.sat)
+    write_csv(path, CONTACT_PLAN_HEADER, chain.from_iterable(
+        table.rows(lo, min(lo + PLAN_BLOCK, n)) for lo in range(0, n, PLAN_BLOCK)))
 
 
 def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
@@ -269,8 +266,6 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
     sat_index, gs_index = _index(sat_ids), _index(gs_ids)
     slots, sats, stations = array("q"), array("q"), array("q")
     elevations, rates = array("d"), array("d")
-    unknown_sats: set[str] = set()
-    unknown_stations: set[str] = set()
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -304,18 +299,14 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
             except OverflowError:  # beyond 64 bits, so beyond any horizon
                 raise ContactPlanError(f"{path}: line {lineno}: slot {slot} outside "
                                        f"[0, {scenario.horizon})") from None
-            for index, column, unknown, name in ((sat_index, sats, unknown_sats, row[1]),
-                                                 (gs_index, stations, unknown_stations, row[2])):
-                position = index.get(name)
-                if position is None:
-                    unknown.add(name)
-                    position = -1
-                column.append(position)
+            # an unknown id takes the next free position, to be reported below
+            sats.append(sat_index.setdefault(row[1], len(sat_index)))
+            stations.append(gs_index.setdefault(row[2], len(gs_index)))
             elevations.append(el)
             rates.append(rate)
     try:  # unknown ids, then slots outside the horizon and duplicates
-        _check_known("satellite", unknown_sats)
-        _check_known("ground station", unknown_stations)
+        _check_known("satellite", sat_ids, sat_index)
+        _check_known("ground station", gs_ids, gs_index)
         return ContactTable(scenario.horizon, sat_ids, gs_ids, slots, sats, stations,
                             elevations, rates)
     except ValueError as exc:

@@ -9,9 +9,10 @@ what makes paired policy comparisons on identical sample paths possible.
 Philox is counter-based: a draw is a pure function of its stream and its
 index (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
 So one primitive, uniform_at, draws any set of (stream, index) cells in one
-vectorised pass, and set-up draws its link noise, daily volumes and arrival
-masks with it. stream returns numpy's Generator over the same stream, kept
-for the random baseline, which needs its permutation and integers.
+call, vectorised over blocks of UNIFORM_BLOCK cells, and set-up draws its link
+noise, daily volumes and arrival masks with it. stream returns numpy's
+Generator over the same stream, kept for the random baseline, which needs its
+permutation and integers.
 
 The streams are not independent, though: the first id shares Philox
 counter[0] with the draw counter, so streams whose first ids differ by n
@@ -39,7 +40,8 @@ _PHILOX_M = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m % (1 << 32)))
                   for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# cells per pass of uniform_at's kernel, about 150 bytes of temporaries each
+# cells per pass of uniform_at's kernel, which takes about 170 bytes of
+# temporaries per cell
 UNIFORM_BLOCK = 2048
 
 
@@ -84,8 +86,8 @@ def uniform_at(seed: int, tag: int, ids: tuple[np.ndarray | int, ...], t: np.nda
     lo + (hi - lo) * stream(seed, tag, *ids).random(t + 1)[t] per cell: draw t
     is word t % 4 of the Philox block at counter (ids, 0) + 1 + t // 4, the
     addition carrying into the higher counter words as numpy's does. The cells
-    go through the kernel UNIFORM_BLOCK at a time, so its temporaries stay the
-    same few MB however many cells there are.
+    go through the kernel UNIFORM_BLOCK at a time, so its temporaries stay
+    under half a MB however many cells there are.
     """
     if len(ids) > 3:
         raise ValueError("at most three stream ids supported")

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skygs import rng
+from skygs import orbit, rng
 from skygs.model import Satellite, validate_scenario
 from skygs.orbit import (EARTH_ROT_DEG_PER_MIN, Contact, ContactPlanError, ContactTable,
                          build_contact_table, elevation_deg, orbital_period_minutes,
-                         read_contact_plan, subsatellite_point, write_contact_plan)
+                         read_contact_plan, scenario_ids, subsatellite_point,
+                         write_contact_plan)
+from skygs.scenarios import full_scale_scenario
 
 EARTH_RADIUS = 6371.0
 
@@ -288,6 +291,148 @@ class TestContactPlanFile:
         assert [c.slot for c in table.all_contacts()] == [2]
 
 
+def brute_force_table(sc):
+    """The scenario's contact table from elevation_deg over every (satellite,
+    station, slot) cell, one elevation call per satellite broadcast over the
+    stations, and the noise of each satellite's contacts in its own call."""
+    sat_ids, gs_ids = scenario_ids(sc)
+    t_mid = (np.arange(sc.horizon) + 0.5) * sc.tau
+    gs_lat = np.array([[g.lat_deg] for g in sc.ground_stations])
+    gs_lon = np.array([[g.lon_deg] for g in sc.ground_stations])
+    gs_pos = np.array([gs_ids.index(g.id) for g in sc.ground_stations], dtype=np.int64)
+    columns = []
+    for si, sat in enumerate(sc.satellites):
+        lat, lon = subsatellite_point(sat, t_mid)
+        el = elevation_deg(lat, lon, sat.altitude_km, gs_lat, gs_lon)
+        gi, t = np.nonzero(el >= sc.elevation_mask_deg)
+        noise = rng.uniform_at(sc.seed, rng.TAG_RATE_NOISE, (si, gi), t, *sc.noise)
+        el = el[gi, t]
+        columns.append((t, np.full(len(t), sat_ids.index(sat.id)), gs_pos[gi], el,
+                        sc.r_max * np.sin(np.radians(el)) * noise))
+    return ContactTable(sc.horizon, sat_ids, gs_ids, *(np.concatenate(c) for c in zip(*columns)))
+
+
+def table_bytes(table):
+    return [c.tobytes() for c in (table.slot_ptr, table.sat, table.gs, table.elevation_deg,
+                                  table.rate_mb_per_min)]
+
+
+def build_outcome(build, sc):
+    """The table's column bytes, or the ValueError that building it raised: at
+    a 0-degree mask a contact at exactly 0 degrees has rate 0, which the table
+    rejects."""
+    try:
+        return table_bytes(build(sc))
+    except ValueError as exc:
+        return repr(exc)
+
+
+def cone_world(sats, stations, horizon, seed, mask, plant=None):
+    """A validated world. plant = (slot, elevation, bearing, delta) adds a
+    station that sees satellite 0 at about that elevation in that slot, from
+    that bearing, and moves the mask to delta degrees from the elevation that
+    elevation_deg gives there, so the cell sits on the cone's edge."""
+    raw = scenario_raw(sats, stations, horizon=horizon, seed=seed, mask=mask)
+    if plant is None:
+        return validate_scenario(raw)
+    t0, target, bearing, delta = plant
+    sat = validate_scenario(raw).satellites[0]
+    sub_lat, sub_lon = (c[t0] for c in subsatellite_point(sat, (np.arange(horizon) + 0.5)))
+    # the central angle at which a station sees the satellite at the target elevation
+    k = EARTH_RADIUS / (EARTH_RADIUS + sat.altitude_km)
+    d = math.radians(90.0 - target) - math.asin(k * math.cos(math.radians(target)))
+    p, b = math.radians(sub_lat), math.radians(bearing)
+    lat = math.asin(min(1.0, max(-1.0, math.sin(p) * math.cos(d)
+                                     + math.cos(p) * math.sin(d) * math.cos(b))))
+    lon = sub_lon + math.degrees(math.atan2(math.sin(b) * math.sin(d) * math.cos(p),
+                                            math.cos(d) - math.sin(p) * math.sin(lat)))
+    station = gs_raw("gs-planted", lat=math.degrees(lat), lon=(lon + 180.0) % 360.0 - 180.0)
+    raw["ground_stations"].append(station)
+    el = elevation_deg(sub_lat, sub_lon, sat.altitude_km, np.array([[station["lat_deg"]]]),
+                       np.array([[station["lon_deg"]]]))[0, 0]
+    raw["sim"]["elevation_mask_deg"] = min(max(el + delta, 0.0), math.nextafter(90.0, 0.0))
+    return validate_scenario(raw)
+
+
+@st.composite
+def cone_worlds(draw):
+    """Small worlds at 300-2,000 km, any inclination, RAAN and phase, stations at
+    any latitude, poles included, and a mask in [0, 90); half of them with a
+    planted cell within 1e-9 degrees of the mask, on either side or on it."""
+    angle = st.floats(0, 360, exclude_max=True)
+    sats = [{"id": f"sat-{k}", "altitude_km": draw(st.floats(300, 2000)),
+             "inclination_deg": draw(st.floats(0, 180)), "raan_deg": draw(angle),
+             "phase_deg": draw(angle), "daily_volume_mb": [1000, 1000]}
+            for k in range(draw(st.integers(1, 3)))]
+    lat = st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90, 90))
+    lon = st.floats(-180, 180, exclude_max=True)
+    stations = [gs_raw(f"gs-{k}", lat=draw(lat), lon=draw(lon))
+                for k in range(draw(st.integers(1, 3)))]
+    horizon = draw(st.integers(1, 120))
+    plant = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, horizon - 1), st.floats(0, 90, exclude_max=True), angle,
+        st.one_of(st.sampled_from([0.0, 1e-9, -1e-9]), st.floats(-1e-9, 1e-9)))))
+    return cone_world(sats, stations, horizon, draw(st.integers(0, 2 ** 64 - 1)),
+                      draw(st.floats(0, 90, exclude_max=True)), plant)
+
+
+class TestConePrefilter:
+    """The propagator evaluates elevation only inside each visibility cone, and
+    picks exactly the contacts that evaluating every cell picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cone_worlds())
+    # on the edge of the cone, where a mask just above 45 degrees narrows it most
+    # if asin(k sin mask) is taken for asin(k cos mask)
+    @example(cone_world([sat_raw()], [gs_raw()], 30, 1, 10.0, (7, 46.0, 30.0, 0.0)))
+    @example(cone_world([sat_raw()], [gs_raw()], 30, 1, 10.0, (3, 20.0, 200.0, -1e-9)))
+    def test_table_equals_the_every_cell_table_byte_for_byte(self, sc):
+        assert build_outcome(build_contact_table, sc) == build_outcome(brute_force_table, sc)
+
+
+FULL_SCALE_48 = full_scale_scenario(seed=1, horizon=48)
+# bytes per contact of each path on the 48-slot full-scale world, as tracemalloc
+# peaks, before the paths streamed columns: build 233, write 193, read 380
+PARENT_BYTES_PER_CONTACT = {"build": 233, "write": 193, "read": 380}
+
+
+class TestColumnarPaths:
+    """Building, writing and reading a contact table hold no Python object per
+    contact."""
+
+    def test_no_path_builds_a_contact(self, monkeypatch, tmp_path):
+        sc = validate_scenario(FULL_SCALE_48)
+
+        def no_contact(*args, **kwargs):
+            raise AssertionError("built a Contact")
+
+        monkeypatch.setattr(orbit, "Contact", no_contact)
+        table = build_contact_table(sc)
+        path = str(tmp_path / "plan.csv")
+        write_contact_plan(table, path)
+        assert len(table.sat) > 0
+        assert table_bytes(read_contact_plan(path, sc)) == table_bytes(table)
+
+    @pytest.mark.parametrize("step", sorted(PARENT_BYTES_PER_CONTACT))
+    def test_peak_bytes_per_contact_at_most_half_the_objects_figure(self, tmp_path, step):
+        sc = validate_scenario(FULL_SCALE_48)
+        path = str(tmp_path / "plan.csv")
+        table = build_contact_table(sc)  # warm: imports and caches are not counted
+        write_contact_plan(table, path)
+        read_contact_plan(path, sc)
+        run = {"build": lambda: build_contact_table(sc),
+               "write": lambda: write_contact_plan(table, path),
+               "read": lambda: read_contact_plan(path, sc)}[step]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / len(table.sat) <= PARENT_BYTES_PER_CONTACT[step] / 2
+
+
 PLAN_HEADER = "slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
 GOOD_ROW = "3,sat-a,gs-a,45.0,500\n"
 # one row per kind of line error, in the order they are checked within a line
@@ -334,6 +479,10 @@ class TestContactPlanErrorOrder:
         got = self.read(tmp_path, "3,ghost,gs-a,45.0,500\n", GOOD_ROW, "4,sat-a,gs-a,45.0,500\n",
                         PARSE_ROW)
         assert got == f"line 5: {PARSE}"
+
+    def test_a_slot_beyond_64_bits_is_outside_the_horizon_at_its_line(self, tmp_path):
+        got = self.read(tmp_path, GOOD_ROW, f"{2 ** 63},sat-a,gs-a,45.0,500\n", PARSE_ROW)
+        assert got == f"line 3: slot {2 ** 63} outside [0, 10)"
 
     def test_blank_lines_are_skipped_but_counted(self, tmp_path):
         assert self.read(tmp_path, "\n", GOOD_ROW, "\n", "\n", RATE_ROW) == f"line 6: {RATE}"
