@@ -11,8 +11,8 @@ service_latency and downlink_cost are the one formula for what moving MB
 from a station to a data center takes and costs. The broker's edge weights
 and data-center choice, the baselines' prices and the engine's downlink
 records all read them, so what a policy priced is what the run books; only
-the brute-force oracle (scheduler._triple_contribution) derives the same
-terms again, on purpose, to check the weights.
+the brute-force test oracle in tests/oracle.py derives the same terms again,
+on purpose, to check the weights.
 
 A DownlinkRecord is a NamedTuple whose fields from satellite_id on are the
 records CSV's columns between policy and q_after, in order: write_run_csv

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 MB_PER_MIN_PER_GBPS = 7500.0  # 1e9 bits/s / 8 / 1e6 bytes-per-MB * 60 s/min
@@ -121,10 +121,6 @@ class DataCenter:
     intensity_min_per_mb: float  # minutes of processing per MB
 
 
-SIM_FIELDS = ("tau", "horizon", "xi", "v", "seed", "policy", "policy_params",
-              "elevation_mask_deg", "r_max", "noise", "contact_plan_path")
-
-
 @dataclass(frozen=True)
 class Scenario:
     satellites: tuple[Satellite, ...]
@@ -153,6 +149,10 @@ class Scenario:
             "data_centers": [asdict(d) for d in self.data_centers],
             "sim": {name: getattr(self, name) for name in SIM_FIELDS},
         }
+
+
+# every field after the satellites, stations and data centers, in order
+SIM_FIELDS = tuple(f.name for f in fields(Scenario))[3:]
 
 
 # ---------------------------------------------------------------------------

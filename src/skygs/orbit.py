@@ -14,16 +14,19 @@ slot_contacts. `sat` and `gs` are positions in the table's sorted satellite
 and station ids, the order of scheduler.ScenarioArrays, so every policy reads
 a slot's rows as they stand.
 
-The propagator evaluates elevation only on the (station, slot) cells inside
-each satellite's visibility cone: the Earth-central angle between station and
-sub-satellite point is at most lambda_max = 90 - mask - asin(k cos mask)
-degrees, k = R / (R + h) (Wertz & Larson, Space Mission Analysis and Design,
-3rd ed., sec. 5.2). A cell is a candidate when the dot product of the two
-unit vectors is at least cos(lambda_max) - CONE_MARGIN. The margin dwarfs
-the rounding of either test, so `elevation >= mask` on the candidates picks
-exactly the contacts that testing every cell would. Contact plans are written
-from the columns in blocks and read straight into typed columns, so no path
-holds a Python object per contact.
+A (satellite, station, slot) cell is a contact when its elevation is at or
+above the mask and above 0 degrees, so its rate r_max sin(elevation) is
+positive even at a 0-degree mask. The propagator evaluates elevation only on
+the (station, slot) cells inside each satellite's visibility cone: the
+Earth-central angle between station and sub-satellite point is at most
+lambda_max = 90 - mask - asin(k cos mask) degrees, k = R / (R + h) (Wertz &
+Larson, Space Mission Analysis and Design, 3rd ed., sec. 5.2). A cell is a
+candidate when the dot product of the two unit vectors is at least
+cos(lambda_max) - CONE_MARGIN. The margin dwarfs the rounding of either test,
+so the elevation test on the candidates picks exactly the contacts that
+testing every cell would. Contact plans are written from the columns in blocks
+and read straight into typed columns, so no path holds a Python object per
+contact.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ def _propagate_contacts(scenario: Scenario) -> ContactTable:
 
 def _visible_cells(scenario: Scenario) -> tuple[np.ndarray, ...]:
     """Slot, satellite and station positions in the scenario file, and
-    elevation, of every (satellite, station, slot) cell at or above the mask."""
+    elevation, of every (satellite, station, slot) cell that is a contact."""
     t_mid = (np.arange(scenario.horizon) + 0.5) * scenario.tau
     mask = scenario.elevation_mask_deg
     gs_lat = np.array([g.lat_deg for g in scenario.ground_stations])
@@ -237,7 +240,7 @@ def _visible_cells(scenario: Scenario) -> tuple[np.ndarray, ...]:
         cos_angle = sum(g * s for g, s in zip(gs_unit, _unit_vectors(lat, lon)))
         gi, t = np.nonzero(cos_angle >= math.cos(math.radians(cap_deg)) - CONE_MARGIN)
         el = elevation_deg(lat[t], lon[t], sat.altitude_km, gs_lat[gi], gs_lon[gi])
-        seen = el >= mask
+        seen = (el >= mask) & (el > 0.0)
         columns.append((t[seen], np.full(np.count_nonzero(seen), si), gi[seen], el[seen]))
     return tuple(np.concatenate(c) for c in zip(*columns))
 

@@ -1,4 +1,4 @@
-"""Per-slot broker: drift-plus-penalty edge weights, bipartite matching, oracle.
+"""Per-slot broker: drift-plus-penalty edge weights and bipartite matching.
 
 Each slot builds a weighted bipartite graph with one left node per satellite
 and right nodes for every real antenna plus one private virtual antenna per
@@ -50,9 +50,6 @@ stations where one of them gains, and their own virtual antennas. No minimum
 matching uses another real cell, so the total weight is still the minimum. An
 exact tie between a satellite's best edge and its virtual antenna goes to "do
 not downlink".
-
-brute_force_schedule enumerates every feasible assignment on small instances
-and is the test oracle for the matching path.
 """
 
 from __future__ import annotations
@@ -63,18 +60,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from skygs import accounting, hungarian, queues
+from skygs import accounting, hungarian
 from skygs.model import Scenario, write_csv
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
-
-BRUTE_FORCE_MAX_VISIBLE = 6
-BRUTE_FORCE_MAX_ANTENNAS = 6
-BRUTE_FORCE_MAX_DCS = 4
-
-
-class InstanceTooLargeError(ValueError):
-    """brute_force_schedule refuses instances above its enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -268,12 +257,11 @@ def _edge_terms(backlog: np.ndarray, gi: np.ndarray, rate: np.ndarray, q: float,
 
 def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
                     scenario: Scenario, table: ContactTable,
-                    arrays: ScenarioArrays | None = None) -> SlotGraph:
+                    arrays: ScenarioArrays) -> SlotGraph:
     """The broker's slot graph: drift-plus-penalty edges, zero-weight virtuals.
 
     Every edge of the slot is computed in one pass over the slot's table rows.
     """
-    arrays = arrays or ScenarioArrays.from_scenario(scenario)
     si, gi, rate = table.slot_contacts(slot)
     backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
     weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
@@ -361,83 +349,3 @@ def check_assignment(assignment: Assignment, arrays: ScenarioArrays,
         if not 0 <= tr.dc < n_d:
             violations.append(f"unknown data center position {tr.dc} (scenario has {n_d})")
     return violations
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def _triple_contribution(state: SatelliteState, rate: float, gi: int, di: int,
-                         q: float, scenario: Scenario, arrays: ScenarioArrays) -> float:
-    """Objective contribution of one assigned satellite, evaluated directly.
-
-    Drift-plus-penalty of L = sum(B^2) / 2 + Q^2 / (2 tau xi): V times the
-    slot's cost, the backlog drift of the downlink, and Q's drift from the
-    change the downlink makes to the slot's queue input against holding the
-    data onboard.
-    """
-    tau, xi = scenario.tau, scenario.xi
-    backlog = state.total_mb
-    dtil = min(rate * tau, backlog)
-    service = dtil / rate + dtil / arrays.backhaul[gi, di] + arrays.dc_kappa[di] * dtil
-    cost = arrays.price_slot[gi] + arrays.dc_price[di] * arrays.dc_kappa[di] * dtil
-    sent = queues.latency_accrual(backlog - dtil, service, 0.0, tau, xi)
-    held = queues.latency_accrual(backlog, 0.0, 0.0, tau, xi)
-    return scenario.v * cost - backlog * dtil + q * (sent - held) / (tau * xi)
-
-
-def brute_force_schedule(states: dict[str, SatelliteState], q: float, slot: int,
-                         scenario: Scenario, table: ContactTable) -> tuple[Assignment, float]:
-    """Exhaustive minimizer over all feasible assignments (test oracle only)."""
-    arrays = ScenarioArrays.from_scenario(scenario)
-    row_sat, row_gs, row_rate = (c.tolist() for c in table.slot_contacts(slot))
-    visible = sorted(set(row_sat))
-    n_real = arrays.n_real_antennas
-    if len(visible) > BRUTE_FORCE_MAX_VISIBLE:
-        raise InstanceTooLargeError(f"{len(visible)} visible satellites > "
-                                    f"{BRUTE_FORCE_MAX_VISIBLE}")
-    if n_real > BRUTE_FORCE_MAX_ANTENNAS:
-        raise InstanceTooLargeError(f"{n_real} antennas > {BRUTE_FORCE_MAX_ANTENNAS}")
-    if len(arrays.dc_ids) > BRUTE_FORCE_MAX_DCS:
-        raise InstanceTooLargeError(f"{len(arrays.dc_ids)} data centers > "
-                                    f"{BRUTE_FORCE_MAX_DCS}")
-
-    # sat position -> [(ant col, dc pos, rate, table row)]
-    options: dict[int, list[tuple[int, int, float, int]]] = {s: [] for s in visible}
-    for k, s, g_pos, rate in zip(table.slot_rows(slot), row_sat, row_gs, row_rate):
-        c0 = int(arrays.station_col0[g_pos])
-        for a in range(int(arrays.antenna_counts[g_pos])):
-            for d_pos in range(len(arrays.dc_ids)):
-                options[s].append((c0 + a, d_pos, rate, k))
-
-    best_obj = np.inf
-    best_choice: dict[int, tuple[int, int, float, int]] = {}
-
-    def recurse(idx: int, used: set[int], obj: float, choice: dict):
-        nonlocal best_obj, best_choice
-        if idx == len(visible):
-            if obj < best_obj:
-                best_obj = obj
-                best_choice = dict(choice)
-            return
-        s = visible[idx]
-        recurse(idx + 1, used, obj, choice)  # virtual: contributes 0
-        state = states[arrays.sat_ids[s]]
-        for ant_col, d_pos, rate, k in options[s]:
-            if ant_col in used:
-                continue
-            gi = int(arrays.antenna_station[ant_col])
-            contrib = _triple_contribution(state, rate, gi, d_pos, q, scenario, arrays)
-            used.add(ant_col)
-            choice[s] = (ant_col, d_pos, rate, k)
-            recurse(idx + 1, used, obj + contrib, choice)
-            used.discard(ant_col)
-            del choice[s]
-
-    recurse(0, set(), 0.0, {})
-
-    triples = []
-    for s, (ant_col, d_pos, _, k) in sorted(best_choice.items()):
-        triples.append(AssignmentTriple(contact=k, antenna=int(arrays.antenna_no[ant_col]),
-                                        dc=d_pos))
-    return Assignment(slot=slot, triples=tuple(triples)), float(best_obj)

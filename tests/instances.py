@@ -4,10 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from oracle import brute_force_schedule
 from skygs.model import validate_scenario
 from skygs.orbit import Contact, ContactTable
 from skygs.queues import SatelliteState, advance_backlog
-from skygs.scheduler import brute_force_schedule, build_bipartite, hungarian_min_matching
+from skygs.scheduler import ScenarioArrays, build_bipartite, hungarian_min_matching
 
 
 def make_scenario(n_sats=2, stations=((2, 22.0),), n_dcs=2, v=0.0, xi=60.0,
@@ -63,7 +64,8 @@ def named(triple, table, scenario):
 
 def schedule_slot(states, q, slot, scenario, table):
     """The broker's (assignment, objective) at one slot."""
-    return hungarian_min_matching(build_bipartite(states, q, slot, scenario, table))
+    return hungarian_min_matching(build_bipartite(states, q, slot, scenario, table,
+                                                  ScenarioArrays.from_scenario(scenario)))
 
 
 def table_for(scenario, contacts, slot=0):
@@ -78,6 +80,11 @@ def states_for(scenario, backlogs):
             advance_backlog(st, size, arrival)
         out[sat.id] = st
     return out
+
+
+def backlogs_of(states):
+    """Each satellite's backlog in MB by id, as the oracle takes it."""
+    return {sat_id: state.total_mb for sat_id, state in states.items()}
 
 
 def random_instance(rng, max_sats=4, max_antennas=4, max_dcs=3):
@@ -126,5 +133,5 @@ def oracle_agreement(seed):
     rng = np.random.default_rng(seed)
     scenario, table, states, slot, q = random_instance(rng)
     _, fast = schedule_slot(states, q, slot, scenario, table)
-    _, exact = brute_force_schedule(states, q, slot, scenario, table)
+    _, exact = brute_force_schedule(backlogs_of(states), q, slot, scenario, table)
     return fast, exact

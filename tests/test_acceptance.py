@@ -209,9 +209,15 @@ def test_criterion_8_queue_stability(desk, tuned_v):
 def test_criterion_9_determinism(desk, tuned_v, tmp_path):
     # two independent executions: fresh interpreter processes driving the CLI
     import json
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import skygs
+
+    # the children import the same skygs as this process
+    env = {**os.environ, "PYTHONPATH": str(Path(skygs.__file__).resolve().parents[1])}
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(desk_scenario(seed=1, v=tuned_v)))
     digests = []
@@ -220,7 +226,7 @@ def test_criterion_9_determinism(desk, tuned_v, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "skygs.cli", "simulate",
              "--scenario", str(scenario_path), "--out", str(out_dir)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         csv_bytes = (out_dir / "records_skygs_seed1.csv").read_bytes()
         json_bytes = (out_dir / "summary_skygs_seed1.json").read_bytes()

@@ -260,7 +260,8 @@ def test_broker_reaches_the_minimum_on_the_all_backlogged_full_scale_slot():
     states = states_for(scenario, {sat.id: [(-k, float(rng.uniform(100, 2000)))
                                             for k in range(30)]
                                    for sat in scenario.satellites})
-    graph = build_bipartite(states, 123.0, 0, scenario, table)
+    graph = build_bipartite(states, 123.0, 0, scenario, table,
+                            ScenarioArrays.from_scenario(scenario))
     assert len(np.unique(graph.edge_sat[graph.edge_w < 0.0])) > 60  # kernel rows
     assignment, objective = hungarian_min_matching(graph)
     cols = graph_col4row(graph, assignment)

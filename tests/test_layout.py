@@ -6,6 +6,11 @@ backlog's chunks (`DataChunk`, `.chunks`) are named only in queues.py, where
 advance_backlog, actual_downlink, queuing_latency and
 SatelliteState.oldest_arrival_slot read them, and accounting.py does not
 import queues.
+
+The brute-force oracle in tests/oracle.py re-derives the broker's slot
+objective on its own: it reads the scenario's arrays and the assignment types
+from scheduler, and imports neither accounting nor queues, the modules that
+compute the terms it checks.
 """
 
 import ast
@@ -14,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "skygs"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "skygs"
 
 OWNED = [(r"\bslot_ptr\b", "orbit.py"), (r"\bDataChunk\b", "queues.py"),
          (r"\.chunks\b", "queues.py")]
@@ -29,13 +35,28 @@ def test_layout_is_named_only_in_its_module(pattern, owner):
     assert outside == []
 
 
-def test_accounting_does_not_import_queues():
-    tree = ast.parse((SRC / "accounting.py").read_text(encoding="utf-8"))
+def imported_names(path):
+    """Every module a file imports, and each name it imports from one as
+    module.name."""
     names = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
             names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_accounting_does_not_import_queues():
+    names = imported_names(SRC / "accounting.py")
     assert [name for name in names if "queues" in name.split(".")] == []
+
+
+def test_oracle_imports_only_the_types_it_checks():
+    names = imported_names(TESTS / "oracle.py")
+    assert [name for name in names
+            if {"accounting", "queues"} & set(name.split("."))] == []
+    assert sorted(name for name in names if name.startswith("skygs.scheduler.")) == [
+        "skygs.scheduler.Assignment", "skygs.scheduler.AssignmentTriple",
+        "skygs.scheduler.ScenarioArrays"]

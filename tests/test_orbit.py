@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skygs import orbit, rng
+from skygs.cli import main
 from skygs.model import Satellite, validate_scenario
 from skygs.orbit import (EARTH_ROT_DEG_PER_MIN, Contact, ContactPlanError, ContactTable,
                          build_contact_table, elevation_deg, orbital_period_minutes,
@@ -163,6 +165,21 @@ class TestContactTable:
         table = build_contact_table(sc)
         assert table.all_contacts() == []
 
+    def test_cell_at_zero_degrees_is_no_contact_at_a_zero_mask(self, tmp_path):
+        # the satellite's slot-0 elevation from this station is exactly 0.0,
+        # where the rate r_max * sin(0) would be 0
+        sat = {**sat_raw(incl=0.0), "altitude_km": 300.0}
+        station = gs_raw(lat=17.248205625855196, lon=1.8663630035668461)
+        raw = scenario_raw([sat], [station], horizon=1, mask=0.0)
+        sc = validate_scenario(raw)
+        lat, lon = subsatellite_point(sc.satellites[0], 0.5 * sc.tau)
+        assert elevation_deg(lat, lon, 300.0, station["lat_deg"], station["lon_deg"]) == 0.0
+        assert len(build_contact_table(sc).sat) == 0
+        path, out = tmp_path / "zero.json", tmp_path / "plan.csv"
+        path.write_text(json.dumps(raw))
+        assert main(["gen-contacts", "--scenario", str(path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [",".join(orbit.CONTACT_PLAN_HEADER)]
+
     def test_polar_orbit_seen_at_equator_station(self):
         sc = validate_scenario(scenario_raw([sat_raw(incl=97.4)], [gs_raw(lat=0.0)]))
         table = build_contact_table(sc)
@@ -294,7 +311,8 @@ class TestContactPlanFile:
 def brute_force_table(sc):
     """The scenario's contact table from elevation_deg over every (satellite,
     station, slot) cell, one elevation call per satellite broadcast over the
-    stations, and the noise of each satellite's contacts in its own call."""
+    stations, and the noise of each satellite's contacts in its own call. A
+    contact is a cell at or above the mask and above 0 degrees."""
     sat_ids, gs_ids = scenario_ids(sc)
     t_mid = (np.arange(sc.horizon) + 0.5) * sc.tau
     gs_lat = np.array([[g.lat_deg] for g in sc.ground_stations])
@@ -304,7 +322,7 @@ def brute_force_table(sc):
     for si, sat in enumerate(sc.satellites):
         lat, lon = subsatellite_point(sat, t_mid)
         el = elevation_deg(lat, lon, sat.altitude_km, gs_lat, gs_lon)
-        gi, t = np.nonzero(el >= sc.elevation_mask_deg)
+        gi, t = np.nonzero((el >= sc.elevation_mask_deg) & (el > 0.0))
         noise = rng.uniform_at(sc.seed, rng.TAG_RATE_NOISE, (si, gi), t, *sc.noise)
         el = el[gi, t]
         columns.append((t, np.full(len(t), sat_ids.index(sat.id)), gs_pos[gi], el,
@@ -318,9 +336,8 @@ def table_bytes(table):
 
 
 def build_outcome(build, sc):
-    """The table's column bytes, or the ValueError that building it raised: at
-    a 0-degree mask a contact at exactly 0 degrees has rate 0, which the table
-    rejects."""
+    """The table's column bytes, or the ValueError that building it raised,
+    so that two builds which fail must fail alike."""
     try:
         return table_bytes(build(sc))
     except ValueError as exc:

@@ -3,19 +3,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instances import (contact_table, make_scenario, named, oracle_agreement,
+from instances import (backlogs_of, contact_table, make_scenario, named, oracle_agreement,
                        random_instance, schedule_slot, states_for, table_for)
+from oracle import InstanceTooLargeError, _triple_contribution, brute_force_schedule
 from skygs import hungarian
 from skygs.orbit import Contact
-from skygs.scheduler import (Assignment, AssignmentTriple, InstanceTooLargeError,
-                             ScenarioArrays, _triple_contribution, brute_force_schedule,
-                             build_bipartite, check_assignment, hungarian_min_matching)
+from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, build_bipartite,
+                             check_assignment, hungarian_min_matching)
 
 
 def edge(sc, table, states, q, si=0, gi=0):
     """The candidate edge (satellite position si, station position gi) of the
     broker's slot-0 graph."""
-    return build_bipartite(states, q, 0, sc, table).candidates[(si, gi)]
+    return build_bipartite(states, q, 0, sc, table,
+                           ScenarioArrays.from_scenario(sc)).candidates[(si, gi)]
 
 
 class TestEdgeWeight:
@@ -66,7 +67,8 @@ class TestBuildBipartite:
     def test_no_contacts_all_virtual(self):
         sc = make_scenario(n_sats=3)
         table = table_for(sc, [])
-        graph = build_bipartite(states_for(sc, {}), 0.0, 0, sc, table)
+        graph = build_bipartite(states_for(sc, {}), 0.0, 0, sc, table,
+                                ScenarioArrays.from_scenario(sc))
         assert graph.edge_row.dtype == np.int64  # indexes table.sat, even when empty
         assignment, objective = hungarian_min_matching(graph)
         assert assignment.triples == ()
@@ -76,7 +78,7 @@ class TestBuildBipartite:
         sc = make_scenario(n_sats=1, stations=((2, 22.0),))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        graph = build_bipartite(states, 0.0, 0, sc, table)
+        graph = build_bipartite(states, 0.0, 0, sc, table, ScenarioArrays.from_scenario(sc))
         assert graph.weights.shape == (1, 3)  # 2 real antennas + 1 virtual
         assert graph.weights[0, 0] == graph.weights[0, 1]
         assert graph.weights[0, 2] == 0.0
@@ -85,7 +87,7 @@ class TestBuildBipartite:
         sc = make_scenario(n_sats=2, stations=((1, 22.0),))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 100.0)]})
-        graph = build_bipartite(states, 0.0, 0, sc, table)
+        graph = build_bipartite(states, 0.0, 0, sc, table, ScenarioArrays.from_scenario(sc))
         big = graph.weights.max()
         assert graph.weights[1, 0] == big  # no contact for sat-1
         assert graph.weights[1, 2] == 0.0  # its own virtual
@@ -124,7 +126,7 @@ def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
         return kernel(cost)
 
     monkeypatch.setattr(hungarian, "min_cost_assignment", spy)
-    graph = build_bipartite(states, 0.0, 0, sc, table)
+    graph = build_bipartite(states, 0.0, 0, sc, table, ScenarioArrays.from_scenario(sc))
     n_real = graph.n_real
     gains = (graph.weights[:, :n_real] < 0.0).any(axis=1)
     assert gains.tolist() == [True, True, False, False]
@@ -186,14 +188,14 @@ class TestBruteForce:
     def test_empty_instance(self):
         sc = make_scenario(n_sats=1)
         table = table_for(sc, [])
-        assignment, objective = brute_force_schedule(states_for(sc, {}), 0.0, 0, sc, table)
+        assignment, objective = brute_force_schedule({"sat-0": 0.0}, 0.0, 0, sc, table)
         assert assignment.triples == () and objective == 0.0
 
     def test_three_way_enumeration(self):
         sc = make_scenario(n_sats=1, stations=((1, 22.0),), n_dcs=2, v=1.0)
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        assignment, objective = brute_force_schedule(states, 0.0, 0, sc, table)
+        assignment, objective = brute_force_schedule(backlogs_of(states), 0.0, 0, sc, table)
         # oracle must match the matcher exactly on this trivial instance
         _, matched = schedule_slot(states, 0.0, 0, sc, table)
         assert objective == pytest.approx(matched, rel=1e-12)
@@ -202,7 +204,7 @@ class TestBruteForce:
         sc = make_scenario(n_sats=1, stations=((4, 22.0), (4, 22.0)))
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         with pytest.raises(InstanceTooLargeError):
-            brute_force_schedule(states_for(sc, {}), 0.0, 0, sc, table)
+            brute_force_schedule({"sat-0": 0.0}, 0.0, 0, sc, table)
 
 
 @settings(max_examples=120, deadline=None)
@@ -240,7 +242,8 @@ def test_constant_shift_invariance(seed):
     """
     rng = np.random.default_rng(seed)
     scenario, table, states, slot, q = random_instance(rng)
-    graph = build_bipartite(states, q, slot, scenario, table)
+    graph = build_bipartite(states, q, slot, scenario, table,
+                            ScenarioArrays.from_scenario(scenario))
     base_cols = hungarian.min_cost_assignment(graph.weights)
     shifted = graph.weights.copy()
     n_sats = len(graph.arrays.sat_ids)
@@ -262,21 +265,21 @@ def test_scalar_and_vectorized_weights_agree(seed):
     each edge's downlink, at a data center no other one beats."""
     rng = np.random.default_rng(seed)
     scenario, table, states, slot, q = random_instance(rng)
-    graph = build_bipartite(states, q, slot, scenario, table)
+    graph = build_bipartite(states, q, slot, scenario, table,
+                            ScenarioArrays.from_scenario(scenario))
     arrays = graph.arrays
     for si, gi, rate in zip(*(c.tolist() for c in table.slot_contacts(slot))):
-        state = states[arrays.sat_ids[si]]
+        backlog = states[arrays.sat_ids[si]].total_mb
         batched = graph.candidates[(si, gi)]
-        scalar = [_triple_contribution(state, rate, gi, d, q, scenario, arrays)
+        scalar = [_triple_contribution(backlog, rate, gi, d, q, scenario, arrays)
                   for d in range(len(arrays.dc_ids))]
         # the scalar form cancels terms as large as Q * backlog / xi
         cost = arrays.price_slot[gi] + (arrays.dc_price * arrays.dc_kappa).max() * batched.dtil_mb
-        tol = 1e-12 * (scenario.v * cost + (state.total_mb + q / scenario.xi) * state.total_mb
-                       + 1.0)
+        tol = 1e-12 * (scenario.v * cost + (backlog + q / scenario.xi) * backlog + 1.0)
         assert batched.weight == pytest.approx(
             scalar[arrays.dc_ids.index(batched.data_center_id)], abs=tol)
         assert batched.weight <= min(scalar) + tol
-        assert batched.dtil_mb == min(rate * scenario.tau, state.total_mb)
+        assert batched.dtil_mb == min(rate * scenario.tau, backlog)
         col = int(arrays.station_col0[gi])
         assert graph.weights[si, col] == batched.weight
 
@@ -291,7 +294,7 @@ def test_q_dominant_limit_matches_oracle():
                       slot=50)
     states = states_for(sc, {"sat-0": [(0, 900.0)], "sat-1": [(49, 900.0)]})
     assignment, fast = schedule_slot(states, 1e9, 50, sc, table)
-    oracle_assignment, exact = brute_force_schedule(states, 1e9, 50, sc, table)
+    oracle_assignment, exact = brute_force_schedule(backlogs_of(states), 1e9, 50, sc, table)
     assert fast == pytest.approx(exact, rel=1e-9)
     assert named(assignment.triples[0], table, sc).satellite == "sat-1"
     assert named(oracle_assignment.triples[0], table, sc).satellite == "sat-1"
@@ -310,4 +313,5 @@ def test_large_q_downlinks_backlog_older_than_threshold(q):
     assignment, _ = schedule_slot(states, q, 200, sc, table)
     assert [named(tr, table, sc).satellite for tr in assignment.triples] == ["sat-0"]
     assert assignment.triples[0].contact == 0
-    assert build_bipartite(states, q, 200, sc, table).candidates[(0, 0)].dtil_mb == 900.0
+    graph = build_bipartite(states, q, 200, sc, table, ScenarioArrays.from_scenario(sc))
+    assert graph.candidates[(0, 0)].dtil_mb == 900.0
