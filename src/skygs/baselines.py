@@ -115,31 +115,39 @@ class SGPolicy(_GreedyCore):
 
 
 class BRPolicy:
+    """Uniform random choices, drawn for the whole horizon at set-up.
+
+    Draw row [slot, :, s] holds satellite position s's (sorted ids) order key,
+    contact pick and data-center pick for that slot: backlogged satellites are
+    served in ascending key order, each taking a uniform free antenna in view
+    and a uniform data center. Every slot and satellite has its own draws.
+    """
+
     name = "br"
 
     def __init__(self, scenario: Scenario):
         self.arrays = ScenarioArrays.from_scenario(scenario)
-        self.scenario = scenario
+        n_s, horizon = len(self.arrays.sat_ids), scenario.horizon
+        self.draws = rng.uniform_at(scenario.seed, rng.TAG_BR_POLICY, (),
+                                    np.arange(3 * n_s * horizon)).reshape(horizon, 3, n_s)
 
     def schedule(self, states, q, slot, table):
         arrays = self.arrays
-        gen = rng.stream(self.scenario.seed, rng.TAG_BR_POLICY, slot)
-        # satellite positions follow the sorted ids
+        key, pick, dc_pick = self.draws[slot].tolist()
+        n_d = len(arrays.dc_ids)
         eligible = [si for si, sat_id in enumerate(arrays.sat_ids) if states[sat_id].total_mb > 0]
-        order = [eligible[i] for i in gen.permutation(len(eligible))]
         free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
         links = _slot_links(table, slot)
         triples: list[AssignmentTriple] = []
-        for si in order:
+        for si in sorted(eligible, key=key.__getitem__):
             # one entry per free compatible antenna
             choices = [(g_pos, k, antenna) for g_pos, _, k in links.get(si, ())
                        for antenna in free[g_pos]]
             if not choices:
                 continue
-            g_pos, k, antenna = choices[int(gen.integers(len(choices)))]
+            g_pos, k, antenna = choices[int(pick[si] * len(choices))]
             free[g_pos].remove(antenna)
-            triples.append(AssignmentTriple(contact=k, antenna=antenna,
-                                            dc=int(gen.integers(len(arrays.dc_ids)))))
+            triples.append(AssignmentTriple(contact=k, antenna=antenna, dc=int(dc_pick[si] * n_d)))
         triples.sort(key=lambda tr: tr.contact)
         return Assignment(slot=slot, triples=tuple(triples))
 

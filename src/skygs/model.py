@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -55,7 +56,7 @@ def _parse_with_units(value: Any, units: Mapping[str, float], what: str, where: 
     if isinstance(value, bool):
         raise ScenarioError(f"{where}: {what} must be a number or unit string")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _as_number(value, where)
     if isinstance(value, str):
         parts = value.split()
         if len(parts) == 2:
@@ -68,7 +69,7 @@ def _parse_with_units(value: Any, units: Mapping[str, float], what: str, where: 
                 raise ScenarioError(
                     f"{where}: unknown {what} unit {parts[1]!r} (expected one of {sorted(units)})"
                 )
-            return magnitude * factor
+            return _as_number(magnitude * factor, where)
     raise ScenarioError(f"{where}: cannot parse {what} {value!r}")
 
 
@@ -165,14 +166,17 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _as_number(value: Any, where: str) -> float:
+    """value as a float; json also reads Infinity, NaN and 1e999, which are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: must be finite, got {value!r}")
     return float(value)
 
 
 def _volume_range(raw: Any, where: str) -> tuple[float, float]:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        lo = hi = float(raw)
+        lo = hi = _as_number(raw, where)
     elif isinstance(raw, (list, tuple)) and len(raw) == 2:
         lo = _as_number(raw[0], where)
         hi = _as_number(raw[1], where)

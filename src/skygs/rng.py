@@ -2,24 +2,21 @@
 
 Every stochastic quantity in a run (link noise, arrival gating, per-satellite
 daily volume, the random baseline's choices) is drawn from its own Philox
-stream keyed by the master seed, a purpose tag, and the entity/slot indices.
+stream keyed by the master seed, a purpose tag, and the entity indices.
 Draws therefore never depend on scheduling decisions or call order, which is
 what makes paired policy comparisons on identical sample paths possible.
 
 Philox is counter-based: a draw is a pure function of its stream and its
 index (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
-So one primitive, uniform_at, draws any set of (stream, index) cells in one
-call, vectorised over blocks of UNIFORM_BLOCK cells, and set-up draws its link
-noise, daily volumes and arrival masks with it. stream returns numpy's
-Generator over the same stream, kept for the random baseline, which needs its
-permutation and integers.
+So the one primitive, uniform_at, draws any set of (stream, index) cells in
+one call, vectorised over blocks of UNIFORM_BLOCK cells. Set-up draws its link
+noise, daily volumes and arrival masks with it, and the random baseline draws
+its whole horizon's choices with it at distinct indices of one stream.
 
 The streams are not independent, though: the first id shares Philox
 counter[0] with the draw counter, so streams whose first ids differ by n
-are the same sequence shifted by 4n draws (see stream). uniform_at keeps
-that counter layout, so its draws overlap the same way. ROADMAP item 4b
-moves the ids out of counter[0] and keys entities by id; for set-up's draws
-that is an edit to uniform_at alone.
+are the same sequence shifted by 4n draws. ROADMAP item 4b moves the ids out
+of counter[0] and keys entities by id, an edit to uniform_at alone.
 """
 
 from __future__ import annotations
@@ -45,28 +42,6 @@ _PHILOX_ROUNDS = 10
 UNIFORM_BLOCK = 2048
 
 
-def stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
-    """Generator for the (tag, *ids) stream under a master seed.
-
-    Up to three identifying integers are placed in the Philox counter block.
-    Distinct (tag, ids) streams can overlap: ids[0] sits in counter[0], which
-    also advances by one per block of four draws, so the stream for
-    ids[0] = i + 1 is the stream for i without its first four draws. The
-    arrival masks of satellites 0 and 1 share 1,436 of their 1,440 draws
-    this way, and the rate noise of (satellite 1, station g) at slot t equals
-    that of (satellite 0, station g) at slot t + 4. ROADMAP item 4b is the fix.
-    """
-    if len(ids) > 3:
-        raise ValueError("at most three stream ids supported")
-    counter = [0, 0, 0, 0]
-    for k, ident in enumerate(ids):
-        counter[k] = int(ident) & _MASK64
-    key = [int(seed) & _MASK64, int(tag) & _MASK64]
-    # uint64 arrays: numpy casts a list holding an int >= 2**63 through float64
-    return np.random.Generator(np.random.Philox(counter=np.array(counter, dtype=np.uint64),
-                                                key=np.array(key, dtype=np.uint64)))
-
-
 def _mulhilo(multiplier: tuple[np.uint64, np.uint64, np.uint64],
              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products multiplier * x."""
@@ -79,15 +54,16 @@ def _mulhilo(multiplier: tuple[np.uint64, np.uint64, np.uint64],
 
 def uniform_at(seed: int, tag: int, ids: tuple[np.ndarray | int, ...], t: np.ndarray | int,
                lo: np.ndarray | float = 0.0, hi: np.ndarray | float = 1.0) -> np.ndarray:
-    """Draw t of stream(seed, tag, *ids), scaled to [lo, hi), for every cell.
+    """Draw t of the (seed, tag, *ids) stream, scaled to [lo, hi), for every cell.
 
     ids (up to three) and t are non-negative integer arrays broadcast against
-    each other; lo and hi broadcast too. Equal, bit for bit, to
-    lo + (hi - lo) * stream(seed, tag, *ids).random(t + 1)[t] per cell: draw t
-    is word t % 4 of the Philox block at counter (ids, 0) + 1 + t // 4, the
-    addition carrying into the higher counter words as numpy's does. The cells
-    go through the kernel UNIFORM_BLOCK at a time, so its temporaries stay
-    under half a MB however many cells there are.
+    each other; lo and hi broadcast too. Equal, bit for bit, to draw t of
+    numpy's Generator(Philox(key=(seed, tag), counter=(*ids, 0...))).random
+    scaled the same way: draw t is word t % 4 of the Philox block at counter
+    (ids, 0) + 1 + t // 4, the addition carrying into the higher counter
+    words as numpy's does. The cells go through the kernel UNIFORM_BLOCK at
+    a time, so its temporaries stay under half a MB however many cells
+    there are.
     """
     if len(ids) > 3:
         raise ValueError("at most three stream ids supported")

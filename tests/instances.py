@@ -87,6 +87,16 @@ def backlogs_of(states):
     return {sat_id: state.total_mb for sat_id, state in states.items()}
 
 
+def philox_stream(seed, tag, *ids):
+    """numpy's own Generator over the (seed, tag, *ids) stream that
+    rng.uniform_at draws by address: key (seed, tag), up to three ids in the
+    counter words from the first."""
+    counter = [int(i) for i in ids] + [0] * (4 - len(ids))
+    # uint64 arrays: numpy casts a list holding an int >= 2**63 through float64
+    return np.random.Generator(np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                                                key=np.array([seed, tag], dtype=np.uint64)))
+
+
 def random_instance(rng, max_sats=4, max_antennas=4, max_dcs=3):
     """Random guarded slot instance: scenario, contact table, states, slot, Q."""
     n_sats = int(rng.integers(1, max_sats + 1))

@@ -141,6 +141,18 @@ class TestBWG:
 
 
 class TestBR:
+    @staticmethod
+    def every_slot(stations, n_sats, n_dcs, n):
+        """An n-slot world in which each satellite sees each station in every
+        slot, its br policy, and states with every satellite backlogged."""
+        sc = make_scenario(stations, n_sats=n_sats, n_dcs=n_dcs)
+        sc = validate_scenario({**sc.to_json_dict(),
+                                "sim": {**sc.to_json_dict()["sim"], "horizon": n}})
+        table = contact_table(sc, [Contact(t, s.id, g.id, 45.0, 1000.0) for t in range(n)
+                                   for s in sc.satellites for g in sc.ground_stations])
+        states = states_for(sc, {s.id: [(0, 100.0)] for s in sc.satellites})
+        return BRPolicy(sc), table, states
+
     def test_no_contacts_empty(self):
         sc = make_scenario(TWO_PROVIDERS)
         table = table_for(sc, [])
@@ -161,20 +173,45 @@ class TestBR:
     def test_antenna_choice_uniform(self):
         # one satellite, one two-antenna station: ~50/50 over many slots
         # chi-square with 1 dof at p > 0.01 -> statistic below 6.635
-        sc = make_scenario([("gs-a", "p1", 2, 18.0)], n_sats=1)
         n = 10_000
-        sc = validate_scenario({**sc.to_json_dict(),
-                                "sim": {**sc.to_json_dict()["sim"], "horizon": n}})
-        table = contact_table(sc, [Contact(t, "sat-0", "gs-a", 45.0, 1000.0)
-                                   for t in range(n)])
-        policy = BRPolicy(sc)
-        states = states_for(sc, {"sat-0": [(0, 100.0)]})
+        policy, table, states = self.every_slot([("gs-a", "p1", 2, 18.0)], 1, 2, n)
         counts = [0, 0]
         for t in range(n):
             asg = policy.schedule(states, 0.0, t, table)
             counts[asg.triples[0].antenna] += 1
         chi2 = sum((c - n / 2) ** 2 / (n / 2) for c in counts)
         assert chi2 < 6.635
+
+    def test_data_center_choice_uniform(self):
+        # one satellite, four data centers: chi-square with 3 dof at p > 0.01 -> below 11.345
+        n = 8_000
+        policy, table, states = self.every_slot([("gs-a", "p1", 1, 18.0)], 1, 4, n)
+        counts = [0] * 4
+        for t in range(n):
+            counts[policy.schedule(states, 0.0, t, table).triples[0].dc] += 1
+        chi2 = sum((c - n / 4) ** 2 / (n / 4) for c in counts)
+        assert chi2 < 11.345
+
+    def test_service_order_uniform(self):
+        # two backlogged satellites contend for one antenna: each wins about half
+        # the slots; chi-square with 1 dof at p > 0.01 -> below 6.635
+        n = 8_000
+        policy, table, states = self.every_slot([("gs-a", "p1", 1, 18.0)], 2, 1, n)
+        wins = [0, 0]
+        for t in range(n):
+            [triple] = policy.schedule(states, 0.0, t, table).triples
+            wins[table.sat[triple.contact]] += 1
+        chi2 = sum((w - n / 2) ** 2 / (n / 2) for w in wins)
+        assert chi2 < 6.635
+
+    def test_consecutive_slots_share_no_draw(self):
+        # draws by address: a slot's order keys and picks are not the previous
+        # slot's shifted along one sequence
+        policy, _, _ = self.every_slot([("gs-a", "p1", 1, 18.0)], 3, 2, 500)
+        draws = policy.draws.reshape(500, -1)
+        assert draws.shape == (500, 9)
+        for t in range(499):
+            assert np.intersect1d(draws[t], draws[t + 1]).size == 0, t
 
 
 class TestIlpHpq:

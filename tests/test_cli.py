@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skygs
 from skygs.cli import main
 from skygs.scenarios import desk_scenario
+
+DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
 
 @pytest.fixture()
@@ -43,6 +50,16 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: data_centers: scheduling requires at least one data center\n")
+
+    def test_infinite_rate_exits_one(self, tmp_path, capsys):
+        # json writes and reads Infinity; simulate must not reach the contact table with it
+        raw = desk_scenario(seed=1, horizon=60)
+        raw["sim"]["r_max"] = float("inf")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert "Infinity" in path.read_text()
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: sim.r_max: must be finite, got inf\n"
 
 
 class TestGenContacts:
@@ -99,7 +116,8 @@ class TestSimulate:
                      "--v", "5000000", "--xi", "60"]) == 0
         assert (out / "summary_skygs_seed1.json").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--xi", "0"), ("--xi", "-5"), ("--v", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--xi", "0"), ("--xi", "-5"), ("--v", "-1"),
+                                             ("--v", "inf")])
     def test_invalid_override_exits_one(self, scenario_file, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
@@ -190,21 +208,22 @@ def assert_dump_reproduces_run(tmp_path, policy):
         assert matched == run_downlinks.get(t, set()), t
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("argv, package", [
     # scipy costs about 50 MB of resident memory on import; the CLI must not pay it
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import skygs
-
-    code = ("import sys, skygs.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    ([], "scipy"),
+    # every draw goes through rng.uniform_at, so no run loads numpy's generators
+    (["compare", "--scenario", str(DESK), "--policies", "skygs,sg,bg,br,bwg,ilp_hpq"],
+     "numpy.random"),
+], ids=["cli-import-no-scipy", "desk-compare-no-numpy-random"])
+def test_child_process_leaves_package_unloaded(tmp_path, argv, package):
+    code = "import sys, skygs.cli\n"
+    if argv:
+        code += f"assert skygs.cli.main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
+    code += f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))"
     src = str(Path(skygs.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestCompare:

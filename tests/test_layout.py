@@ -7,6 +7,9 @@ advance_backlog, actual_downlink, queuing_latency and
 SatelliteState.oldest_arrival_slot read them, and accounting.py does not
 import queues.
 
+Every random number is drawn by address through rng.uniform_at, so no module
+names numpy's generators (`np.random`, `numpy.random`).
+
 The brute-force oracle in tests/oracle.py re-derives the broker's slot
 objective on its own: it reads the scenario's arrays and the assignment types
 from scheduler, and imports neither accounting nor queues, the modules that
@@ -26,13 +29,21 @@ OWNED = [(r"\bslot_ptr\b", "orbit.py"), (r"\bDataChunk\b", "queues.py"),
          (r"\.chunks\b", "queues.py")]
 
 
+def lines_naming(pattern, owner=None):
+    """Every line of a src/ module other than owner that pattern matches."""
+    return [f"{path.name}:{n}: {line.strip()}" for path in sorted(SRC.glob("*.py"))
+            if path.name != owner
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
+
+
 @pytest.mark.parametrize("pattern, owner", OWNED, ids=["slot_ptr", "DataChunk", ".chunks"])
 def test_layout_is_named_only_in_its_module(pattern, owner):
-    outside = [f"{path.name}:{n}: {line.strip()}" for path in sorted(SRC.glob("*.py"))
-               if path.name != owner
-               for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-               if re.search(pattern, line)]
-    assert outside == []
+    assert lines_naming(pattern, owner) == []
+
+
+def test_no_module_names_numpy_random():
+    assert lines_naming(r"\b(np|numpy)\.random\b") == []
 
 
 def imported_names(path):

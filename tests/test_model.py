@@ -1,4 +1,6 @@
 import copy
+import math
+import re
 
 import pytest
 
@@ -184,6 +186,21 @@ class TestValidation:
         assert sc.policy_params == {}
         assert with_overrides(sc, policy="sg").policy_params == {"provider": "p1"}
         assert with_overrides(sc, policy="ilp_hpq").policy_params == {"rho": DEFAULT_RHO}
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("sim", "r_max", math.inf), ("sim", "r_max", "inf Gbps"), ("sim", "v", math.inf),
+        ("sim", "xi", math.inf), ("sim", "tau", math.inf), ("sim", "noise", [0.9, math.nan]),
+        ("sim", "backhaul_rate", "nan Gbps"), ("satellites", "altitude_km", math.inf),
+        ("satellites", "inclination_deg", math.nan), ("satellites", "daily_volume_mb", math.inf),
+        ("satellites", "daily_volume_mb", [1, math.inf]),
+        ("ground_stations", "price_per_slot", math.inf), ("ground_stations", "lon_deg", -math.inf),
+        ("data_centers", "price", "inf $/h"), ("data_centers", "intensity_min_per_mb", math.inf)])
+    def test_non_finite_number_names_its_field(self, section, field, value):
+        # json.load reads Infinity, NaN and 1e999 as floats
+        raw = tiny_raw()
+        (raw[section] if section == "sim" else raw[section][0])[field] = value
+        with pytest.raises(ScenarioError, match=re.escape(field) + r"(\[\d\])?: must be finite"):
+            validate_scenario(raw)
 
     def test_lat_lon_bounds(self):
         raw = tiny_raw()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from instances import philox_stream
 from skygs import orbit, rng
 from skygs.cli import main
 from skygs.model import Satellite, validate_scenario
@@ -92,7 +93,7 @@ def reference_noise(sc, si, gi):
     """The (satellite, station) pair's noise at every slot, from numpy's own
     generator over the pair's stream: si and gi are scenario-file positions."""
     lo, hi = sc.noise
-    return lo + (hi - lo) * rng.stream(sc.seed, rng.TAG_RATE_NOISE, si, gi).random(sc.horizon)
+    return lo + (hi - lo) * philox_stream(sc.seed, rng.TAG_RATE_NOISE, si, gi).random(sc.horizon)
 
 
 def rate_noise(seed, si, gi, n_slots, noise):

@@ -96,9 +96,9 @@ PINNED = {
     "summary_sg_seed1.json":
         "b3d7e5a1affc6a591bb74a9f15f3861b4619acb3fc9d235d3331a2881caf842e",
     "records_br_seed1.csv":
-        "ed924f624623bc70bd45e5387ffded4aa3f4444b7f8ccb05147a95eb1244065c",
+        "ac45760bee33b29428efe17628245a959b771f644a4d717e79390375f6ced471",
     "summary_br_seed1.json":
-        "11e8bf1a1849862d510215a6fd44705d81aadb4114e21d5bd4ad664f9be4ff80",
+        "731862f38ac89be40658cd3e74ee90943ab5e5a412c64a9a67b52bd5190cacd2",
     "records_bwg_seed1.csv":
         "96f14cf9bdf1af2fa106612be9eda48d9656952902ce7e3b4fd237f012b7034a",
     "summary_bwg_seed1.json":
@@ -116,7 +116,7 @@ PINNED = {
     "backhaul/summary_ilp_hpq_seed1.json":
         "1006cbc85ad30bbf6db672164a0b0cad0b17154cf3dfe4e96a8cbbc1db2d8791",
     "compare_seeds_1_2.csv":
-        "e2320ca62fd3c3b217f50cebeff8c0fe23cbce509b2eb65f3efc2742ca20f909",
+        "d13b4b21675407fd8270054cf0f74ff21ac582153f32a537d2b428853c04c6e5",
     "sweep_v.csv":
         "68ec7e899f287eaa5050062d8f93d56dd53d28928776ac7b01b3b042c71641b5",
     "weights_48":

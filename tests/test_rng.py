@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from instances import philox_stream
 from skygs import rng
 from skygs.model import validate_scenario
 from skygs.orbit import build_contact_table
@@ -12,11 +13,11 @@ from skygs.scenarios import full_scale_scenario
 
 
 def draws(seed):
-    return rng.stream(seed, rng.TAG_ARRIVAL_MASK, 3).random(8)
+    return rng.uniform_at(seed, rng.TAG_ARRIVAL_MASK, (3,), np.arange(8))
 
 
 def test_seeds_at_or_above_two_to_the_63_keep_their_own_stream():
-    # a key word >= 2**63 must reach Philox intact, not through a float64 cast
+    # a key word >= 2**63 must reach the rounds intact, not through a float64 cast
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not np.array_equal(draws(2 ** 63), draws(2 ** 63 + 5))
@@ -48,7 +49,7 @@ def cells(draw):
 def test_a_draw_by_address_is_the_streams_draw_bit_for_bit(seed, tag, cells):
     ids = tuple(np.array(col, dtype=np.uint64) for col in zip(*(i for i, _ in cells)))
     t = np.array([t for _, t in cells])
-    want = np.array([rng.stream(seed, tag, *i).random(t + 1)[t] for i, t in cells])
+    want = np.array([philox_stream(seed, tag, *i).random(t + 1)[t] for i, t in cells])
     assert rng.uniform_at(seed, tag, ids, t).tobytes() == want.tobytes()
     scaled = rng.uniform_at(seed, tag, ids, t, 0.9, 1.1)
     assert scaled.tobytes() == (0.9 + (1.1 - 0.9) * want).tobytes()
@@ -59,7 +60,7 @@ def test_ids_and_draw_indices_broadcast_to_one_row_per_stream():
     got = rng.uniform_at(5, rng.TAG_ARRIVAL_MASK, (rows[:, None],), np.arange(10))
     assert got.shape == (3, 10)
     for row, i in zip(got, rows.tolist()):
-        assert np.array_equal(row, rng.stream(5, rng.TAG_ARRIVAL_MASK, i).random(10))
+        assert np.array_equal(row, philox_stream(5, rng.TAG_ARRIVAL_MASK, i).random(10))
 
 
 def test_set_up_draws_by_address_without_a_generator(monkeypatch):
