@@ -1,21 +1,25 @@
 """Min-cost rectangular assignment (shortest augmenting path with potentials).
 
-This is the per-slot hot kernel: the shortest augmenting path algorithm with
-deterministic lowest-index tie-breaking, run on Python lists. Slot matrices
-reach it already pruned to the rows that can beat their fallback
-(scheduler.hungarian_min_matching): about 17 x 36 at full scale, and 71 x 123
-when every full-scale satellite is backlogged. At those sizes a list scan
-costs less than numpy's fixed cost per call, while on a whole 153 x 249 slot
-matrix it takes 1.3-1.8 times as long as a vectorized scan (2-core host,
-Python 3.11, numpy 2.4).
+The per-slot hot kernel, on Python lists. A +inf cell means "no edge": each
+Dijkstra step relaxes only the current row's finite cells, and the next tree
+column comes from a heap keyed (distance, column), so ties go to the lowest
+column (the sparse method of Jonker & Volgenant, Computing 38, 1987, and
+Crouse, IEEE TAES 52(4), 2016). Blocks come pruned to the rows that can beat
+their fallback (scheduler.hungarian_min_matching): 16.5 x 36.3 on average
+over a full-scale broker day, 7.2% of cells edges, and 71 x 123 (2.7%) with
+every full-scale satellite backlogged. On a 2-core host (Python 3.11, numpy
+2.4) the day's 240 blocks take 24 ms and the 71 x 123 block 0.5 ms, against
+54 and 2.8 ms for a scan of every cell; its whole 153 x 249 slot matrix takes
+1.2 ms, against 11.4.
 
-Costs may be negative. Rows must not outnumber columns, and every row must be
-matchable (callers guarantee this by giving each row a private fallback
-column). Forbidden pairs are encoded as a large finite cost.
+Costs may be negative; NaN and -inf are rejected. Rows must not outnumber
+columns, and every row must reach a free column through finite cells
+(callers give each row a private fallback column).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -24,21 +28,25 @@ import numpy as np
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Row-to-column assignment minimizing total cost.
 
-    cost: (n_rows, n_cols) with n_rows <= n_cols, finite entries.
-    Returns col4row, the assigned column index for each row.
+    cost: (n_rows, n_cols) with n_rows <= n_cols; +inf marks a pair with no
+    edge. Returns col4row, the assigned column index for each row.
     """
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-D")
     n_rows, n_cols = cost.shape
-    if n_rows == 0:
-        return np.empty(0, dtype=np.int64)
     if n_rows > n_cols:
         raise ValueError(f"more rows than columns ({n_rows} > {n_cols})")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
+    if not (cost > -math.inf).all():
+        raise ValueError("cost matrix must not hold NaN or -inf")
 
-    costs = cost.tolist()
+    finite = cost < math.inf
+    edges: list[list[tuple[int, float]]] = [[] for _ in range(n_rows)]
+    # flat indices ascend, so each row's edges come in column order
+    for k, w in zip(np.flatnonzero(finite).tolist(), cost[finite].tolist()):
+        r, c = divmod(k, n_cols)
+        edges[r].append((c, w))
+    push, pop = heapq.heappush, heapq.heappop
     u = [0.0] * n_rows
     v = [0.0] * n_cols
     col4row = [-1] * n_rows
@@ -46,7 +54,8 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     for cur_row in range(n_rows):
         shortest = [math.inf] * n_cols
         path = [-1] * n_cols
-        off_tree = list(range(n_cols))  # ascending, so ties go to the lowest column
+        in_tree = [False] * n_cols
+        heap: list[tuple[float, int]] = []
         tree_rows: list[int] = []
         tree_cols: list[int] = []
         min_val = 0.0
@@ -54,18 +63,22 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         sink = -1
         while sink == -1:
             tree_rows.append(i)
-            row, u_i = costs[i], u[i]
-            j, min_next = -1, math.inf
-            for c in off_tree:
-                s = shortest[c]
-                reduced = min_val + row[c] - u_i - v[c]
-                if reduced < s:
-                    shortest[c] = s = reduced
+            u_i = u[i]
+            for c, w in edges[i]:
+                if in_tree[c]:
+                    continue
+                reduced = min_val + w - u_i - v[c]
+                if reduced < shortest[c]:
+                    shortest[c] = reduced
                     path[c] = i
-                if s < min_next:
-                    j, min_next = c, s
-            min_val = min_next
-            off_tree.remove(j)
+                    push(heap, (reduced, c))
+            # a column's latest entry pops first; the tree holds it when older ones pop
+            while heap and in_tree[heap[0][1]]:
+                pop(heap)
+            if not heap:
+                raise ValueError(f"row {cur_row} cannot reach a free column")
+            min_val, j = pop(heap)
+            in_tree[j] = True
             tree_cols.append(j)
             if row4col[j] == -1:
                 sink = j

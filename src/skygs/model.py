@@ -166,12 +166,17 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _as_number(value: Any, where: str) -> float:
-    """value as a float; json also reads Infinity, NaN and 1e999, which are refused."""
+    """value as a float; json also reads Infinity, NaN, 1e999 and 1 followed by
+    400 zeros (an int too large for a float), which are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where}: must be finite, got an int too large for a float") from None
+    if not math.isfinite(number):
         raise ScenarioError(f"{where}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _volume_range(raw: Any, where: str) -> tuple[float, float]:

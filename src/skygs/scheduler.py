@@ -28,10 +28,11 @@ every matching policy. SlotGraph.from_edges takes the slot's edges (satellite,
 station, weight, dtil, data center) and a per-satellite fallback vector, the
 weight of each satellite's virtual antenna: zero for the broker, a forcing
 price for ilp_hpq's high-priority satellites. Each station's antenna columns
-repeat its edge weights, and pairs without a contact carry a finite bound
-above every edge and fallback. hungarian_min_matching decodes the matching of
-any such graph into an Assignment. Each edge keeps the contact-table row of
-its link, from ContactTable.slot_rows; SlotGraph.candidates is a dict of them.
+repeat its edge weights, and a cell with no edge (no contact, another
+satellite's virtual antenna) holds +inf, which the kernel reads as "no edge".
+hungarian_min_matching decodes the matching of any such graph into an
+Assignment. Each edge keeps the contact-table row of its link, from
+ContactTable.slot_rows; SlotGraph.candidates is a dict of them.
 
 An AssignmentTriple is three positions: the contact-table row its policy
 chose, which fixes the slot, satellite and station; the antenna within that
@@ -44,18 +45,17 @@ Only satellites that can gain reach the matching kernel, and the dense
 matrix is built only for a reader that asks for SlotGraph.weights (a weight
 dump, a test). A satellite whose best edge weighs no less than its virtual
 antenna (no contact, or every edge at or above zero) does not downlink.
-hungarian_min_matching finds the others from the edge arrays and builds the
-kernel's block straight from them: those satellites' rows, the antennas of the
-stations where one of them gains, and their own virtual antennas. No minimum
-matching uses another real cell, so the total weight is still the minimum. An
-exact tie between a satellite's best edge and its virtual antenna goes to "do
-not downlink".
+hungarian_min_matching builds the kernel's block straight from the edge
+arrays: the other satellites' rows, the antennas of the stations where one of
+them gains, and their own virtual antennas. No minimum matching uses another
+real cell, so the total weight is still the minimum. An exact tie between a
+satellite's best edge and its virtual antenna goes to "do not downlink".
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +89,8 @@ class ScenarioArrays:
     backhaul: np.ndarray            # [n_g, n_d] MB per min
     provider_gs: tuple[str, ...]
     provider_dc: tuple[str, ...]
+    # (v, qw, best data center per station) of the latest best_dc_per_station call
+    _best_dc: list = field(default_factory=lambda: [(None,) * 3], init=False, compare=False)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "ScenarioArrays":
@@ -146,9 +148,13 @@ class ScenarioArrays:
         backhaul and processing latency against its compute cost. Both are
         read at 1 MB for every station and data center, once per scenario;
         the ground link's latency and the rental are the same for every data
-        center.
+        center. The argmin is recomputed only when (v, qw) changes.
         """
-        return np.argmin(v * self.dc_cost_per_mb + qw * self.dc_latency_per_mb, axis=1)
+        last_v, last_qw, best = self._best_dc[0]
+        if (last_v, last_qw) != (v, qw):
+            best = np.argmin(v * self.dc_cost_per_mb + qw * self.dc_latency_per_mb, axis=1)
+            self._best_dc[0] = (v, qw, best)
+        return best
 
 
 class EdgeCandidate(NamedTuple):
@@ -175,7 +181,6 @@ class SlotGraph:
 
     slot: int
     arrays: ScenarioArrays
-    edge_of: np.ndarray        # [n_s, n_g] edge position of each pair, -1 without a contact
     edge_sat: np.ndarray       # [n_edges] satellite position of each edge
     edge_gs: np.ndarray        # [n_edges] station position of each edge
     edge_row: np.ndarray       # [n_edges] contact-table row of each edge
@@ -183,44 +188,26 @@ class SlotGraph:
     edge_dtil: np.ndarray      # [n_edges]
     edge_dc: np.ndarray        # [n_edges] data center position
     fallback: np.ndarray       # [n_s] weight of each satellite's virtual antenna
-    big: float                 # forbidden cells: no contact, another's virtual antenna
 
     @classmethod
     def from_edges(cls, slot: int, arrays: ScenarioArrays, table: ContactTable,
                    row: np.ndarray, weight: np.ndarray, dtil: np.ndarray, dc: np.ndarray,
                    fallback: np.ndarray) -> "SlotGraph":
         """The graph of one edge per contact-table row `row[k]`, between the row's
-        satellite and station, with `fallback[s]` on satellite s's virtual antenna.
-
-        Every antenna of a station repeats the station's edge weight. Pairs
-        without a contact carry a bound above any sum of edges and fallbacks,
-        so no minimum matching uses them.
-        """
-        sat, gs = table.sat[row], table.gs[row]
-        edge_of = np.full((len(arrays.sat_ids), len(arrays.gs_ids)), -1, dtype=np.int64)
-        edge_of[sat, gs] = np.arange(len(weight))
-        big = 4.0 * (1.0 + sum(np.abs(weight).tolist()) + sum(np.abs(fallback).tolist()))
-        return cls(slot=slot, arrays=arrays, edge_of=edge_of, edge_sat=sat, edge_gs=gs,
+        satellite and station, with `fallback[s]` on satellite s's virtual antenna."""
+        return cls(slot=slot, arrays=arrays, edge_sat=table.sat[row], edge_gs=table.gs[row],
                    edge_row=row, edge_w=weight, edge_dtil=dtil, edge_dc=dc,
-                   fallback=fallback, big=big)
-
-    def matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The block `rows` x `cols` of the weight matrix, whose columns are the
-        real antennas and then one virtual antenna per satellite; `cols` lists
-        its real columns first."""
-        n_real = self.n_real
-        real = cols[cols < n_real]
-        # edge_of is -1 without a contact, which picks the appended bound
-        block = np.append(self.edge_w, self.big)[
-            self.edge_of[np.ix_(rows, self.arrays.antenna_station[real])]]
-        own = rows[:, None] == cols[len(real):] - n_real
-        return np.hstack([block, np.where(own, self.fallback[rows, None], self.big)])
+                   fallback=fallback)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        """The whole [n_s, n_real + n_s] weight matrix, built on first use."""
+        """The whole [n_s, n_real + n_s] weight matrix, built on first use: real
+        antennas, then one virtual antenna per satellite; +inf where no edge is."""
         n_s = len(self.fallback)
-        return self.matrix(np.arange(n_s), np.arange(self.n_real + n_s))
+        per_station = np.full((n_s, len(self.arrays.gs_ids)), np.inf)
+        per_station[self.edge_sat, self.edge_gs] = self.edge_w
+        virtual = np.where(np.eye(n_s, dtype=bool), self.fallback[:, None], np.inf)
+        return np.hstack([per_station[:, self.arrays.antenna_station], virtual])
 
     @property
     def n_real(self) -> int:
@@ -274,27 +261,34 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     """Minimum-weight left-perfect matching on the slot graph, with its total
     edge weight; the kernel sees only the block of the satellites that can gain."""
     arrays = graph.arrays
-    n_real = graph.n_real
-    gains = graph.edge_w < graph.fallback[graph.edge_sat]
-    rows = np.nonzero(np.bincount(graph.edge_sat[gains], minlength=len(graph.fallback)))[0]
-    stations = np.bincount(graph.edge_gs[gains], minlength=len(arrays.gs_ids))
-    cols = np.concatenate([np.nonzero(stations[arrays.antenna_station])[0], n_real + rows])
-    col4row = cols[hungarian.min_cost_assignment(graph.matrix(rows, cols))]
+    sat, gs, n_edges = graph.edge_sat, graph.edge_gs, len(graph.edge_w)
+    gains = graph.edge_w < graph.fallback[sat]
+    is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
+    is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
+    rows = np.flatnonzero(is_row)
+    row_of, gs_of = np.cumsum(is_row) - 1, np.cumsum(is_gs) - 1
+    # the edge at each (row, station) of the block, n_edges where there is none
+    k = np.flatnonzero(is_row[sat] & is_gs[gs])
+    edge_at = np.full((len(rows), np.count_nonzero(is_gs)), n_edges)
+    edge_at[row_of[sat[k]], gs_of[gs[k]]] = k
+    real = np.flatnonzero(is_gs[arrays.antenna_station])
+    col_gs = gs_of[arrays.antenna_station[real]]
+    n_cols = len(real)
+    cost = np.full((len(rows), n_cols + len(rows)), np.inf)
+    cost[:, :n_cols] = np.append(graph.edge_w, np.inf)[edge_at[:, col_gs]]
+    np.fill_diagonal(cost[:, n_cols:], graph.fallback[rows])
+    col4row = hungarian.min_cost_assignment(cost).tolist()
     triples: list[AssignmentTriple] = []
     objective = 0.0
     # rows follow the sorted satellite ids, so the triples come out sorted
-    for si, col in zip(rows.tolist(), col4row.tolist()):
-        if col >= n_real:
-            if col - n_real != si:
-                raise RuntimeError("matching used another satellite's virtual antenna")
-            continue
-        k = graph.edge_of[si, arrays.antenna_station[col]]
-        if k < 0:
-            raise RuntimeError("matching used a non-contact edge")
-        objective += float(graph.edge_w[k])
-        triples.append(AssignmentTriple(contact=int(graph.edge_row[k]),
-                                        antenna=int(arrays.antenna_no[col]),
-                                        dc=int(graph.edge_dc[k])))
+    # only finite cells are assigned: one of the row's edges, or its own virtual antenna
+    for r, col in enumerate(col4row):
+        if col < n_cols:
+            ek = int(edge_at[r, col_gs[col]])
+            objective += float(graph.edge_w[ek])
+            triples.append(AssignmentTriple(contact=int(graph.edge_row[ek]),
+                                            antenna=int(arrays.antenna_no[real[col]]),
+                                            dc=int(graph.edge_dc[ek])))
     return Assignment(slot=graph.slot, triples=tuple(triples)), objective
 
 

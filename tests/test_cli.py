@@ -51,6 +51,15 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "error: data_centers: scheduling requires at least one data center\n")
 
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys):
+        # json reads 1 followed by 400 zeros as an int that float() overflows
+        text = json.dumps(desk_scenario(seed=1, horizon=60))
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace('"altitude_km": 475.0', '"altitude_km": 1' + "0" * 400, 1))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: satellite 'sat-00'.altitude_km: must be "
+                                           "finite, got an int too large for a float\n")
+
     def test_infinite_rate_exits_one(self, tmp_path, capsys):
         # json writes and reads Infinity; simulate must not reach the contact table with it
         raw = desk_scenario(seed=1, horizon=60)

@@ -1,6 +1,7 @@
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from conftest import total_arrivals
@@ -191,8 +192,9 @@ class TestBookedEqualsPriced:
             backlog = {sat_id: state.total_mb for sat_id, state in sim.states.items()}
             for r in engine.step(sim, policy, sc, table, arrivals, arrays):
                 graph = policy.graph
-                k = graph.edge_of[arrays.sat_index[r.satellite_id],
-                                  arrays.gs_index[r.ground_station_id]]
+                [k] = np.flatnonzero(
+                    (graph.edge_sat == arrays.sat_index[r.satellite_id])
+                    & (graph.edge_gs == arrays.gs_index[r.ground_station_id]))
                 assert arrays.dc_ids[graph.edge_dc[k]] == r.data_center_id
                 if r.mb != graph.edge_dtil[k]:
                     continue

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import make_scenario, states_for
+from reference_kernel import dense_min_cost_assignment, slot_bound
+from skygs import baselines, engine, hungarian
 from skygs.hungarian import min_cost_assignment
 from skygs.model import validate_scenario
 from skygs.orbit import ContactTable, build_contact_table
-from skygs.scenarios import full_scale_scenario
+from skygs.scenarios import desk_scenario, full_scale_scenario
 from skygs.scheduler import ScenarioArrays, SlotGraph, build_bipartite, hungarian_min_matching
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -61,8 +65,23 @@ class TestSmall:
             min_cost_assignment(np.zeros((3, 2)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            min_cost_assignment(np.array([[np.inf, 0.0]]))
+        # NaN and -inf are rejected; +inf is accepted and means "no edge"
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="NaN or -inf"):
+                min_cost_assignment(np.array([[bad, 0.0]]))
+        inf = np.inf
+        assert min_cost_assignment(np.array([[inf, 2.0]])).tolist() == [1]
+        cost = np.array([[inf, 0.0, inf],
+                         [-3.0, inf, 0.0]])
+        assert min_cost_assignment(cost).tolist() == [1, 0]
+
+    def test_rejects_an_infeasible_block(self):
+        # both rows reach only column 0, and the last row no column at all
+        inf = np.inf
+        with pytest.raises(ValueError, match="row 1 cannot reach a free column"):
+            min_cost_assignment(np.array([[1.0, inf], [2.0, inf]]))
+        with pytest.raises(ValueError, match="row 1 cannot reach a free column"):
+            min_cost_assignment(np.array([[1.0, 5.0], [inf, inf]]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,6 +101,25 @@ def test_matches_scipy(n_rows, extra_cols, seed):
     cost = rng.uniform(-1000, 1000, size=(n_rows, n_rows + extra_cols))
     cols = min_cost_assignment(cost)
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
+    assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.floats(0.0, 0.9), st.integers(0, 2 ** 32 - 1))
+def test_sparse_matrices_match_scipy_or_raise_when_infeasible(n_rows, extra_cols, p_inf, seed):
+    """+inf cells are missing edges: the kernel reaches scipy's minimum where
+    a matching of every row exists, and raises where scipy finds none."""
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(-100, 100, size=(n_rows, n_rows + extra_cols))
+    cost[rng.random(cost.shape) < p_inf] = np.inf
+    try:
+        rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
+    except ValueError:
+        with pytest.raises(ValueError, match="cannot reach a free column"):
+            min_cost_assignment(cost)
+        return
+    cols = min_cost_assignment(cost)
+    assert len(set(cols.tolist())) == n_rows
     assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
 
 
@@ -146,12 +184,12 @@ def components(graph):
     return len({find(si) for si in parent})
 
 
-def assert_slot_matching(cost, big, cols):
-    """A matching that uses no forbidden cell and no other row's fallback."""
+def assert_slot_matching(cost, cols):
+    """A matching that uses no +inf cell and no other row's fallback."""
     n_sats = cost.shape[0]
     n_real = cost.shape[1] - n_sats
     assert len(set(cols.tolist())) == n_sats
-    assert (cost[np.arange(n_sats), cols] < big).all()
+    assert (cost[np.arange(n_sats), cols] < np.inf).all()
     fallback = cols >= n_real
     assert (cols[fallback] - n_real == np.nonzero(fallback)[0]).all()
 
@@ -166,8 +204,8 @@ def assert_objective(graph, cols, objective):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, groups, seed):
-    """Slot graphs are tie-heavy: duplicated antenna columns, a large
-    forbidden value everywhere else, zeros on the private virtual diagonal.
+    """Slot graphs are tie-heavy: duplicated antenna columns, +inf
+    everywhere else, zeros on the private virtual diagonal.
     The graph matcher and the kernel on the full matrix pick the same columns
     (no weight ties a fallback here) and reach scipy's minimum."""
     rng = np.random.default_rng(seed)
@@ -178,7 +216,7 @@ def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, g
     pruned = graph_col4row(graph, assignment)
     cost = graph.weights
     assert np.array_equal(pruned, min_cost_assignment(cost))
-    assert_slot_matching(cost, graph.big, pruned)
+    assert_slot_matching(cost, pruned)
     assert_objective(graph, pruned, objective)
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
     assert assignment_cost(cost, pruned) == pytest.approx(cost[rows_s, cols_s].sum(),
@@ -194,7 +232,7 @@ def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, ties, grou
     ilp_hpq) and weights drawn from a small set, so real cells often tie a
     fallback exactly, with planted ties on demand and gaining rows in up to
     three components. The graph matcher reaches the full-matrix kernel's and
-    scipy's total and uses no forbidden cell and no other row's fallback."""
+    scipy's total and uses no +inf cell and no other row's fallback."""
     rng = np.random.default_rng(seed)
     levels = np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
@@ -203,7 +241,7 @@ def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, ties, grou
     assignment, objective = hungarian_min_matching(graph)
     pruned = graph_col4row(graph, assignment)
     cost = graph.weights
-    assert_slot_matching(cost, graph.big, pruned)
+    assert_slot_matching(cost, pruned)
     assert_objective(graph, pruned, objective)
     full = assignment_cost(cost, min_cost_assignment(cost))
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
@@ -245,7 +283,7 @@ def test_kernel_on_a_whole_full_scale_slot_matrix():
     cost = graph.weights
     assert cost.shape == (153, 249)
     cols = min_cost_assignment(cost)
-    assert_slot_matching(cost, graph.big, cols)
+    assert_slot_matching(cost, cols)
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
     assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
 
@@ -266,7 +304,77 @@ def test_broker_reaches_the_minimum_on_the_all_backlogged_full_scale_slot():
     assignment, objective = hungarian_min_matching(graph)
     cols = graph_col4row(graph, assignment)
     cost = graph.weights
-    assert_slot_matching(cost, graph.big, cols)
+    assert_slot_matching(cost, cols)
     assert_objective(graph, cols, objective)
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
     assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
+
+
+def assert_kernels_agree(cost, bound):
+    """The sparse kernel on the +inf block picks the dense reference kernel's
+    columns on the same block with `bound` in place of each +inf cell."""
+    dense = dense_min_cost_assignment(np.where(np.isinf(cost), bound, cost))
+    assert np.array_equal(min_cost_assignment(cost), dense)
+
+
+def kernel_blocks(run):
+    """(block, slot bound) of every kernel call that `run()` makes through a
+    matching policy, the bound read from the graph that the block came from."""
+    blocks, bounds = [], []
+    kernel, match = hungarian.min_cost_assignment, baselines.hungarian_min_matching
+
+    def spy_match(graph):
+        bounds.append(slot_bound(graph.edge_w, graph.fallback))
+        return match(graph)
+
+    def spy_kernel(cost):
+        blocks.append((cost.copy(), bounds[-1]))
+        return kernel(cost)
+
+    with mock.patch.object(hungarian, "min_cost_assignment", spy_kernel), \
+            mock.patch.object(baselines, "hungarian_min_matching", spy_match):
+        run()
+    assert len(blocks) == len(bounds)
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.booleans(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_sparse_kernel_picks_the_dense_kernels_columns(n_sats, antennas, forced, groups, seed):
+    """On tie-heavy slot graphs, the whole weight matrix and the matcher's
+    block each get the same columns from both kernels."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
+    fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
+    graph = slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
+                       groups, ties=True)
+    bound = slot_bound(graph.edge_w, graph.fallback)
+    assert_kernels_agree(graph.weights, bound)
+    blocks = kernel_blocks(lambda: baselines.hungarian_min_matching(graph))
+    assert len(blocks) == 1
+    assert_kernels_agree(blocks[0][0], bound)
+
+
+def full_scale_world():
+    scenario = validate_scenario(full_scale_scenario(1, horizon=48, policy="skygs"))
+    return scenario, build_contact_table(scenario)
+
+
+def desk_world(policy):
+    scenario = replace(validate_scenario(desk_scenario(1)), policy=policy)
+    return scenario, build_contact_table(scenario)
+
+
+@pytest.mark.parametrize("world", [full_scale_world, lambda: desk_world("skygs"),
+                                   lambda: desk_world("ilp_hpq")],
+                         ids=["full-scale-48-skygs", "desk-skygs", "desk-ilp_hpq"])
+def test_sparse_kernel_picks_the_dense_kernels_columns_on_every_block_of_a_run(world):
+    """A run calls the kernel once per slot, slots with no gaining row
+    included, and on every block both kernels pick the same columns."""
+    scenario, table = world()
+    blocks = kernel_blocks(lambda: engine.run(scenario, table=table))
+    assert len(blocks) == scenario.horizon
+    assert sum(np.isinf(cost).any() for cost, _ in blocks) > 0
+    for cost, bound in blocks:
+        assert_kernels_agree(cost, bound)

@@ -194,9 +194,11 @@ class TestValidation:
         ("satellites", "inclination_deg", math.nan), ("satellites", "daily_volume_mb", math.inf),
         ("satellites", "daily_volume_mb", [1, math.inf]),
         ("ground_stations", "price_per_slot", math.inf), ("ground_stations", "lon_deg", -math.inf),
-        ("data_centers", "price", "inf $/h"), ("data_centers", "intensity_min_per_mb", math.inf)])
+        ("data_centers", "price", "inf $/h"), ("data_centers", "intensity_min_per_mb", math.inf),
+        pytest.param("satellites", "altitude_km", 10 ** 400, id="satellites-altitude_km-10**400")])
     def test_non_finite_number_names_its_field(self, section, field, value):
-        # json.load reads Infinity, NaN and 1e999 as floats
+        # json.load reads Infinity, NaN and 1e999 as floats, and 1 followed by 400
+        # zeros as an int too large for a float
         raw = tiny_raw()
         (raw[section] if section == "sim" else raw[section][0])[field] = value
         with pytest.raises(ScenarioError, match=re.escape(field) + r"(\[\d\])?: must be finite"):

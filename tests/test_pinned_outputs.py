@@ -119,8 +119,11 @@ PINNED = {
         "d13b4b21675407fd8270054cf0f74ff21ac582153f32a537d2b428853c04c6e5",
     "sweep_v.csv":
         "68ec7e899f287eaa5050062d8f93d56dd53d28928776ac7b01b3b042c71641b5",
+    # a cell with no edge (no contact, another satellite's virtual antenna)
+    # prints inf, where it printed the slot's finite bound before the kernel
+    # read +inf as "no edge"; every other cell is unchanged
     "weights_48":
-        "0895b6632a96c349f340cfc6d608f13ea4b0b57885f9b56597122b36773193aa",
+        "5d615967b12082be128017cd2bc2c929b0320a066c5c1828fb1fdc089daa0e3a",
     "no_satellites/records_skygs_seed1.csv":
         "d436f413aa9443769ae079e45c9bba747d878af8980ef79ab3e26ec3e91afbf9",
 }
