@@ -44,16 +44,18 @@ downlink record is written.
 Only satellites that can gain reach the matching kernel, and the dense
 matrix is built only for a reader that asks for SlotGraph.weights (a weight
 dump, a test). A satellite whose best edge weighs no less than its virtual
-antenna (no contact, or every edge at or above zero) does not downlink.
-hungarian_min_matching builds the kernel's block straight from the edge
-arrays: the other satellites' rows, the antennas of the stations where one of
-them gains, and their own virtual antennas. No minimum matching uses another
-real cell, so the total weight is still the minimum. An exact tie between a
-satellite's best edge and its virtual antenna goes to "do not downlink".
+antenna does not downlink (an exact tie goes to "do not downlink"), and a
+slot where none gains makes no block and no kernel call. Otherwise numpy
+masks pick the block's rows, the satellites that gain, and its stations,
+where one of them gains. One pass over the edges between them writes each
+edge's weight into its station's antenna columns of the +inf block, and a
+chosen column decodes by its station's first column. No minimum matching
+uses another real cell, so the total weight is still the minimum.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -260,23 +262,25 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
 def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     """Minimum-weight left-perfect matching on the slot graph, with its total
     edge weight; the kernel sees only the block of the satellites that can gain."""
-    arrays = graph.arrays
-    sat, gs, n_edges = graph.edge_sat, graph.edge_gs, len(graph.edge_w)
-    gains = graph.edge_w < graph.fallback[sat]
+    arrays, sat, gs, weight = graph.arrays, graph.edge_sat, graph.edge_gs, graph.edge_w
+    gains = weight < graph.fallback[sat]
+    if not gains.any():
+        return Assignment(slot=graph.slot, triples=()), 0.0
     is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
     is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
     rows = np.flatnonzero(is_row)
-    row_of, gs_of = np.cumsum(is_row) - 1, np.cumsum(is_gs) - 1
-    # the edge at each (row, station) of the block, n_edges where there is none
-    k = np.flatnonzero(is_row[sat] & is_gs[gs])
-    edge_at = np.full((len(rows), np.count_nonzero(is_gs)), n_edges)
-    edge_at[row_of[sat[k]], gs_of[gs[k]]] = k
-    real = np.flatnonzero(is_gs[arrays.antenna_station])
-    col_gs = gs_of[arrays.antenna_station[real]]
-    n_cols = len(real)
-    cost = np.full((len(rows), n_cols + len(rows)), np.inf)
-    cost[:, :n_cols] = np.append(graph.edge_w, np.inf)[edge_at[:, col_gs]]
-    np.fill_diagonal(cost[:, n_cols:], graph.fallback[rows])
+    end = np.cumsum(arrays.antenna_counts * is_gs).tolist()
+    col0 = [0] + end[:-1]  # station g's antennas are block columns col0[g]:end[g]
+    n_rows, n_cols = len(rows), end[-1]
+    cost = np.full((n_rows, n_cols + n_rows), np.inf)
+    # row r's virtual antenna is column n_cols + r, every (row length + 1)th cell
+    cost.reshape(-1)[n_cols::n_cols + n_rows + 1] = graph.fallback[rows]
+    k = np.flatnonzero(is_row[sat] & is_gs[gs])  # every edge inside the block
+    edge_at = {}
+    for r, g, w, ek in zip(np.searchsorted(rows, sat[k]).tolist(), gs[k].tolist(),
+                           weight[k].tolist(), k.tolist()):
+        cost[r, col0[g]:end[g]] = w
+        edge_at[r, g] = ek
     col4row = hungarian.min_cost_assignment(cost).tolist()
     triples: list[AssignmentTriple] = []
     objective = 0.0
@@ -284,11 +288,11 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     # only finite cells are assigned: one of the row's edges, or its own virtual antenna
     for r, col in enumerate(col4row):
         if col < n_cols:
-            ek = int(edge_at[r, col_gs[col]])
-            objective += float(graph.edge_w[ek])
+            g = bisect.bisect_right(col0, col) - 1  # empty stations share the next one's col0
+            ek = edge_at[r, g]
+            objective += float(weight[ek])
             triples.append(AssignmentTriple(contact=int(graph.edge_row[ek]),
-                                            antenna=int(arrays.antenna_no[real[col]]),
-                                            dc=int(graph.edge_dc[ek])))
+                                            antenna=col - col0[g], dc=int(graph.edge_dc[ek])))
     return Assignment(slot=graph.slot, triples=tuple(triples)), objective
 
 

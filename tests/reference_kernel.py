@@ -5,6 +5,10 @@ It scans every off-tree column at each Dijkstra step, in ascending order, so
 ties go to the lowest column; forbidden pairs must be encoded as a large
 finite cost. Given such a matrix with its bound in place of each +inf cell,
 it picks the same columns as the sparse kernel given the +inf matrix.
+
+reference_block is the kernel block that skygs.scheduler.hungarian_min_matching
+built before it skipped slots with no gaining edge and filled the block from
+the gaining edges, kept as the block the matcher must still hand the kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +22,30 @@ def slot_bound(weight, fallback):
     """The bound that stood in for "no edge" in a slot's matrix: above any sum
     of its edge weights and fallbacks."""
     return 4.0 * (1.0 + sum(np.abs(weight).tolist()) + sum(np.abs(fallback).tolist()))
+
+
+def reference_block(graph) -> np.ndarray:
+    """The kernel block of a slot graph: the rows of the satellites with an edge
+    below their fallback, the antennas of the stations where one of them gains,
+    then one virtual column per row; +inf where a row has no edge."""
+    arrays = graph.arrays
+    sat, gs, n_edges = graph.edge_sat, graph.edge_gs, len(graph.edge_w)
+    gains = graph.edge_w < graph.fallback[sat]
+    is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
+    is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
+    rows = np.flatnonzero(is_row)
+    row_of, gs_of = np.cumsum(is_row) - 1, np.cumsum(is_gs) - 1
+    # the edge at each (row, station) of the block, n_edges where there is none
+    k = np.flatnonzero(is_row[sat] & is_gs[gs])
+    edge_at = np.full((len(rows), np.count_nonzero(is_gs)), n_edges)
+    edge_at[row_of[sat[k]], gs_of[gs[k]]] = k
+    real = np.flatnonzero(is_gs[arrays.antenna_station])
+    col_gs = gs_of[arrays.antenna_station[real]]
+    n_cols = len(real)
+    cost = np.full((len(rows), n_cols + len(rows)), np.inf)
+    cost[:, :n_cols] = np.append(graph.edge_w, np.inf)[edge_at[:, col_gs]]
+    np.fill_diagonal(cost[:, n_cols:], graph.fallback[rows])
+    return cost
 
 
 def dense_min_cost_assignment(cost: np.ndarray) -> np.ndarray:

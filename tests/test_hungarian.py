@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import make_scenario, states_for
-from reference_kernel import dense_min_cost_assignment, slot_bound
+from reference_kernel import dense_min_cost_assignment, reference_block, slot_bound
 from skygs import baselines, engine, hungarian
 from skygs.hungarian import min_cost_assignment
 from skygs.model import validate_scenario
 from skygs.orbit import ContactTable, build_contact_table
 from skygs.scenarios import desk_scenario, full_scale_scenario
-from skygs.scheduler import ScenarioArrays, SlotGraph, build_bipartite, hungarian_min_matching
+from skygs.scheduler import ScenarioArrays, SlotGraph, build_bipartite
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -212,7 +213,7 @@ def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, g
     n_stations = int(rng.integers(1, 4))
     graph = slot_graph(rng, n_sats, [antennas_per_station] * n_stations, np.zeros(n_sats),
                        lambda: rng.uniform(-1e6, 1e3), groups)
-    assignment, objective = hungarian_min_matching(graph)
+    assignment, objective = match_on_the_reference_block(graph)
     pruned = graph_col4row(graph, assignment)
     cost = graph.weights
     assert np.array_equal(pruned, min_cost_assignment(cost))
@@ -238,7 +239,7 @@ def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, ties, grou
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
     graph = slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
                        groups, ties)
-    assignment, objective = hungarian_min_matching(graph)
+    assignment, objective = match_on_the_reference_block(graph)
     pruned = graph_col4row(graph, assignment)
     cost = graph.weights
     assert_slot_matching(cost, pruned)
@@ -263,7 +264,7 @@ def test_gaining_rows_in_several_components():
         graph = slot_graph(rng, 9, [2, 1, 1, 2, 1, 3], np.zeros(9),
                            lambda: rng.uniform(-1e6, 1e3), groups=3)
         split += components(graph) >= 2
-        assignment, objective = hungarian_min_matching(graph)
+        assignment, objective = match_on_the_reference_block(graph)
         pruned = graph_col4row(graph, assignment)
         cost = graph.weights
         assert np.array_equal(pruned, min_cost_assignment(cost))
@@ -301,7 +302,7 @@ def test_broker_reaches_the_minimum_on_the_all_backlogged_full_scale_slot():
     graph = build_bipartite(states, 123.0, 0, scenario, table,
                             ScenarioArrays.from_scenario(scenario))
     assert len(np.unique(graph.edge_sat[graph.edge_w < 0.0])) > 60  # kernel rows
-    assignment, objective = hungarian_min_matching(graph)
+    assignment, objective = match_on_the_reference_block(graph)
     cols = graph_col4row(graph, assignment)
     cost = graph.weights
     assert_slot_matching(cost, cols)
@@ -317,25 +318,53 @@ def assert_kernels_agree(cost, bound):
     assert np.array_equal(min_cost_assignment(cost), dense)
 
 
+class MatchCall(NamedTuple):
+    reference: np.ndarray      # reference_block of the graph the matcher received
+    bound: float               # slot_bound of that graph
+    gains: bool                # whether one of its edges weighs less than its fallback
+    block: np.ndarray | None   # the block it handed the kernel, None without a call
+
+
 def kernel_blocks(run):
-    """(block, slot bound) of every kernel call that `run()` makes through a
-    matching policy, the bound read from the graph that the block came from."""
-    blocks, bounds = [], []
+    """Every call that `run()` makes to the matcher through a matching policy,
+    paired with the kernel call it made, if any: a MatchCall each, read from
+    the graph that the matcher received."""
+    graphs, blocks = [], {}
     kernel, match = hungarian.min_cost_assignment, baselines.hungarian_min_matching
 
     def spy_match(graph):
-        bounds.append(slot_bound(graph.edge_w, graph.fallback))
+        graphs.append((reference_block(graph), slot_bound(graph.edge_w, graph.fallback),
+                       bool((graph.edge_w < graph.fallback[graph.edge_sat]).any())))
         return match(graph)
 
     def spy_kernel(cost):
-        blocks.append((cost.copy(), bounds[-1]))
+        assert graphs and len(graphs) - 1 not in blocks  # at most one call per match
+        blocks[len(graphs) - 1] = cost.copy()
         return kernel(cost)
 
     with mock.patch.object(hungarian, "min_cost_assignment", spy_kernel), \
             mock.patch.object(baselines, "hungarian_min_matching", spy_match):
         run()
-    assert len(blocks) == len(bounds)
-    return blocks
+    return [MatchCall(*g, blocks.get(i)) for i, g in enumerate(graphs)]
+
+
+def assert_reference_block(call):
+    """The matcher calls the kernel exactly when an edge gains, and then on the
+    reference block, cell for cell."""
+    assert (call.block is not None) == call.gains == (len(call.reference) > 0)
+    if call.block is not None:
+        assert call.block.dtype == np.float64
+        assert np.array_equal(call.block, call.reference)
+
+
+def match_on_the_reference_block(graph):
+    """hungarian_min_matching(graph), checked to hand the kernel the reference
+    block, or no block when no edge gains."""
+    results = []
+    calls = kernel_blocks(lambda: results.append(baselines.hungarian_min_matching(graph)))
+    assert len(calls) == 1
+    assert_reference_block(calls[0])
+    return results[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,7 +372,8 @@ def kernel_blocks(run):
        st.booleans(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_sparse_kernel_picks_the_dense_kernels_columns(n_sats, antennas, forced, groups, seed):
     """On tie-heavy slot graphs, the whole weight matrix and the matcher's
-    block each get the same columns from both kernels."""
+    block each get the same columns from both kernels. The matcher makes its
+    one kernel call on the reference block, and only when an edge gains."""
     rng = np.random.default_rng(seed)
     levels = np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
@@ -351,9 +381,11 @@ def test_sparse_kernel_picks_the_dense_kernels_columns(n_sats, antennas, forced,
                        groups, ties=True)
     bound = slot_bound(graph.edge_w, graph.fallback)
     assert_kernels_agree(graph.weights, bound)
-    blocks = kernel_blocks(lambda: baselines.hungarian_min_matching(graph))
-    assert len(blocks) == 1
-    assert_kernels_agree(blocks[0][0], bound)
+    calls = kernel_blocks(lambda: baselines.hungarian_min_matching(graph))
+    assert len(calls) == 1
+    assert_reference_block(calls[0])
+    if calls[0].gains:
+        assert_kernels_agree(calls[0].block, bound)
 
 
 def full_scale_world():
@@ -370,11 +402,16 @@ def desk_world(policy):
                                    lambda: desk_world("ilp_hpq")],
                          ids=["full-scale-48-skygs", "desk-skygs", "desk-ilp_hpq"])
 def test_sparse_kernel_picks_the_dense_kernels_columns_on_every_block_of_a_run(world):
-    """A run calls the kernel once per slot, slots with no gaining row
-    included, and on every block both kernels pick the same columns."""
+    """A run matches once per slot and calls the kernel once per slot with a
+    gaining edge, on the reference block; on every block both kernels pick
+    the same columns."""
     scenario, table = world()
-    blocks = kernel_blocks(lambda: engine.run(scenario, table=table))
-    assert len(blocks) == scenario.horizon
-    assert sum(np.isinf(cost).any() for cost, _ in blocks) > 0
-    for cost, bound in blocks:
-        assert_kernels_agree(cost, bound)
+    calls = kernel_blocks(lambda: engine.run(scenario, table=table))
+    assert len(calls) == scenario.horizon
+    for call in calls:
+        assert_reference_block(call)
+    blocks = [call for call in calls if call.block is not None]
+    assert len(blocks) == sum(call.gains for call in calls) > 0
+    assert sum(np.isinf(call.block).any() for call in blocks) > 0
+    for call in blocks:
+        assert_kernels_agree(call.block, call.bound)

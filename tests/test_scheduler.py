@@ -7,6 +7,7 @@ from instances import (backlogs_of, contact_table, make_scenario, named, oracle_
                        random_instance, schedule_slot, states_for, table_for)
 from oracle import InstanceTooLargeError, _triple_contribution, brute_force_schedule
 from skygs import hungarian
+from skygs.baselines import IlpHpqPolicy
 from skygs.orbit import Contact
 from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, build_bipartite,
                              check_assignment, hungarian_min_matching)
@@ -134,6 +135,62 @@ def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
     # two rows; the three gs-0/gs-1 antennas both rows can use, and their fallbacks
     assert seen == [(2, 3 + 2)]
     assert [named(tr, table, sc).satellite for tr in assignment.triples] == ["sat-0", "sat-1"]
+
+
+class TestSkip:
+    """A slot graph with no edge below its satellite's fallback returns no
+    triples and objective 0 at once, without a kernel call, and doing nothing
+    is scipy's minimum of the slot's weights: the sum of the fallbacks."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = hungarian.min_cost_assignment
+
+        def spy(cost):
+            calls.append(cost.shape)
+            return kernel(cost)
+
+        monkeypatch.setattr(hungarian, "min_cost_assignment", spy)
+        return calls
+
+    def assert_skipped(self, graph, kernel_calls):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        assignment, objective = hungarian_min_matching(graph)
+        assert assignment == Assignment(graph.slot, ())
+        assert objective == 0.0
+        assert kernel_calls == []
+        rows, cols = scipy_opt.linear_sum_assignment(graph.weights)
+        assert graph.weights[rows, cols].sum() == graph.fallback.sum()
+
+    def test_slot_without_contacts(self, kernel_calls):
+        sc = make_scenario(n_sats=3)
+        states = states_for(sc, {"sat-0": [(0, 100.0)]})
+        graph = build_bipartite(states, 0.0, 0, sc, table_for(sc, []),
+                                ScenarioArrays.from_scenario(sc))
+        assert len(graph.edge_w) == 0
+        self.assert_skipped(graph, kernel_calls)
+
+    def test_best_edge_ties_its_fallback(self, kernel_calls):
+        # V = 0 and nothing onboard: every edge weighs exactly the zero fallback
+        sc = make_scenario(n_sats=2, stations=((2, 22.0), (1, 18.0)), v=0.0)
+        table = table_for(sc, [("sat-0", "gs-0", 5000.0), ("sat-0", "gs-1", 3000.0),
+                               ("sat-1", "gs-1", 3000.0)])
+        graph = build_bipartite(states_for(sc, {}), 0.0, 0, sc, table,
+                                ScenarioArrays.from_scenario(sc))
+        assert graph.edge_w.tolist() == [0.0, 0.0, 0.0]
+        self.assert_skipped(graph, kernel_calls)
+
+    def test_ilp_hpq_slot_without_high_priority(self, kernel_calls):
+        # both satellites hold fresh data in view, so no fallback is forced
+        sc = make_scenario(n_sats=2, stations=((1, 22.0),), v=1.0)
+        table = table_for(sc, [("sat-0", "gs-0", 5000.0), ("sat-1", "gs-0", 3000.0)])
+        states = states_for(sc, {"sat-0": [(0, 400.0)], "sat-1": [(0, 200.0)]})
+        policy = IlpHpqPolicy(sc)
+        assert policy.schedule(states, 0.0, 0, table) == Assignment(0, ())
+        graph = policy.graph
+        assert (graph.fallback == 0.0).all() and (graph.edge_w > 0.0).all()
+        self.assert_skipped(graph, kernel_calls)
 
 
 def check(scenario, table, *triples, slot=0):

@@ -43,6 +43,8 @@ def test_every_traced_span_resolves(tmp_path):
         tr.uninstall()
     assert summary["hook_failures"] == []
     assert summary["n"]["scheduler.weights"] == 20
+    # the skygs and ilp_hpq slots that gain call the kernel, so its count hook ran
+    assert summary["n"].get("hungarian.match", 0) > 0
     assert summary["n"]["engine.step"] == 60
     counts = summary["counts"]
     assert counts["accounting.records_rows"] == 1 + len(sim.records) + scenario.horizon
