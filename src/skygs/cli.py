@@ -52,11 +52,11 @@ def cmd_gen_contacts(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = with_overrides(load_scenario(args.scenario), policy=args.policy,
+                              seed=args.seed, v=args.v, xi=args.xi)
     if args.contacts is not None:
         scenario = replace(scenario, contact_plan_path=args.contacts)
-    record, metrics = engine.run(scenario, policy=args.policy, seed=args.seed, v=args.v,
-                                 xi=args.xi, dump_weights=args.dump_weights)
+    record, metrics = engine.run(scenario, dump_weights=args.dump_weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records_path = out / f"records_{record.policy}_seed{record.seed}.csv"
@@ -81,7 +81,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
     # names only: an sg provider without a data center fails its own grid rows
     policies = [policy_name(p.strip()) for p in args.policies.split(",") if p.strip()]
-    seeds = _parse_list(args.seeds, "--seeds", int)
+    seeds = [scenario.seed] if args.seeds is None else _parse_list(args.seeds, "--seeds", int)
     seeded = {seed: with_overrides(scenario, seed=seed) for seed in seeds}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -107,7 +107,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     columns = ["total_cost", "avg_latency_min_per_mb", "violation_rate", "mean_q"]
     rows = []
     for v in v_list:
-        _record, metrics = engine.run(scenario, policy="skygs", v=v, table=table)
+        _record, metrics = engine.run(with_overrides(scenario, v=v), policy="skygs", table=table)
         rows.append([v] + [getattr(metrics, f) for f in columns])
     write_csv(str(out), ["v"] + columns, rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--policy", help=f"one of {', '.join(POLICIES)}")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="default: the file's seed")
     p.add_argument("--v", type=float)
     p.add_argument("--xi", type=float)
     p.add_argument("--contacts", help="contact-plan CSV to use instead of the propagator")
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--policies", default=",".join(POLICIES))
-    p.add_argument("--seeds", default="1")
+    p.add_argument("--seeds", help="comma-separated seeds (default: the file's seed)")
     p.add_argument("--v", type=float)
     p.add_argument("--xi", type=float)
     p.set_defaults(func=cmd_compare)
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--v-list", required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, help="default: the file's seed")
     p.add_argument("--xi", type=float)
     p.set_defaults(func=cmd_sweep_v)
     return parser

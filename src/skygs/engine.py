@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any
 
 from skygs import accounting, queues
@@ -118,17 +119,18 @@ def _check_table(table: ContactTable, scenario: Scenario) -> None:
 
 
 def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
-        v: float | None = None, xi: float | None = None,
         table: ContactTable | None = None,
         dump_weights: str | None = None) -> tuple[SimState, RunMetrics]:
-    """Execute one full simulation, with optional overrides (see model.with_overrides),
-    and return the SimState it advanced over the horizon with the run's metrics.
+    """Execute one full simulation, with an optional policy or seed override
+    (see model.with_overrides), and return the advanced SimState and metrics.
+    A given `seed`, or no `table`, builds the contact table; else `table` is checked.
 
     `dump_weights` names a directory that receives, after every slot, the
     weight matrix the policy matched (scheduler.dump_weight_matrix); a policy
-    that matches no slot graph is rejected before the first slot.
+    that matches no slot graph, or a directory that already holds weight
+    matrices, is rejected before the first slot.
     """
-    scenario = with_overrides(scenario, policy=policy, seed=seed, v=v, xi=xi)
+    scenario = with_overrides(scenario, policy=policy, seed=seed)
     if table is None or seed is not None:
         table = build_contact_table(scenario)
     else:
@@ -140,6 +142,8 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
     if dump_weights is not None:
         if not hasattr(policy_obj, "graph"):
             raise ScenarioError(f"dump_weights: policy {scenario.policy!r} matches no slot graph")
+        if any(Path(dump_weights).glob("weights_slot*.csv")):
+            raise ScenarioError(f"dump_weights: {dump_weights} already holds weight matrices")
         os.makedirs(dump_weights, exist_ok=True)
     sim = SimState(
         policy=scenario.policy,

@@ -6,10 +6,10 @@ column comes from a heap keyed (distance, column), so ties go to the lowest
 column (the sparse method of Jonker & Volgenant, Computing 38, 1987, and
 Crouse, IEEE TAES 52(4), 2016). Blocks come pruned to the rows that can beat
 their fallback (scheduler.hungarian_min_matching), and a slot with none makes
-no call: a full-scale broker day calls on 227 of 240 slots, with blocks of
+no call: a 240-slot full-scale broker run calls on 227 slots, with blocks of
 17.5 x 38.4 on average and 7.2% of cells finite, and every full-scale
 satellite backlogged gives 71 x 123 (2.7%). On a 2-core Intel Xeon sandbox
-(Python 3.11.7, numpy 2.4.6) the day's 227 blocks take 21-27 ms and the
+(Python 3.11.7, numpy 2.4.6) the run's 227 blocks take 21-27 ms and the
 71 x 123 block 0.5 ms, against 47-53 and 2.8 ms for a scan of every cell; its
 whole 153 x 249 slot matrix takes 1.0 ms, against 7.8.
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import skygs
+from skygs import engine
 from skygs.cli import main
 from skygs.scenarios import desk_scenario
+from skygs.scheduler import Assignment, AssignmentTriple
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
@@ -18,6 +20,21 @@ def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(desk_scenario(seed=1, horizon=60, v=5e4)))
     return str(path)
+
+
+@pytest.fixture()
+def seed7_file(tmp_path):
+    """A desk scenario file whose sim.seed is 7, not the desk file's 1."""
+    path = tmp_path / "seed7.json"
+    path.write_text(json.dumps(desk_scenario(seed=7, horizon=60, v=5e4)))
+    return str(path)
+
+
+def cli_bytes(tmp_path, name, argv):
+    """The bytes `skygs <argv> --out <name>` writes."""
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
 
 
 class TestValidate:
@@ -174,6 +191,25 @@ class TestSimulate:
     def test_dumped_ilp_hpq_weights_reproduce_the_run(self, tmp_path):
         assert_dump_reproduces_run(tmp_path, "ilp_hpq")
 
+    def test_dump_weights_refuses_a_used_directory(self, tmp_path, capsys):
+        # a 5-slot run into a 12-slot run's directory would leave slots 5-11 beside its own;
+        # the brackets are part of the name, not a glob pattern
+        dump = tmp_path / "weights[0]"
+        argv = {}
+        for horizon in (12, 5):
+            path = tmp_path / f"s{horizon}.json"
+            path.write_text(json.dumps(desk_scenario(seed=1, horizon=horizon, v=5e4)))
+            argv[horizon] = ["simulate", "--scenario", str(path),
+                             "--out", str(tmp_path / f"out{horizon}"), "--dump-weights", str(dump)]
+        assert main(argv[12]) == 0
+        before = {f.name: f.read_bytes() for f in dump.iterdir()}
+        assert len(before) == 12
+        assert main(argv[5]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dump_weights: {dump} already holds weight matrices\n")
+        assert not (tmp_path / "out5").exists()
+        assert {f.name: f.read_bytes() for f in dump.iterdir()} == before
+
     def test_dump_weights_needs_a_matching_policy(self, scenario_file, tmp_path, capsys):
         out, dump = tmp_path / "out", tmp_path / "weights"
         assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
@@ -249,6 +285,12 @@ class TestCompare:
         assert len(lines) == 7
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_omitted_seeds_run_the_files_seed(self, seed7_file, tmp_path):
+        argv = ["compare", "--scenario", seed7_file, "--policies", "bg,skygs"]
+        omitted = cli_bytes(tmp_path, "omitted.csv", argv)
+        assert omitted == cli_bytes(tmp_path, "seeds7.csv", argv + ["--seeds", "7"])
+        assert omitted.decode().splitlines()[1].startswith("bg,7,ok,")
+
     def test_unknown_policy_rejected(self, scenario_file, tmp_path):
         assert main(["compare", "--scenario", scenario_file, "--policies", "zzz",
                      "--out", str(tmp_path / "c.csv")]) == 1
@@ -296,6 +338,29 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", scenario_file,
                      "--out", str(blocker)]) == 2
 
+    def test_infeasible_assignment_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # a policy that books antenna 0 for every contact of the slot: two
+        # satellites in view of one station double-book it
+        path, plan, out = tmp_path / "s.json", tmp_path / "plan.csv", tmp_path / "out"
+        path.write_text(json.dumps(desk_scenario(seed=1, horizon=3)))
+        plan.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
+                        "0,sat-00,gs-n0,45.0,500\n0,sat-01,gs-n0,45.0,500\n")
+
+        class DoubleBooking:
+            name = "double"
+
+            def schedule(self, states, q, slot, table):
+                return Assignment(slot, tuple(AssignmentTriple(k, 0, 0)
+                                              for k in table.slot_rows(slot)))
+
+        monkeypatch.setattr(engine, "make_policy", lambda scenario: DoubleBooking())
+        assert main(["simulate", "--scenario", str(path), "--out", str(out),
+                     "--contacts", str(plan)]) == 2
+        assert capsys.readouterr().err == (
+            "error: slot 0: policy 'double' infeasible: constraint(antenna-count): "
+            "antenna 0 of station 'gs-n0' double-booked\n")
+        assert not out.exists()
+
 
 class TestSweepV:
     def test_rows_and_zero_v(self, scenario_file, tmp_path):
@@ -306,6 +371,13 @@ class TestSweepV:
         assert lines[0] == "v,total_cost,avg_latency_min_per_mb,violation_rate,mean_q"
         assert len(lines) == 4
         assert lines[1].startswith("0.0,")
+
+    def test_omitted_seed_runs_the_files_seed(self, seed7_file, tmp_path):
+        argv = ["sweep-v", "--scenario", seed7_file, "--v-list", "0,1e5"]
+        omitted = cli_bytes(tmp_path, "omitted.csv", argv)
+        assert omitted == cli_bytes(tmp_path, "seed7.csv", argv + ["--seed", "7"])
+        # the two seeds' sample paths differ, so the equality above is not vacuous
+        assert omitted != cli_bytes(tmp_path, "seed1.csv", argv + ["--seed", "1"])
 
     def test_negative_v_exits_one(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

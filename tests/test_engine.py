@@ -8,7 +8,7 @@ from conftest import total_arrivals
 from skygs import engine
 from skygs.baselines import make_policy
 from skygs.engine import InfeasibleAssignmentError, run
-from skygs.model import ScenarioError, validate_scenario
+from skygs.model import ScenarioError, validate_scenario, with_overrides
 from instances import contact_row, contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
 from skygs.queues import ArrivalModel, SatelliteState
@@ -72,8 +72,8 @@ class TestStepSemantics:
         # so the virtual queue actually moves and the recomputation is
         # non-trivial. Q accrues tau * (backlog carried into the next slot)
         # plus the service latency of what moved, minus xi * arrivals.
-        sc = validate_scenario(desk_scenario(seed=2, horizon=240, v=1e3))
-        record, metrics = run(sc, xi=5.0)
+        sc = with_overrides(validate_scenario(desk_scenario(seed=2, horizon=240, v=1e3)), xi=5.0)
+        record, metrics = run(sc)
         assert metrics.max_q > 0
         arrivals = ArrivalModel(sc)
         service = {}
@@ -88,11 +88,11 @@ class TestStepSemantics:
     def test_rejects_nonpositive_xi_override(self):
         # the broker's queue weight divides by xi
         with pytest.raises(ScenarioError, match="xi"):
-            run(tiny_scenario(horizon=1), xi=0.0, table=empty_table(1))
+            with_overrides(tiny_scenario(horizon=1), xi=0.0)
 
     def test_rejects_negative_v_override(self):
         with pytest.raises(ScenarioError, match="v: must be >= 0"):
-            run(tiny_scenario(horizon=1), v=-1.0, table=empty_table(1))
+            with_overrides(tiny_scenario(horizon=1), v=-1.0)
 
     def test_rejects_unknown_policy_override(self):
         with pytest.raises(ScenarioError, match="unknown policy 'nope'"):

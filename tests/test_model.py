@@ -1,12 +1,17 @@
 import copy
+import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from skygs.model import (DEFAULT_RHO, ScenarioError, parse_intensity, parse_price_per_min,
-                         parse_rate, validate_scenario, with_overrides)
+from skygs.model import (DEFAULT_RHO, ScenarioError, load_scenario, parse_intensity,
+                         parse_price_per_min, parse_rate, validate_scenario, with_overrides)
 from skygs.scenarios import desk_scenario
+
+DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
+MISSING = object()  # a field to delete rather than set
 
 
 def tiny_raw(**sim_overrides):
@@ -204,8 +209,59 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=re.escape(field) + r"(\[\d\])?: must be finite"):
             validate_scenario(raw)
 
+    @pytest.mark.parametrize("section, field, value, message", [
+        ("ground_stations", "price", True,
+         "ground_station 'gs-a'.price: price must be a number or unit string"),
+        ("ground_stations", "price", "x $/min",
+         "ground_station 'gs-a'.price: cannot parse price 'x $/min'"),
+        ("ground_stations", "price", "cheap",
+         "ground_station 'gs-a'.price: cannot parse price 'cheap'"),
+        ("satellites", "altitude_km", "high",
+         "satellite 'sat-a'.altitude_km: expected a number, got 'high'"),
+        ("satellites", "daily_volume_mb", [1],
+         "satellite 'sat-a'.daily_volume_mb: daily_volume_mb must be a number or [lo, hi]"),
+        ("ground_stations", "antennas", 2.5, "ground_station 'gs-a': antennas must be an integer"),
+        ("ground_stations", "backhaul", "1 Gbps",
+         "ground_station 'gs-a': backhaul must map data-center id -> rate"),
+        ("sim", "horizon", 10.5, "sim.horizon: must be an integer"),
+        ("sim", "seed", "7", "sim.seed: must be an integer"),
+        ("sim", "noise", 1.0, "sim.noise: must be [lo, hi]"),
+        ("sim", "contact_plan_path", 3, "sim.contact_plan_path: must be a string path or null"),
+        pytest.param("sim", "tau", MISSING, "sim.tau: missing", id="sim-tau-missing")])
+    def test_malformed_value_names_its_field(self, section, field, value, message):
+        raw = tiny_raw()
+        entry = raw[section] if section == "sim" else raw[section][0]
+        if value is MISSING:
+            del entry[field]
+        else:
+            entry[field] = value
+        with pytest.raises(ScenarioError) as exc:
+            validate_scenario(raw)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "scenario: expected a JSON object"),
+        ({"satellites": []}, "scenario: missing 'sim' section")], ids=["list", "no-sim"])
+    def test_malformed_document_rejected(self, raw, message):
+        with pytest.raises(ScenarioError) as exc:
+            validate_scenario(raw)
+        assert str(exc.value) == message
+
+    def test_file_that_is_not_json_rejected(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text("not json")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(str(path))
+        assert str(exc.value) == (
+            f"{path}: not valid JSON (Expecting value: line 1 column 1 (char 0))")
+
     def test_lat_lon_bounds(self):
         raw = tiny_raw()
         raw["ground_stations"][0]["lat_deg"] = 95.0
         with pytest.raises(ScenarioError, match="lat_deg"):
             validate_scenario(raw)
+
+
+def test_desk_file_is_the_desk_builder():
+    # the CLI, the README and the benchmark run the file; tier-1 runs the builder
+    assert json.loads(DESK.read_text()) == desk_scenario()

@@ -298,6 +298,26 @@ class TestContactPlanFile:
         with pytest.raises(ContactPlanError, match=r"line 2: elevation .* outside \[mask"):
             read_contact_plan(str(path), sc)
 
+    def test_missing_file_rejected(self, tmp_path):
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
+        path = str(tmp_path / "absent.csv")
+        with pytest.raises(ContactPlanError) as exc:
+            read_contact_plan(path, sc)
+        assert str(exc.value) == f"{path}: [Errno 2] No such file or directory: {path!r}"
+
+    @pytest.mark.parametrize("text", [
+        "", "3,sat-a,gs-a,45.0,500\n", "slot,satellite_id,ground_station_id,elevation_deg\n",
+        "slot,sat,gs,elevation_deg,rate_mb_per_min\n"], ids=["empty", "no-header", "4-columns",
+                                                            "renamed"])
+    def test_wrong_header_rejected(self, tmp_path, text):
+        sc = validate_scenario(scenario_raw([sat_raw()], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text(text)
+        with pytest.raises(ContactPlanError) as exc:
+            read_contact_plan(str(path), sc)
+        assert str(exc.value) == (f"{path}: line 1: expected header slot,satellite_id,"
+                                  "ground_station_id,elevation_deg,rate_mb_per_min")
+
     def test_used_by_build_when_configured(self, tmp_path):
         raw = scenario_raw([sat_raw()], [gs_raw()], horizon=10)
         path = tmp_path / "plan.csv"

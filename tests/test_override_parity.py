@@ -1,5 +1,6 @@
 """A value out of range is rejected with one message wherever it enters: in a
-scenario file, as an engine.run override and as a command-line flag."""
+scenario file, as an override (engine.run's policy and seed, model.with_overrides
+for every sim field) and as a command-line flag."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from skygs import engine
 from skygs.cli import main
-from skygs.model import ScenarioError, validate_scenario
+from skygs.model import ScenarioError, validate_scenario, with_overrides
 from skygs.scenarios import desk_scenario
 
 OUT_OF_RANGE = [("seed", -1), ("seed", 2 ** 64), ("v", -1), ("xi", 0), ("policy", "nope")]
@@ -30,8 +31,10 @@ def file_message(field, value):
 def test_file_and_run_override_reject_alike(field, value):
     message = file_message(field, value)
     assert message.startswith(f"sim.{field}: ")
+    # engine.run overrides only the policy and the seed; v and xi enter by with_overrides
+    override = engine.run if field in ("policy", "seed") else with_overrides
     with pytest.raises(ScenarioError) as exc:
-        engine.run(validate_scenario(raw_scenario()), **{field: value})
+        override(validate_scenario(raw_scenario()), **{field: value})
     assert str(exc.value) == message
 
 
