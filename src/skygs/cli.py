@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from skygs import engine
@@ -29,10 +29,13 @@ SUMMARY_FIELDS = [f.name for f in fields(RunMetrics)]
 
 def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [kind(x) for x in text.split(",") if x.strip() != ""]
+        values = [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        noun = "integers" if kind is int else "numbers"
+        values = []
+    if not values:  # a bad or an empty list
+        noun = {int: "integers", float: "numbers"}.get(kind, "names")
         raise ScenarioError(f"{flag}: expected a comma-separated list of {noun}")
+    return values
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -52,10 +55,8 @@ def cmd_gen_contacts(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = with_overrides(load_scenario(args.scenario), policy=args.policy,
-                              seed=args.seed, v=args.v, xi=args.xi)
-    if args.contacts is not None:
-        scenario = replace(scenario, contact_plan_path=args.contacts)
+    scenario = with_overrides(load_scenario(args.scenario), policy=args.policy, seed=args.seed,
+                              v=args.v, xi=args.xi, contact_plan_path=args.contacts)
     record, metrics = engine.run(scenario, dump_weights=args.dump_weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -80,7 +81,7 @@ def _grid_row(scenario, policy: str, table) -> list:
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario = with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
     # names only: an sg provider without a data center fails its own grid rows
-    policies = [policy_name(p.strip()) for p in args.policies.split(",") if p.strip()]
+    policies = list(map(policy_name, _parse_list(args.policies, "--policies", str.strip)))
     seeds = [scenario.seed] if args.seeds is None else _parse_list(args.seeds, "--seeds", int)
     seeded = {seed: with_overrides(scenario, seed=seed) for seed in seeds}
     out = Path(args.out)

@@ -191,6 +191,15 @@ def _volume_range(raw: Any, where: str) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _one_of(raw: Mapping[str, Any], where: str, key: str, unit_key: str, parse) -> float:
+    """A field given as `key`, a number in canonical units, or as `unit_key`,
+    which parse(value, where) reads; a record that gives both is refused."""
+    _require(not (key in raw and unit_key in raw), f"{where}: give {key} or {unit_key}, not both")
+    if key in raw:
+        return _as_number(raw[key], f"{where}.{key}")
+    return parse(raw.get(unit_key), f"{where}.{unit_key}")
+
+
 def _validate_satellite(raw: Mapping[str, Any]) -> Satellite:
     sid = raw.get("id")
     _require(isinstance(sid, str) and sid != "", "satellite: missing id")
@@ -225,14 +234,13 @@ def _validate_station(raw: Mapping[str, Any], tau: float, dc_ids: list[str],
     lon = _as_number(raw.get("lon_deg"), f"{where}.lon_deg")
     _require(abs(lat) <= 90, f"{where}: lat_deg must be within [-90, 90]")
     _require(-180 <= lon < 180, f"{where}: lon_deg must be within [-180, 180)")
-    if "price_per_slot" in raw:
-        price_slot = _as_number(raw["price_per_slot"], f"{where}.price_per_slot")
-    else:
-        price_slot = parse_price_per_min(raw.get("price"), f"{where}.price") * tau
+    price_slot = _one_of(raw, where, "price_per_slot", "price",
+                         lambda value, at: parse_price_per_min(value, at) * tau)
     _require(price_slot >= 0, f"{where}: price must be >= 0")
 
-    has_map = "backhaul_mb_per_min" in raw or "backhaul" in raw
-    overrides = raw.get("backhaul_mb_per_min", raw.get("backhaul", {}))
+    map_keys = [key for key in ("backhaul_mb_per_min", "backhaul") if key in raw]
+    _require(len(map_keys) < 2, f"{where}: give backhaul_mb_per_min or backhaul, not both")
+    overrides = raw[map_keys[0]] if map_keys else {}
     if not isinstance(overrides, Mapping):
         raise ScenarioError(f"{where}: backhaul must map data-center id -> rate")
     backhaul: dict[str, float] = {}
@@ -243,7 +251,7 @@ def _validate_station(raw: Mapping[str, Any], tau: float, dc_ids: list[str],
         if dc_id not in backhaul:
             if default_backhaul is not None:
                 backhaul[dc_id] = default_backhaul
-            elif has_map:
+            elif map_keys:
                 # an explicit partial map with no global fallback is a mistake
                 raise ScenarioError(
                     f"incomplete backhaul matrix: {where} has no rate for data center "
@@ -266,14 +274,8 @@ def _validate_data_center(raw: Mapping[str, Any]) -> DataCenter:
     where = f"data_center {did!r}"
     provider = raw.get("provider")
     _require(isinstance(provider, str) and provider != "", f"{where}: missing provider")
-    if "price_per_min" in raw:
-        price = _as_number(raw["price_per_min"], f"{where}.price_per_min")
-    else:
-        price = parse_price_per_min(raw.get("price"), f"{where}.price")
-    if "intensity_min_per_mb" in raw:
-        intensity = _as_number(raw["intensity_min_per_mb"], f"{where}.intensity_min_per_mb")
-    else:
-        intensity = parse_intensity(raw.get("intensity"), f"{where}.intensity")
+    price = _one_of(raw, where, "price_per_min", "price", parse_price_per_min)
+    intensity = _one_of(raw, where, "intensity_min_per_mb", "intensity", parse_intensity)
     _require(price >= 0, f"{where}: price must be >= 0")
     _require(intensity > 0, f"{where}: intensity must be > 0")
     return DataCenter(id=did, provider=provider, price_per_min=price,
@@ -406,13 +408,13 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
                     **_sim_fields(sim, stations, data_centers))
 
 
-def with_overrides(scenario: Scenario, *, policy: str | None = None,
-                   seed: int | None = None, v: float | None = None,
-                   xi: float | None = None) -> Scenario:
-    """The scenario with the given sim fields replaced, checked like a scenario
-    file's; its satellites, stations and data centers are not checked again."""
-    overrides = {name: value for name, value in
-                 (("policy", policy), ("seed", seed), ("v", v), ("xi", xi)) if value is not None}
+def with_overrides(scenario: Scenario, *, policy: str | None = None, seed: int | None = None,
+                   v: float | None = None, xi: float | None = None,
+                   contact_plan_path: str | None = None) -> Scenario:
+    """The scenario with each sim field given (not None) replaced, checked like a
+    scenario file's; its satellites, stations and data centers are not checked again."""
+    given = dict(policy=policy, seed=seed, v=v, xi=xi, contact_plan_path=contact_plan_path)
+    overrides = {name: value for name, value in given.items() if value is not None}
     if not overrides:
         return scenario
     sim = {name: getattr(scenario, name) for name in SIM_FIELDS}

@@ -24,9 +24,9 @@ Larson, Space Mission Analysis and Design, 3rd ed., sec. 5.2). A cell is a
 candidate when the dot product of the two unit vectors is at least
 cos(lambda_max) - CONE_MARGIN. The margin dwarfs the rounding of either test,
 so the elevation test on the candidates picks exactly the contacts that
-testing every cell would. Contact plans are written from the columns in blocks
-and read straight into typed columns, so no path holds a Python object per
-contact.
+testing every cell would. Contact plans are written from the columns in blocks,
+and a plan's rows stream into typed columns through ContactTable.from_contacts,
+the one place where ids become positions, so no path holds an object per contact.
 """
 
 from __future__ import annotations
@@ -150,18 +150,25 @@ class ContactTable:
 
     @classmethod
     def from_contacts(cls, n_slots: int, sat_ids: Iterable[str], gs_ids: Iterable[str],
-                      contacts: Iterable[Contact]) -> "ContactTable":
-        """The table of these Contact rows for these satellite and station ids.
-        Raises ValueError on a row naming another id, as well as the constructor's."""
+                      contacts: Iterable[tuple[int, str, str, float, float]]) -> "ContactTable":
+        """The table of these (slot, satellite id, station id, elevation, rate) rows,
+        streamed into typed columns. Raises ValueError on a row naming another id
+        (satellites first, the least id first), and then the constructor's."""
         sat_ids, gs_ids = tuple(sorted(sat_ids)), tuple(sorted(gs_ids))
-        slot, sats, stations, elevation, rate = list(zip(*contacts)) or [()] * 5
-        positions = []
-        for kind, named, ids in (("satellite", sats, sat_ids),
-                                 ("ground station", stations, gs_ids)):
-            index = _index(ids)
-            positions.append([index.setdefault(name, len(index)) for name in named])
-            _check_known(kind, ids, index)
-        return cls(n_slots, sat_ids, gs_ids, slot, *positions, elevation, rate)
+        slot, sat, gs, elevation, rate = (array(code) for code in "qqqdd")
+        sat_index, gs_index = (dict(zip(ids, range(len(ids)))) for ids in (sat_ids, gs_ids))
+        for t, s, g, el, r in contacts:
+            slot.append(t)
+            # an unknown id takes the next free position, to be reported below
+            sat.append(sat_index.setdefault(s, len(sat_index)))
+            gs.append(gs_index.setdefault(g, len(gs_index)))
+            elevation.append(el)
+            rate.append(r)
+        for kind, ids, index in (("satellite", sat_ids, sat_index),
+                                 ("ground station", gs_ids, gs_index)):
+            if len(index) > len(ids):
+                raise ValueError(f"unknown {kind} {min(list(index)[len(ids):])!r}")
+        return cls(n_slots, sat_ids, gs_ids, slot, sat, gs, elevation, rate)
 
     def slot_rows(self, slot: int) -> range:
         """The table rows of the slot's contacts, for a slot in [0, n_slots)."""
@@ -183,18 +190,6 @@ class ContactTable:
     def all_contacts(self) -> list[Contact]:
         """Every row as a Contact, in (slot, satellite, station) order."""
         return list(map(Contact._make, self.rows(0, len(self.sat))))
-
-
-def _index(ids: tuple[str, ...]) -> dict[str, int]:
-    """Each id's position in the sorted ids."""
-    return {name: position for position, name in enumerate(ids)}
-
-
-def _check_known(kind: str, ids: tuple[str, ...], index: dict[str, int]) -> None:
-    """Raise ValueError naming the least name that `index` holds beyond `ids`."""
-    unknown = list(index)[len(ids):]
-    if unknown:
-        raise ValueError(f"unknown {kind} {min(unknown)!r}")
 
 
 def scenario_ids(scenario: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -260,15 +255,20 @@ def write_contact_plan(table: ContactTable, path: str) -> None:
 
 
 def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
-    """Load and validate a contact-plan CSV against the scenario.
+    """Load and validate a contact-plan CSV against the scenario: the earliest bad
+    line is reported, then unknown ids, then the table's own checks."""
+    try:
+        return ContactTable.from_contacts(scenario.horizon, *scenario_ids(scenario),
+                                          _plan_rows(path, scenario))
+    except ContactPlanError:
+        raise
+    except ValueError as exc:  # unknown ids, slots outside the horizon, duplicates
+        raise ContactPlanError(f"{path}: {exc}") from None
 
-    Rows stream into typed columns. The earliest bad line is reported, then
-    unknown ids, then the table's own checks."""
+
+def _plan_rows(path: str, scenario: Scenario) -> Iterator[tuple[int, str, str, float, float]]:
+    """(slot, satellite id, station id, elevation, rate) of each checked plan line."""
     rate_cap = scenario.r_max * scenario.noise[1]
-    sat_ids, gs_ids = scenario_ids(scenario)
-    sat_index, gs_index = _index(sat_ids), _index(gs_ids)
-    slots, sats, stations = array("q"), array("q"), array("q")
-    elevations, rates = array("d"), array("d")
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -297,20 +297,7 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
             if not 0 < rate <= rate_cap:
                 raise ContactPlanError(
                     f"{path}: line {lineno}: rate {rate} outside (0, {rate_cap}]")
-            try:
-                slots.append(slot)
-            except OverflowError:  # beyond 64 bits, so beyond any horizon
+            if not -2 ** 63 <= slot < 2 ** 63:  # beyond 64 bits, so beyond any horizon
                 raise ContactPlanError(f"{path}: line {lineno}: slot {slot} outside "
-                                       f"[0, {scenario.horizon})") from None
-            # an unknown id takes the next free position, to be reported below
-            sats.append(sat_index.setdefault(row[1], len(sat_index)))
-            stations.append(gs_index.setdefault(row[2], len(gs_index)))
-            elevations.append(el)
-            rates.append(rate)
-    try:  # unknown ids, then slots outside the horizon and duplicates
-        _check_known("satellite", sat_ids, sat_index)
-        _check_known("ground station", gs_ids, gs_index)
-        return ContactTable(scenario.horizon, sat_ids, gs_ids, slots, sats, stations,
-                            elevations, rates)
-    except ValueError as exc:
-        raise ContactPlanError(f"{path}: {exc}") from None
+                                       f"[0, {scenario.horizon})")
+            yield slot, row[1], row[2], el, rate

@@ -311,6 +311,17 @@ class TestCompare:
             "error: --seeds: expected a comma-separated list of integers\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, noun", [("--seeds", "", "integers"),
+                                                   ("--seeds", " , ", "integers"),
+                                                   ("--policies", ",", "names")])
+    def test_empty_list_exits_one(self, scenario_file, tmp_path, capsys, flag, value, noun):
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--scenario", scenario_file, flag, value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag}: expected a comma-separated list of {noun}\n")
+        assert not out.exists()
+
     def test_failed_run_marked_others_proceed(self, tmp_path, capsys):
         # provider p1 owns stations but no data centers, so the sg row cannot
         # be scheduled; bg must still produce a valid row
@@ -389,6 +400,15 @@ class TestSweepV:
     def test_malformed_v_list_exits_one(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep-v", "--scenario", scenario_file, "--v-list", "1,x",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --v-list: expected a comma-separated list of numbers\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_v_list_exits_one(self, scenario_file, tmp_path, capsys, value):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-v", "--scenario", scenario_file, "--v-list", value,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: --v-list: expected a comma-separated list of numbers\n")

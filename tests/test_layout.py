@@ -7,6 +7,10 @@ advance_backlog, actual_downlink, queuing_latency and
 SatelliteState.oldest_arrival_slot read them, and accounting.py does not
 import queues.
 
+Contact rows named by id become table positions only in
+ContactTable.from_contacts: the plan reader and the helpers it calls hold no
+{id: position} dict (`setdefault`) and build no column (`array(...)`).
+
 Every random number is drawn by address through rng.uniform_at, so no module
 names numpy's generators (`np.random`, `numpy.random`).
 
@@ -44,6 +48,34 @@ def test_layout_is_named_only_in_its_module(pattern, owner):
 
 def test_no_module_names_numpy_random():
     assert lines_naming(r"\b(np|numpy)\.random\b") == []
+
+
+def functions_reached(path, name):
+    """The module-level function `name` of a file, and each module-level function
+    of the file that it calls by name, directly or through another."""
+    defs = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = {}, [name]
+    while todo:
+        name = todo.pop()
+        reached[name] = defs[name]
+        todo += [node.func.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id in defs and node.func.id not in reached]
+    return reached
+
+
+def called_name(call):
+    """The name a call's function goes by: `f` of `f(...)` and of `x.f(...)`."""
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def test_plan_reader_maps_no_id_and_builds_no_column():
+    reached = functions_reached(SRC / "orbit.py", "read_contact_plan")
+    assert len(reached) > 1  # the reader and the helper that reads the lines
+    assert [f"{name}: {ast.unparse(node)}" for name, function in sorted(reached.items())
+            for node in ast.walk(function) if isinstance(node, ast.Call)
+            and called_name(node) in ("setdefault", "array")] == []
 
 
 def imported_names(path):

@@ -205,9 +205,30 @@ class TestValidation:
         # json.load reads Infinity, NaN and 1e999 as floats, and 1 followed by 400
         # zeros as an int too large for a float
         raw = tiny_raw()
-        (raw[section] if section == "sim" else raw[section][0])[field] = value
+        entry = raw[section] if section == "sim" else raw[section][0]
+        # a canonical key replaces its unit key: a record spells each field once
+        entry.pop({"price_per_slot": "price", "intensity_min_per_mb": "intensity"}.get(field), None)
+        entry[field] = value
         with pytest.raises(ScenarioError, match=re.escape(field) + r"(\[\d\])?: must be finite"):
             validate_scenario(raw)
+
+    @pytest.mark.parametrize("section, both, message", [
+        ("ground_stations", {"price_per_slot": 1.0},
+         "ground_station 'gs-a': give price_per_slot or price, not both"),
+        ("ground_stations", {"backhaul": {"dc-a": "1 Gbps"}, "backhaul_mb_per_min": {"dc-a": 9.0}},
+         "ground_station 'gs-a': give backhaul_mb_per_min or backhaul, not both"),
+        ("data_centers", {"price_per_min": 1.0},
+         "data_center 'dc-a': give price_per_min or price, not both"),
+        ("data_centers", {"intensity_min_per_mb": 9.0},
+         "data_center 'dc-a': give intensity_min_per_mb or intensity, not both")],
+        ids=["station-price", "station-backhaul", "dc-price", "dc-intensity"])
+    def test_a_field_spelled_both_ways_is_refused(self, section, both, message):
+        # tiny_raw gives each price and intensity with units; `both` adds the other spelling
+        raw = tiny_raw()
+        raw[section][0].update(both)
+        with pytest.raises(ScenarioError) as exc:
+            validate_scenario(raw)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("section, field, value, message", [
         ("ground_stations", "price", True,

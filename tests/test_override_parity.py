@@ -38,6 +38,20 @@ def test_file_and_run_override_reject_alike(field, value):
     assert str(exc.value) == message
 
 
+def test_contact_plan_override_rejects_like_the_file():
+    message = file_message("contact_plan_path", 123)
+    assert message == "sim.contact_plan_path: must be a string path or null"
+    with pytest.raises(ScenarioError) as exc:
+        with_overrides(validate_scenario(raw_scenario()), contact_plan_path=123)
+    assert str(exc.value) == message
+
+
+def test_contact_plan_override_is_kept_by_the_next_override():
+    scenario = with_overrides(validate_scenario(raw_scenario()), contact_plan_path="plan.csv")
+    assert scenario.contact_plan_path == "plan.csv"
+    assert with_overrides(scenario, seed=2).contact_plan_path == "plan.csv"
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
