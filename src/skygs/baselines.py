@@ -162,9 +162,9 @@ class IlpHpqPolicy:
     combined, so the min-cost matching downlinks it whenever an antenna is in
     view. The per-slot feasible region is an assignment polytope, so matching
     solves the slot problem exactly without an external programming solver.
-    Real costs are never negative, so only high-priority satellites reach the
-    matching kernel, and a slot with none makes no kernel call; a free
-    downlink ties with doing nothing, and the tie goes to doing nothing.
+    Real costs are never negative, so only high-priority satellites can gain, and
+    only those that share a station reach the matching kernel; a free downlink
+    ties with doing nothing, and the tie goes to doing nothing.
     """
 
     name = "ilp_hpq"

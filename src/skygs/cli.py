@@ -30,11 +30,16 @@ SUMMARY_FIELDS = [f.name for f in fields(RunMetrics)]
 def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
         values = [kind(x) for x in text.split(",") if x.strip() != ""]
+    except ScenarioError:  # a value that kind refuses with its own message
+        raise
     except ValueError:
         values = []
     if not values:  # a bad or an empty list
         noun = {int: "integers", float: "numbers"}.get(kind, "names")
         raise ScenarioError(f"{flag}: expected a comma-separated list of {noun}")
+    twice = [value for i, value in enumerate(values) if value in values[:i]]
+    if twice:
+        raise ScenarioError(f"{flag}: {twice[0]} given twice")
     return values
 
 
@@ -81,7 +86,7 @@ def _grid_row(scenario, policy: str, table) -> list:
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario = with_overrides(load_scenario(args.scenario), v=args.v, xi=args.xi)
     # names only: an sg provider without a data center fails its own grid rows
-    policies = list(map(policy_name, _parse_list(args.policies, "--policies", str.strip)))
+    policies = _parse_list(args.policies, "--policies", lambda x: policy_name(x.strip()))
     seeds = [scenario.seed] if args.seeds is None else _parse_list(args.seeds, "--seeds", int)
     seeded = {seed: with_overrides(scenario, seed=seed) for seed in seeds}
     out = Path(args.out)

@@ -11,6 +11,7 @@ every MB that arrived (see queues.latency_accrual).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -24,6 +25,10 @@ from skygs.model import Scenario, ScenarioError, with_overrides
 from skygs.orbit import ContactTable, build_contact_table, scenario_ids
 from skygs.queues import ArrivalModel, SatelliteState
 from skygs.scheduler import Assignment, ScenarioArrays, check_assignment, dump_weight_matrix
+
+
+# DownlinkRecord from a tuple of its fields, without NamedTuple's Python-level __new__
+_record = functools.partial(tuple.__new__, DownlinkRecord)
 
 
 class InfeasibleAssignmentError(RuntimeError):
@@ -66,34 +71,27 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
 
     slot_records: list[DownlinkRecord] = []
     service_latency = 0.0
-    for tr in assignment.triples:
-        k, di = tr.contact, tr.dc
-        sat_id, gi = arrays.sat_ids[table.sat[k]], int(table.gs[k])
-        # Python floats: the records CSV writes them faster than numpy scalars
-        rate, kappa = float(table.rate_mb_per_min[k]), float(arrays.dc_kappa[di])
+    # Python scalars throughout: the records CSV writes them faster than numpy scalars
+    for k, antenna, di in assignment.triples:
+        sat_id, gi = arrays.sat_ids[table.sat.item(k)], table.gs.item(k)
+        rate, kappa = table.rate_mb_per_min.item(k), arrays.dc_kappa.item(di)
         moved, popped = queues.actual_downlink(sim.states[sat_id], rate * scenario.tau)
         lq = queues.queuing_latency(popped, t, scenario.tau)
-        lt1, lt2, lc = accounting.service_latency(moved, rate, float(arrays.backhaul[gi, di]),
-                                                  kappa)
-        cr, cc = accounting.downlink_cost(moved, float(arrays.price_slot[gi]),
-                                          float(arrays.dc_price[di]), kappa)
+        lt1, lt2, lc = accounting.service_latency(moved, rate, arrays.backhaul.item(gi, di), kappa)
+        cr, cc = accounting.downlink_cost(moved, arrays.price_slot.item(gi),
+                                          arrays.dc_price.item(di), kappa)
         l_total = lq + lt1 + lt2 + lc
         c_total = cr + cc
         phi_s = l_total - scenario.xi * moved  # latency beyond the threshold
         service_latency += lt1 + lt2 + lc
-        slot_records.append(DownlinkRecord(
-            slot=t, satellite_id=sat_id,
-            ground_station_id=arrays.gs_ids[gi], antenna=tr.antenna,
-            data_center_id=arrays.dc_ids[di], mb=moved,
-            lq=lq, lt1=lt1, lt2=lt2, lc=lc, l_total=l_total,
-            cr=cr, cc=cc, c_total=c_total, phi_s=phi_s,
-        ))
+        slot_records.append(_record((t, sat_id, arrays.gs_ids[gi], antenna, arrays.dc_ids[di],
+                                     moved, lq, lt1, lt2, lc, l_total, cr, cc, c_total, phi_s)))
 
     arrived = 0.0
     for sat, amount in zip(scenario.satellites, arrivals.mb[:, t].tolist()):
         queues.advance_backlog(sim.states[sat.id], amount, t)
         arrived += amount
-    backlog = float(sum(s.total_mb for s in sim.states.values()))  # 0.0, not 0, with no satellites
+    backlog = sum([s.total_mb for s in sim.states.values()], 0.0)  # 0.0 with no satellites
     sim.q = queues.update_virtual_queue(
         sim.q, queues.latency_accrual(backlog, service_latency, arrived,
                                       scenario.tau, scenario.xi))

@@ -4,14 +4,14 @@ The per-slot hot kernel, on Python lists. A +inf cell means "no edge": each
 Dijkstra step relaxes only the current row's finite cells, and the next tree
 column comes from a heap keyed (distance, column), so ties go to the lowest
 column (the sparse method of Jonker & Volgenant, Computing 38, 1987, and
-Crouse, IEEE TAES 52(4), 2016). Blocks come pruned to the rows that can beat
-their fallback (scheduler.hungarian_min_matching), and a slot with none makes
-no call: a 240-slot full-scale broker run calls on 227 slots, with blocks of
-17.5 x 38.4 on average and 7.2% of cells finite, and every full-scale
-satellite backlogged gives 71 x 123 (2.7%). On a 2-core Intel Xeon sandbox
-(Python 3.11.7, numpy 2.4.6) the run's 227 blocks take 21-27 ms and the
-71 x 123 block 0.5 ms, against 47-53 and 2.8 ms for a scan of every cell; its
-whole 153 x 249 slot matrix takes 1.0 ms, against 7.8.
+Crouse, IEEE TAES 52(4), 2016). Blocks come pruned to the contested rows that
+can beat their fallback (scheduler.hungarian_min_matching), and a slot with
+none makes no call: a 240-slot full-scale broker run calls on 221 slots, with
+blocks of 12.1 x 22.6 on average and 11.7% of cells finite, and every
+full-scale satellite backlogged gives 67 x 111 (3.0%). On a 2-core Intel Xeon
+sandbox (Python 3.11.7, numpy 2.4.6) the run's 221 blocks take 9-13 ms and
+the 67 x 111 block 0.4 ms, against 23 and 2.0 ms for a scan of every cell;
+its whole 153 x 249 slot matrix takes 1.0 ms, against 9.0.
 
 Costs may be negative; NaN and -inf are rejected. Rows must not outnumber
 columns, and every row must reach a free column through finite cells

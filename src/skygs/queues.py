@@ -61,31 +61,31 @@ def actual_downlink(state: SatelliteState, capacity_mb: float) -> tuple[float, l
         raise ValueError("capacity must be >= 0")
     moved = 0.0
     popped: list[DataChunk] = []
-    remaining = min(capacity_mb, state.total_mb)
-    while remaining > 0 and state.chunks:
-        head = state.chunks[0]
-        if head.size_mb <= remaining:
-            state.chunks.popleft()
+    remaining, chunks = min(capacity_mb, state.total_mb), state.chunks
+    while remaining > 0 and chunks:
+        head = chunks[0]
+        arrival, size_mb = head
+        if size_mb <= remaining:
+            chunks.popleft()
             popped.append(head)
-            moved += head.size_mb
-            remaining -= head.size_mb
+            moved += size_mb
+            remaining -= size_mb
         else:
-            popped.append(_chunk((head.arrival_slot, remaining)))
-            state.chunks[0] = _chunk((head.arrival_slot, head.size_mb - remaining))
+            popped.append(_chunk((arrival, remaining)))
+            chunks[0] = _chunk((arrival, size_mb - remaining))
             moved += remaining
             remaining = 0.0
-    state.total_mb = max(state.total_mb - moved, 0.0) if state.chunks else 0.0
+    state.total_mb = max(state.total_mb - moved, 0.0) if chunks else 0.0
     return moved, popped
 
 
 def queuing_latency(popped: list[DataChunk], slot: int, tau: float) -> float:
     """Sum over popped chunks of size * (slot - arrival_slot) * tau."""
     total = 0.0
-    for chunk in popped:
-        if chunk.arrival_slot > slot:
-            raise ValueError(
-                f"chunk arrived at slot {chunk.arrival_slot}, popped at earlier slot {slot}")
-        total += chunk.size_mb * (slot - chunk.arrival_slot) * tau
+    for arrival, size_mb in popped:
+        if arrival > slot:
+            raise ValueError(f"chunk arrived at slot {arrival}, popped at earlier slot {slot}")
+        total += size_mb * (slot - arrival) * tau
     return total
 
 

@@ -41,22 +41,25 @@ validator checks the positions against the slot's rows and the scenario's
 antenna and data-center counts. Ids are read from the positions only where a
 downlink record is written.
 
-Only satellites that can gain reach the matching kernel, and the dense
-matrix is built only for a reader that asks for SlotGraph.weights (a weight
-dump, a test). A satellite whose best edge weighs no less than its virtual
-antenna does not downlink (an exact tie goes to "do not downlink"), and a
-slot where none gains makes no block and no kernel call. Otherwise numpy
-masks pick the block's rows, the satellites that gain, and its stations,
-where one of them gains. One pass over the edges between them writes each
-edge's weight into its station's antenna columns of the +inf block, and a
-chosen column decodes by its station's first column. No minimum matching
-uses another real cell, so the total weight is still the minimum.
+Only contested satellites reach the matching kernel, and the dense matrix
+is built only for a reader that asks for SlotGraph.weights (a weight dump, a
+test). A satellite whose best edge weighs no less than its virtual antenna
+does not downlink (an exact tie goes to "do not downlink"), and a slot where
+none gains makes no kernel call. Otherwise the block holds the satellites
+that gain and the stations where one of them gains; no minimum matching uses
+another real cell. A block row is contested when another one has an edge at
+one of its stations. The kernel's search never leaves a connected component,
+so an uncontested row takes what the kernel would give it: its least
+(weight, station) edge, at antenna 0. The kernel gets the +inf block of the
+contested rows and their stations, in the same order, so it breaks ties as on
+the whole block; a chosen column decodes by its station's first column.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -261,38 +264,43 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
 
 def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     """Minimum-weight left-perfect matching on the slot graph, with its total
-    edge weight; the kernel sees only the block of the satellites that can gain."""
+    edge weight; the kernel sees only the block's contested satellites."""
     arrays, sat, gs, weight = graph.arrays, graph.edge_sat, graph.edge_gs, graph.edge_w
     gains = weight < graph.fallback[sat]
     if not gains.any():
         return Assignment(slot=graph.slot, triples=()), 0.0
     is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
     is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
-    rows = np.flatnonzero(is_row)
-    end = np.cumsum(arrays.antenna_counts * is_gs).tolist()
-    col0 = [0] + end[:-1]  # station g's antennas are block columns col0[g]:end[g]
-    n_rows, n_cols = len(rows), end[-1]
-    cost = np.full((n_rows, n_cols + n_rows), np.inf)
-    # row r's virtual antenna is column n_cols + r, every (row length + 1)th cell
-    cost.reshape(-1)[n_cols::n_cols + n_rows + 1] = graph.fallback[rows]
     k = np.flatnonzero(is_row[sat] & is_gs[gs])  # every edge inside the block
-    edge_at = {}
-    for r, g, w, ek in zip(np.searchsorted(rows, sat[k]).tolist(), gs[k].tolist(),
-                           weight[k].tolist(), k.tolist()):
-        cost[r, col0[g]:end[g]] = w
-        edge_at[r, g] = ek
-    col4row = hungarian.min_cost_assignment(cost).tolist()
-    triples: list[AssignmentTriple] = []
-    objective = 0.0
+    # (weight, station, satellite, edge) of each, least (weight, station) first
+    edges = sorted(zip(weight[k].tolist(), gs[k].tolist(), sat[k].tolist(), k.tolist()))
+    rows_at = Counter(g for _, g, _, _ in edges)
+    contested = {s for _, g, s, _ in edges if rows_at[g] > 1}
+    # satellite -> (edge, antenna): an uncontested row's least (weight, station) edge, antenna 0
+    pick = {s: (ek, 0) for _, _, s, ek in reversed(edges) if s not in contested}
+    if contested:  # the block of the contested rows and of their stations
+        edges = [edge for edge in edges if edge[2] in contested]
+        rows = sorted(contested)
+        is_gs = np.bincount([g for _, g, _, _ in edges], minlength=len(arrays.gs_ids)) > 0
+        end = np.cumsum(arrays.antenna_counts * is_gs).tolist()
+        col0 = [0] + end[:-1]  # station g's antennas are block columns col0[g]:end[g]
+        n_rows, n_cols = len(rows), end[-1]
+        cost = np.full((n_rows, n_cols + n_rows), np.inf)
+        # row r's virtual antenna is column n_cols + r, every (row length + 1)th cell
+        cost.reshape(-1)[n_cols::n_cols + n_rows + 1] = graph.fallback[rows]
+        for w, g, s, _ in edges:
+            cost[bisect.bisect_left(rows, s), col0[g]:end[g]] = w
+        edge_at = {(s, g): ek for _, g, s, ek in edges}
+        # only finite cells are assigned: one of the row's edges, or its own virtual antenna
+        for s, col in zip(rows, hungarian.min_cost_assignment(cost).tolist()):
+            if col < n_cols:
+                g = bisect.bisect_right(col0, col) - 1  # empty stations share the next col0
+                pick[s] = (edge_at[s, g], col - col0[g])
+    triples, objective = [], 0.0
     # rows follow the sorted satellite ids, so the triples come out sorted
-    # only finite cells are assigned: one of the row's edges, or its own virtual antenna
-    for r, col in enumerate(col4row):
-        if col < n_cols:
-            g = bisect.bisect_right(col0, col) - 1  # empty stations share the next one's col0
-            ek = edge_at[r, g]
-            objective += float(weight[ek])
-            triples.append(AssignmentTriple(contact=int(graph.edge_row[ek]),
-                                            antenna=col - col0[g], dc=int(graph.edge_dc[ek])))
+    for ek, antenna in map(pick.get, sorted(pick)):
+        objective += weight.item(ek)
+        triples.append(AssignmentTriple(graph.edge_row.item(ek), antenna, graph.edge_dc.item(ek)))
     return Assignment(slot=graph.slot, triples=tuple(triples)), objective
 
 

@@ -8,14 +8,22 @@ it picks the same columns as the sparse kernel given the +inf matrix.
 
 reference_block is the kernel block that skygs.scheduler.hungarian_min_matching
 built before it skipped slots with no gaining edge and filled the block from
-the gaining edges, kept as the block the matcher must still hand the kernel.
+the gaining edges. The matcher now hands the kernel only the block's contested
+rows, and their columns, cut from this block.
+
+reference_assignment is that matcher before it took an uncontested row's
+cheapest edge without the kernel, on the dense kernel: the assignment and
+objective the matcher must still return.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
+
+from skygs.scheduler import Assignment, AssignmentTriple
 
 
 def slot_bound(weight, fallback):
@@ -46,6 +54,45 @@ def reference_block(graph) -> np.ndarray:
     cost[:, :n_cols] = np.append(graph.edge_w, np.inf)[edge_at[:, col_gs]]
     np.fill_diagonal(cost[:, n_cols:], graph.fallback[rows])
     return cost
+
+
+def reference_assignment(graph) -> tuple[Assignment, float]:
+    """Minimum-weight left-perfect matching on the slot graph, with its total
+    edge weight, from the dense kernel on the block of the satellites that can
+    gain, with the slot's bound in place of each +inf cell."""
+    arrays, sat, gs, weight = graph.arrays, graph.edge_sat, graph.edge_gs, graph.edge_w
+    gains = weight < graph.fallback[sat]
+    if not gains.any():
+        return Assignment(slot=graph.slot, triples=()), 0.0
+    is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
+    is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
+    rows = np.flatnonzero(is_row)
+    end = np.cumsum(arrays.antenna_counts * is_gs).tolist()
+    col0 = [0] + end[:-1]  # station g's antennas are block columns col0[g]:end[g]
+    n_rows, n_cols = len(rows), end[-1]
+    cost = np.full((n_rows, n_cols + n_rows), np.inf)
+    # row r's virtual antenna is column n_cols + r, every (row length + 1)th cell
+    cost.reshape(-1)[n_cols::n_cols + n_rows + 1] = graph.fallback[rows]
+    k = np.flatnonzero(is_row[sat] & is_gs[gs])  # every edge inside the block
+    edge_at = {}
+    for r, g, w, ek in zip(np.searchsorted(rows, sat[k]).tolist(), gs[k].tolist(),
+                           weight[k].tolist(), k.tolist()):
+        cost[r, col0[g]:end[g]] = w
+        edge_at[r, g] = ek
+    bound = slot_bound(weight, graph.fallback)
+    col4row = dense_min_cost_assignment(np.where(np.isinf(cost), bound, cost)).tolist()
+    triples: list[AssignmentTriple] = []
+    objective = 0.0
+    # rows follow the sorted satellite ids, so the triples come out sorted
+    # only finite cells are assigned: one of the row's edges, or its own virtual antenna
+    for r, col in enumerate(col4row):
+        if col < n_cols:
+            g = bisect.bisect_right(col0, col) - 1  # empty stations share the next one's col0
+            ek = edge_at[r, g]
+            objective += float(weight[ek])
+            triples.append(AssignmentTriple(contact=int(graph.edge_row[ek]),
+                                            antenna=col - col0[g], dc=int(graph.edge_dc[ek])))
+    return Assignment(slot=graph.slot, triples=tuple(triples)), objective
 
 
 def dense_min_cost_assignment(cost: np.ndarray) -> np.ndarray:

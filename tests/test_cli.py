@@ -322,6 +322,26 @@ class TestCompare:
             f"error: {flag}: expected a comma-separated list of {noun}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, given", [("--seeds", "1,1", "1"),
+                                                    ("--seeds", "3, 2,3", "3"),
+                                                    ("--policies", "bg,BG", "bg"),
+                                                    ("--policies", "skygs, Bg ,bg", "bg")])
+    def test_repeated_list_value_exits_one(self, scenario_file, tmp_path, capsys, flag, value,
+                                           given):
+        # policy names are compared lower-cased, as the scenario file's sim.policy
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--scenario", scenario_file, flag, value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {given} given twice\n"
+        assert not out.exists()
+
+    def test_unknown_policy_reported_as_given(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--scenario", scenario_file, "--policies", "bg,ZZZ,ZZZ",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: sim.policy: unknown policy 'ZZZ' ")
+        assert not out.exists()
+
     def test_failed_run_marked_others_proceed(self, tmp_path, capsys):
         # provider p1 owns stations but no data centers, so the sg row cannot
         # be scheduled; bg must still produce a valid row
@@ -403,6 +423,14 @@ class TestSweepV:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: --v-list: expected a comma-separated list of numbers\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, given", [("0,0", "0.0"), ("1e5,2e5,100000", "100000.0")])
+    def test_repeated_v_exits_one(self, scenario_file, tmp_path, capsys, value, given):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-v", "--scenario", scenario_file, "--v-list", value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --v-list: {given} given twice\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["", ","])

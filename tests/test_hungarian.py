@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import make_scenario, states_for
-from reference_kernel import dense_min_cost_assignment, reference_block, slot_bound
+from reference_kernel import (dense_min_cost_assignment, reference_assignment, reference_block,
+                              slot_bound)
 from skygs import baselines, engine, hungarian
 from skygs.hungarian import min_cost_assignment
 from skygs.model import validate_scenario
@@ -124,21 +125,26 @@ def test_sparse_matrices_match_scipy_or_raise_when_infeasible(n_rows, extra_cols
     assert assignment_cost(cost, cols) == pytest.approx(cost[rows_s, cols_s].sum(), rel=1e-12)
 
 
-def slot_graph(rng, n_sats, antennas, fallbacks, weights, groups=1, ties=False):
+def slot_graph(rng, n_sats, antennas, fallbacks, weights, groups=1, ties=False, sees=None,
+               shuffle=False):
     """A one-slot graph through SlotGraph.from_edges, whose edge k is table
-    row k. Stations have the given antenna counts (an antenna column per
-    antenna, repeating its station's edge weight), and satellite i's virtual
-    antenna weighs fallbacks[i]. Station g and satellite i are in group
-    g % groups and i % groups; a satellite sees each station of its own group
-    with probability 0.6, and weights() draws each contact's weight. Several
-    groups give the gaining rows several components. With `ties`, one edge is
-    set to its satellite's fallback, and one satellite's edges at two
-    stations are made equal, where the graph has such edges."""
+    row k, or in shuffled order with `shuffle`. Stations have the given
+    antenna counts (an antenna column per antenna, repeating its station's
+    edge weight), and satellite i's virtual antenna weighs fallbacks[i].
+    Satellite i sees station g where sees(i, g) holds; by default, station g
+    and satellite i are in group g % groups and i % groups, and a satellite
+    sees each station of its own group with probability 0.6. weights() draws
+    each contact's weight. Several groups give the gaining rows several
+    components. With `ties`, one edge is set to its satellite's fallback, and
+    one satellite's edges at two stations are made equal, where the graph has
+    such edges."""
     scenario = make_scenario(n_sats=n_sats, stations=tuple((a, 1.0) for a in antennas))
     arrays = ScenarioArrays.from_scenario(scenario)
     fallbacks = np.asarray(fallbacks, dtype=float)
-    pairs = [(i, g) for i in range(n_sats) for g in range(len(antennas))
-             if i % groups == g % groups and rng.random() < 0.6]
+    if sees is None:
+        def sees(i, g):
+            return i % groups == g % groups and rng.random() < 0.6
+    pairs = [(i, g) for i in range(n_sats) for g in range(len(antennas)) if sees(i, g)]
     sat = np.array([i for i, _ in pairs], dtype=np.int64)
     gs = np.array([g for _, g in pairs], dtype=np.int64)
     n = len(pairs)
@@ -152,7 +158,8 @@ def slot_graph(rng, n_sats, antennas, fallbacks, weights, groups=1, ties=False):
             weight[k1] = weight[k0]
     table = ContactTable(1, arrays.sat_ids, arrays.gs_ids, np.zeros(n), sat, gs,
                          np.full(n, 45.0), np.ones(n))
-    return SlotGraph.from_edges(0, arrays, table, np.arange(n), weight, np.ones(n),
+    row = rng.permutation(n) if shuffle else np.arange(n)
+    return SlotGraph.from_edges(0, arrays, table, row, weight[row], np.ones(n),
                                 np.zeros(n, dtype=np.int64), fallbacks)
 
 
@@ -213,7 +220,7 @@ def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, g
     n_stations = int(rng.integers(1, 4))
     graph = slot_graph(rng, n_sats, [antennas_per_station] * n_stations, np.zeros(n_sats),
                        lambda: rng.uniform(-1e6, 1e3), groups)
-    assignment, objective = match_on_the_reference_block(graph)
+    assignment, objective = checked_match(graph)
     pruned = graph_col4row(graph, assignment)
     cost = graph.weights
     assert np.array_equal(pruned, min_cost_assignment(cost))
@@ -239,7 +246,7 @@ def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, ties, grou
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
     graph = slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
                        groups, ties)
-    assignment, objective = match_on_the_reference_block(graph)
+    assignment, objective = checked_match(graph)
     pruned = graph_col4row(graph, assignment)
     cost = graph.weights
     assert_slot_matching(cost, pruned)
@@ -264,7 +271,7 @@ def test_gaining_rows_in_several_components():
         graph = slot_graph(rng, 9, [2, 1, 1, 2, 1, 3], np.zeros(9),
                            lambda: rng.uniform(-1e6, 1e3), groups=3)
         split += components(graph) >= 2
-        assignment, objective = match_on_the_reference_block(graph)
+        assignment, objective = checked_match(graph)
         pruned = graph_col4row(graph, assignment)
         cost = graph.weights
         assert np.array_equal(pruned, min_cost_assignment(cost))
@@ -302,7 +309,7 @@ def test_broker_reaches_the_minimum_on_the_all_backlogged_full_scale_slot():
     graph = build_bipartite(states, 123.0, 0, scenario, table,
                             ScenarioArrays.from_scenario(scenario))
     assert len(np.unique(graph.edge_sat[graph.edge_w < 0.0])) > 60  # kernel rows
-    assignment, objective = match_on_the_reference_block(graph)
+    assignment, objective = checked_match(graph)
     cols = graph_col4row(graph, assignment)
     cost = graph.weights
     assert_slot_matching(cost, cols)
@@ -321,7 +328,8 @@ def assert_kernels_agree(cost, bound):
 class MatchCall(NamedTuple):
     reference: np.ndarray      # reference_block of the graph the matcher received
     bound: float               # slot_bound of that graph
-    gains: bool                # whether one of its edges weighs less than its fallback
+    expected: tuple            # reference_assignment of that graph
+    result: tuple              # the matcher's (Assignment, objective)
     block: np.ndarray | None   # the block it handed the kernel, None without a call
 
 
@@ -329,42 +337,62 @@ def kernel_blocks(run):
     """Every call that `run()` makes to the matcher through a matching policy,
     paired with the kernel call it made, if any: a MatchCall each, read from
     the graph that the matcher received."""
-    graphs, blocks = [], {}
+    calls, blocks = [], {}
     kernel, match = hungarian.min_cost_assignment, baselines.hungarian_min_matching
 
     def spy_match(graph):
-        graphs.append((reference_block(graph), slot_bound(graph.edge_w, graph.fallback),
-                       bool((graph.edge_w < graph.fallback[graph.edge_sat]).any())))
-        return match(graph)
+        calls.append([reference_block(graph), slot_bound(graph.edge_w, graph.fallback),
+                      reference_assignment(graph)])
+        result = match(graph)
+        calls[-1].append(result)
+        return result
 
     def spy_kernel(cost):
-        assert graphs and len(graphs) - 1 not in blocks  # at most one call per match
-        blocks[len(graphs) - 1] = cost.copy()
+        assert calls and len(calls) - 1 not in blocks  # at most one call per match
+        blocks[len(calls) - 1] = cost.copy()
         return kernel(cost)
 
     with mock.patch.object(hungarian, "min_cost_assignment", spy_kernel), \
             mock.patch.object(baselines, "hungarian_min_matching", spy_match):
         run()
-    return [MatchCall(*g, blocks.get(i)) for i, g in enumerate(graphs)]
+    return [MatchCall(*call, blocks.get(i)) for i, call in enumerate(calls)]
 
 
-def assert_reference_block(call):
-    """The matcher calls the kernel exactly when an edge gains, and then on the
-    reference block, cell for cell."""
-    assert (call.block is not None) == call.gains == (len(call.reference) > 0)
+def contested_block(reference):
+    """The contested part of a reference block: the rows that have a finite
+    cell in an antenna column where another row has one too, the antenna
+    columns where one of them is finite, and their own virtual columns, in the
+    block's order."""
+    n_real = reference.shape[1] - len(reference)
+    finite = reference[:, :n_real] < np.inf
+    contested = (finite & (finite.sum(axis=0) > 1)).any(axis=1)
+    cols = np.append(np.flatnonzero(finite[contested].any(axis=0)),
+                     n_real + np.flatnonzero(contested))
+    return reference[np.ix_(contested, cols)]
+
+
+def assert_match_call(call):
+    """The matcher returns the reference matcher's assignment and objective,
+    exactly, and calls the kernel exactly when a block row is contested, then
+    on the contested part of the reference block, cell for cell, where both
+    kernels pick the same columns."""
+    assert call.result == call.expected
+    assert type(call.result[1]) is float
+    contested = contested_block(call.reference)
+    assert (call.block is not None) == (len(contested) > 0)
     if call.block is not None:
         assert call.block.dtype == np.float64
-        assert np.array_equal(call.block, call.reference)
+        assert np.array_equal(call.block, contested)
+        assert_kernels_agree(call.block, call.bound)
 
 
-def match_on_the_reference_block(graph):
-    """hungarian_min_matching(graph), checked to hand the kernel the reference
-    block, or no block when no edge gains."""
-    results = []
-    calls = kernel_blocks(lambda: results.append(baselines.hungarian_min_matching(graph)))
+def checked_match(graph):
+    """hungarian_min_matching(graph), checked against the reference matcher
+    and the contested part of the reference block."""
+    calls = kernel_blocks(lambda: baselines.hungarian_min_matching(graph))
     assert len(calls) == 1
-    assert_reference_block(calls[0])
-    return results[0]
+    assert_match_call(calls[0])
+    return calls[0].result
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,20 +400,81 @@ def match_on_the_reference_block(graph):
        st.booleans(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_sparse_kernel_picks_the_dense_kernels_columns(n_sats, antennas, forced, groups, seed):
     """On tie-heavy slot graphs, the whole weight matrix and the matcher's
-    block each get the same columns from both kernels. The matcher makes its
-    one kernel call on the reference block, and only when an edge gains."""
+    block each get the same columns from both kernels. The matcher returns
+    the reference matcher's result and makes its one kernel call on the
+    contested part of the reference block, and only when a row is contested."""
     rng = np.random.default_rng(seed)
     levels = np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
     graph = slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
                        groups, ties=True)
-    bound = slot_bound(graph.edge_w, graph.fallback)
-    assert_kernels_agree(graph.weights, bound)
-    calls = kernel_blocks(lambda: baselines.hungarian_min_matching(graph))
-    assert len(calls) == 1
-    assert_reference_block(calls[0])
-    if calls[0].gains:
-        assert_kernels_agree(calls[0].block, bound)
+    assert_kernels_agree(graph.weights, slot_bound(graph.edge_w, graph.fallback))
+    checked_match(graph)
+
+
+def mixed_slot_graph(rng, n_private, n_shared, pool, forced):
+    """Satellite i < n_private sees its own stations 2i and 2i + 1, each with
+    probability 0.8, and each of the `pool` stations with probability 0.2;
+    the other n_shared satellites see each pool station with probability 0.6.
+    So a slot mixes uncontested satellites, some with two stations, and
+    contested ones, some sharing a station only through an edge that does not
+    gain. Weights come from a small set, so edges tie each other and their
+    fallbacks (5 for about half the satellites when `forced`, else 0), and
+    the edges come in shuffled order."""
+    n_sats, n_own = n_private + n_shared, 2 * n_private
+    antennas = rng.integers(1, 3, n_own).tolist() + list(pool)
+    levels = np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
+    fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
+
+    def sees(i, g):
+        if g >= n_own:
+            return rng.random() < (0.2 if i < n_private else 0.6)
+        return g // 2 == i and rng.random() < 0.8
+
+    return slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
+                      ties=True, sees=sees, shuffle=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 5), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_contested_and_uncontested_satellites_in_one_slot(n_private, n_shared, pool, forced,
+                                                          seed):
+    """On mixed slots, the matcher returns the reference matcher's result,
+    calls the kernel on the contested part of the reference block only, and
+    reaches scipy's minimum."""
+    graph = mixed_slot_graph(np.random.default_rng(seed), n_private, n_shared, pool, forced)
+    assignment, _objective = checked_match(graph)
+    cols = graph_col4row(graph, assignment)
+    cost = graph.weights
+    assert_slot_matching(cost, cols)
+    rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
+    assert assignment_cost(cost, cols) == cost[rows_s, cols_s].sum()
+
+
+def test_mixed_slots_hold_every_kind_of_satellite():
+    """The mixed slots are not all of one kind: over 60 seeds there are slots
+    with contested and uncontested gaining satellites together, uncontested
+    satellites whose cheapest edge ties at two stations, and satellites
+    contested only through an edge that does not gain."""
+    mixed = tied = through_no_gain = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        graph = mixed_slot_graph(rng, 3, 3, [1, 2], forced=seed % 2 == 0)
+        sat, gs, w = graph.edge_sat.tolist(), graph.edge_gs.tolist(), graph.edge_w.tolist()
+        gains = [w[k] < graph.fallback[sat[k]] for k in range(len(w))]
+        rows = {sat[k] for k in range(len(w)) if gains[k]}
+        stations = {gs[k] for k in range(len(w)) if gains[k]}
+        block = [k for k in range(len(w)) if sat[k] in rows and gs[k] in stations]
+        shared = {g for g in stations if sum(gs[k] == g for k in block) > 1}
+        contested = {sat[k] for k in block if gs[k] in shared}
+        mixed += bool(contested) and bool(rows - contested)
+        for s in rows - contested:
+            least = min(w[k] for k in block if sat[k] == s)
+            tied += sum(w[k] == least for k in block if sat[k] == s) > 1
+        through_no_gain += any(not any(gains[k] for k in block if sat[k] == s and gs[k] in shared)
+                               for s in contested)
+    assert min(mixed, tied, through_no_gain) >= 3, (mixed, tied, through_no_gain)
 
 
 def full_scale_world():
@@ -398,20 +487,23 @@ def desk_world(policy):
     return scenario, build_contact_table(scenario)
 
 
-@pytest.mark.parametrize("world", [full_scale_world, lambda: desk_world("skygs"),
-                                   lambda: desk_world("ilp_hpq")],
+@pytest.mark.parametrize("world, kernel_called",
+                         [(full_scale_world, True), (lambda: desk_world("skygs"), False),
+                          (lambda: desk_world("ilp_hpq"), False)],
                          ids=["full-scale-48-skygs", "desk-skygs", "desk-ilp_hpq"])
-def test_sparse_kernel_picks_the_dense_kernels_columns_on_every_block_of_a_run(world):
-    """A run matches once per slot and calls the kernel once per slot with a
-    gaining edge, on the reference block; on every block both kernels pick
-    the same columns."""
+def test_sparse_kernel_picks_the_dense_kernels_columns_on_every_block_of_a_run(world,
+                                                                              kernel_called):
+    """A run matches once per slot, and every match returns the reference
+    matcher's result and calls the kernel only on the contested part of the
+    reference block, where both kernels pick the same columns. No desk slot
+    holds a contested satellite, so desk runs make no kernel call; the
+    full-scale run does, on blocks that hold +inf cells."""
     scenario, table = world()
     calls = kernel_blocks(lambda: engine.run(scenario, table=table))
     assert len(calls) == scenario.horizon
     for call in calls:
-        assert_reference_block(call)
-    blocks = [call for call in calls if call.block is not None]
-    assert len(blocks) == sum(call.gains for call in calls) > 0
-    assert sum(np.isinf(call.block).any() for call in blocks) > 0
-    for call in blocks:
-        assert_kernels_agree(call.block, call.bound)
+        assert_match_call(call)
+    assert sum(len(call.reference) > 0 for call in calls) > 0  # slots where a row gains
+    blocks = [call.block for call in calls if call.block is not None]
+    assert bool(blocks) == kernel_called
+    assert sum(np.isinf(block).any() for block in blocks) > 0 or not kernel_called

@@ -14,6 +14,11 @@ ContactTable.from_contacts: the plan reader and the helpers it calls hold no
 Every random number is drawn by address through rng.uniform_at, so no module
 names numpy's generators (`np.random`, `numpy.random`).
 
+engine.py reaches actual_downlink and advance_backlog only as attributes of
+the queues module, where the benchmark's tracer wraps them and a test of its
+FIFO replay check patches one: a name imported from queues would keep the
+unwrapped function.
+
 The brute-force oracle in tests/oracle.py re-derives the broker's slot
 objective on its own: it reads the scenario's arrays and the assignment types
 from scheduler, and imports neither accounting nor queues, the modules that
@@ -89,6 +94,18 @@ def imported_names(path):
             module = "." * node.level + (node.module or "")
             names += [module] + [f"{module}.{alias.name}" for alias in node.names]
     return names
+
+
+def test_engine_reaches_the_backlog_through_the_queues_module():
+    path = SRC / "engine.py"
+    backlog = {"actual_downlink", "advance_backlog"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in backlog
+             or isinstance(node, ast.Attribute) and node.attr in backlog]
+    assert sorted(set(named)) == sorted(f"queues.{name}" for name in backlog)
+    assert [name for name in imported_names(path)
+            if name.rsplit(".", 1)[-1] in backlog | {"*"}] == []
 
 
 def test_accounting_does_not_import_queues():
