@@ -6,6 +6,8 @@ per MB; BR picks uniformly at random; BWG adds withholding until a full slot
 of link capacity can be used; ILP-HPQ downlinks only satellites whose oldest
 data approaches the latency threshold, via a forced min-cost matching.
 None of the baselines rents an antenna for an empty downlink.
+Each policy takes the scenario and the run's ScenarioArrays, and answers a
+slot with a tuple of AssignmentTriples.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from skygs import accounting, rng
-from skygs.model import DEFAULT_RHO, Scenario
+from skygs.model import Scenario
 from skygs.orbit import ContactTable
 from skygs.queues import SatelliteState
-from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, SlotGraph,
-                             build_bipartite, hungarian_min_matching)
+from skygs.scheduler import (AssignmentTriple, ScenarioArrays, SlotGraph, build_bipartite,
+                             hungarian_min_matching)
 
 
 def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
@@ -44,9 +46,9 @@ class _GreedyCore:
     by lowest ids.
     """
 
-    def __init__(self, scenario: Scenario, *, providers: set[str] | None = None,
-                 require_full_slot: bool = False):
-        self.arrays = ScenarioArrays.from_scenario(scenario)
+    def __init__(self, scenario: Scenario, arrays: ScenarioArrays, *,
+                 providers: set[str] | None = None, require_full_slot: bool = False):
+        self.arrays = arrays
         self.scenario = scenario
         self.require_full_slot = require_full_slot
         if providers is None:
@@ -60,7 +62,7 @@ class _GreedyCore:
         self.best_dc = _best_dc_by_cost(self.arrays, dc_positions)
 
     def schedule(self, states: dict[str, SatelliteState], q: float, slot: int,
-                 table: ContactTable) -> Assignment:
+                 table: ContactTable) -> tuple[AssignmentTriple, ...]:
         arrays = self.arrays
         tau = self.scenario.tau
         free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
@@ -90,9 +92,8 @@ class _GreedyCore:
             _, g_pos, k = best
             triples.append(AssignmentTriple(contact=k, antenna=free[g_pos].pop(0),
                                             dc=self.best_dc))
-        # rows follow the satellite ids within a slot
-        triples.sort(key=lambda tr: tr.contact)
-        return Assignment(slot=slot, triples=tuple(triples))
+        # rows follow the satellite ids within a slot, and no two triples share a row
+        return tuple(sorted(triples))
 
 
 class BGPolicy(_GreedyCore):
@@ -102,16 +103,16 @@ class BGPolicy(_GreedyCore):
 class BWGPolicy(_GreedyCore):
     name = "bwg"
 
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario, require_full_slot=True)
+    def __init__(self, scenario: Scenario, arrays: ScenarioArrays):
+        super().__init__(scenario, arrays, require_full_slot=True)
 
 
 class SGPolicy(_GreedyCore):
     name = "sg"
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, arrays: ScenarioArrays):
         # validation fills in the provider and checks that it owns a station and a data center
-        super().__init__(scenario, providers={scenario.policy_params["provider"]})
+        super().__init__(scenario, arrays, providers={scenario.policy_params["provider"]})
 
 
 class BRPolicy:
@@ -125,8 +126,8 @@ class BRPolicy:
 
     name = "br"
 
-    def __init__(self, scenario: Scenario):
-        self.arrays = ScenarioArrays.from_scenario(scenario)
+    def __init__(self, scenario: Scenario, arrays: ScenarioArrays):
+        self.arrays = arrays
         n_s, horizon = len(self.arrays.sat_ids), scenario.horizon
         self.draws = rng.uniform_at(scenario.seed, rng.TAG_BR_POLICY, (),
                                     np.arange(3 * n_s * horizon)).reshape(horizon, 3, n_s)
@@ -148,8 +149,7 @@ class BRPolicy:
             g_pos, k, antenna = choices[int(pick[si] * len(choices))]
             free[g_pos].remove(antenna)
             triples.append(AssignmentTriple(contact=k, antenna=antenna, dc=int(dc_pick[si] * n_d)))
-        triples.sort(key=lambda tr: tr.contact)
-        return Assignment(slot=slot, triples=tuple(triples))
+        return tuple(sorted(triples))
 
 
 class IlpHpqPolicy:
@@ -169,11 +169,11 @@ class IlpHpqPolicy:
 
     name = "ilp_hpq"
 
-    def __init__(self, scenario: Scenario):
-        self.arrays = ScenarioArrays.from_scenario(scenario)
+    def __init__(self, scenario: Scenario, arrays: ScenarioArrays):
+        self.arrays = arrays
         self.scenario = scenario
         self.graph: SlotGraph | None = None  # the graph of the latest slot
-        self.rho = scenario.policy_params.get("rho", DEFAULT_RHO)
+        self.rho = scenario.policy_params["rho"]  # validation fills in its default
         self.best_dc = _best_dc_by_cost(self.arrays, list(range(len(self.arrays.dc_ids))))
 
     def schedule(self, states, q, slot, table):
@@ -196,7 +196,7 @@ class IlpHpqPolicy:
             oldest = states[sat_id].oldest_arrival_slot()
             if oldest is not None and (slot - oldest) * tau >= self.rho * xi:
                 fallback[k] = m_forced
-        self.graph = SlotGraph.from_edges(slot, arrays, table, row, cost, dtil,
+        self.graph = SlotGraph.from_edges(arrays, table, row, cost, dtil,
                                           np.repeat(self.best_dc, len(cost)), fallback)
         return hungarian_min_matching(self.graph)[0]
 
@@ -204,8 +204,8 @@ class IlpHpqPolicy:
 class SkyGSPolicy:
     name = "skygs"
 
-    def __init__(self, scenario: Scenario):
-        self.arrays = ScenarioArrays.from_scenario(scenario)
+    def __init__(self, scenario: Scenario, arrays: ScenarioArrays):
+        self.arrays = arrays
         self.scenario = scenario
         self.graph: SlotGraph | None = None  # the graph of the latest slot
 
@@ -218,6 +218,6 @@ _POLICY_CLASSES = {cls.name: cls for cls in (SkyGSPolicy, SGPolicy, BGPolicy, BR
                                               BWGPolicy, IlpHpqPolicy)}
 
 
-def make_policy(scenario: Scenario):
-    """Instantiate the policy the scenario selects; validation has checked its params."""
-    return _POLICY_CLASSES[scenario.policy](scenario)
+def make_policy(scenario: Scenario, arrays: ScenarioArrays):
+    """The scenario's policy on the run's arrays; validation has checked its params."""
+    return _POLICY_CLASSES[scenario.policy](scenario, arrays)

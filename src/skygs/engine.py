@@ -24,7 +24,7 @@ from skygs.baselines import make_policy
 from skygs.model import Scenario, ScenarioError, with_overrides
 from skygs.orbit import ContactTable, build_contact_table, scenario_ids
 from skygs.queues import ArrivalModel, SatelliteState
-from skygs.scheduler import Assignment, ScenarioArrays, check_assignment, dump_weight_matrix
+from skygs.scheduler import ScenarioArrays, check_assignment, dump_weight_matrix
 
 
 # DownlinkRecord from a tuple of its fields, without NamedTuple's Python-level __new__
@@ -64,15 +64,15 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
          arrivals: ArrivalModel, arrays: ScenarioArrays) -> list[DownlinkRecord]:
     """Advance one slot; returns the slot's downlink records."""
     t = sim.slot
-    assignment: Assignment = policy.schedule(sim.states, sim.q, t, table)
-    violations = check_assignment(assignment, arrays, table)
+    triples = policy.schedule(sim.states, sim.q, t, table)
+    violations = check_assignment(triples, t, arrays, table)
     if violations:
         raise InfeasibleAssignmentError(t, policy.name, violations)
 
     slot_records: list[DownlinkRecord] = []
     service_latency = 0.0
     # Python scalars throughout: the records CSV writes them faster than numpy scalars
-    for k, antenna, di in assignment.triples:
+    for k, antenna, di in triples:
         sat_id, gi = arrays.sat_ids[table.sat.item(k)], table.gs.item(k)
         rate, kappa = table.rate_mb_per_min.item(k), arrays.dc_kappa.item(di)
         moved, popped = queues.actual_downlink(sim.states[sat_id], rate * scenario.tau)
@@ -136,7 +136,7 @@ def run(scenario: Scenario, *, policy: str | None = None, seed: int | None = Non
 
     arrays = ScenarioArrays.from_scenario(scenario)
     arrivals = ArrivalModel(scenario)
-    policy_obj = make_policy(scenario)
+    policy_obj = make_policy(scenario, arrays)
     if dump_weights is not None:
         if not hasattr(policy_obj, "graph"):
             raise ScenarioError(f"dump_weights: policy {scenario.policy!r} matches no slot graph")

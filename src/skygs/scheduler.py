@@ -30,16 +30,17 @@ weight of each satellite's virtual antenna: zero for the broker, a forcing
 price for ilp_hpq's high-priority satellites. Each station's antenna columns
 repeat its edge weights, and a cell with no edge (no contact, another
 satellite's virtual antenna) holds +inf, which the kernel reads as "no edge".
-hungarian_min_matching decodes the matching of any such graph into an
-Assignment. Each edge keeps the contact-table row of its link, from
-ContactTable.slot_rows; SlotGraph.candidates is a dict of them.
+hungarian_min_matching decodes the matching of any such graph into the slot's
+AssignmentTriples, all that a policy returns. Each edge keeps the
+contact-table row of its link, from ContactTable.slot_rows;
+SlotGraph.candidates is a dict of them.
 
 An AssignmentTriple is three positions: the contact-table row its policy
 chose, which fixes the slot, satellite and station; the antenna within that
 station; and the data center. The downlink reads the row's rate, and the
-validator checks the positions against the slot's rows and the scenario's
-antenna and data-center counts. Ids are read from the positions only where a
-downlink record is written.
+validator checks the positions against the rows of the slot that the engine
+runs and the scenario's antenna and data-center counts. Ids are read from
+the positions only where a downlink record is written.
 
 Only contested satellites reach the matching kernel, and the dense matrix
 is built only for a reader that asks for SlotGraph.weights (a weight dump, a
@@ -73,7 +74,8 @@ from skygs.queues import SatelliteState
 
 @dataclass(frozen=True)
 class ScenarioArrays:
-    """Index maps and flat arrays for one scenario, shared by all policies.
+    """Index maps and flat arrays for one scenario; engine.run builds them
+    once per run, for itself, its validator and the run's policy.
 
     Satellites, stations, and data centers are ordered by id so every
     downstream tie-break is deterministic regardless of input order.
@@ -85,9 +87,7 @@ class ScenarioArrays:
     sat_index: dict[str, int]
     gs_index: dict[str, int]
     price_slot: np.ndarray          # [n_g] $ per antenna-slot
-    antenna_counts: np.ndarray      # [n_g]
-    antenna_station: np.ndarray     # [n_real] station index per antenna column
-    antenna_no: np.ndarray          # [n_real] antenna index within its station
+    antenna_counts: np.ndarray      # [n_g] antennas of each station, columns from station_col0
     station_col0: np.ndarray        # [n_g] first antenna column of each station
     dc_price: np.ndarray            # [n_d] $ per processing-minute
     dc_kappa: np.ndarray            # [n_d] processing min per MB
@@ -105,9 +105,6 @@ class ScenarioArrays:
         n_g, n_d = len(stations), len(dcs)
         price_slot = np.array([g.price_per_slot for g in stations], dtype=float)
         counts = np.array([g.antennas for g in stations], dtype=np.int64)
-        col0 = np.cumsum(counts) - counts
-        ant_station = np.repeat(np.arange(n_g), counts)
-        ant_no = np.arange(len(ant_station)) - col0[ant_station]
         dc_price = np.array([d.price_per_min for d in dcs], dtype=float)
         dc_kappa = np.array([d.intensity_min_per_mb for d in dcs], dtype=float)
         backhaul = np.array([g.backhaul_mb_per_min[d.id] for g in stations for d in dcs],
@@ -120,9 +117,7 @@ class ScenarioArrays:
             gs_index={g.id: i for i, g in enumerate(stations)},
             price_slot=price_slot,
             antenna_counts=counts,
-            antenna_station=ant_station,
-            antenna_no=ant_no,
-            station_col0=col0,
+            station_col0=np.cumsum(counts) - counts,
             dc_price=dc_price,
             dc_kappa=dc_kappa,
             backhaul=backhaul,
@@ -132,7 +127,7 @@ class ScenarioArrays:
 
     @property
     def n_real_antennas(self) -> int:
-        return len(self.antenna_station)
+        return int(self.antenna_counts.sum())
 
     @functools.cached_property
     def dc_cost_per_mb(self) -> np.ndarray:
@@ -174,17 +169,11 @@ class AssignmentTriple(NamedTuple):
     dc: int                    # data center position
 
 
-class Assignment(NamedTuple):
-    slot: int
-    triples: tuple[AssignmentTriple, ...]
-
-
 @dataclass
 class SlotGraph:
     """The slot's edges, one per (satellite, station) contact, and the weight
     matrix they define."""
 
-    slot: int
     arrays: ScenarioArrays
     edge_sat: np.ndarray       # [n_edges] satellite position of each edge
     edge_gs: np.ndarray        # [n_edges] station position of each edge
@@ -195,14 +184,13 @@ class SlotGraph:
     fallback: np.ndarray       # [n_s] weight of each satellite's virtual antenna
 
     @classmethod
-    def from_edges(cls, slot: int, arrays: ScenarioArrays, table: ContactTable,
+    def from_edges(cls, arrays: ScenarioArrays, table: ContactTable,
                    row: np.ndarray, weight: np.ndarray, dtil: np.ndarray, dc: np.ndarray,
                    fallback: np.ndarray) -> "SlotGraph":
         """The graph of one edge per contact-table row `row[k]`, between the row's
         satellite and station, with `fallback[s]` on satellite s's virtual antenna."""
-        return cls(slot=slot, arrays=arrays, edge_sat=table.sat[row], edge_gs=table.gs[row],
-                   edge_row=row, edge_w=weight, edge_dtil=dtil, edge_dc=dc,
-                   fallback=fallback)
+        return cls(arrays=arrays, edge_sat=table.sat[row], edge_gs=table.gs[row], edge_row=row,
+                   edge_w=weight, edge_dtil=dtil, edge_dc=dc, fallback=fallback)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -212,7 +200,7 @@ class SlotGraph:
         per_station = np.full((n_s, len(self.arrays.gs_ids)), np.inf)
         per_station[self.edge_sat, self.edge_gs] = self.edge_w
         virtual = np.where(np.eye(n_s, dtype=bool), self.fallback[:, None], np.inf)
-        return np.hstack([per_station[:, self.arrays.antenna_station], virtual])
+        return np.hstack([np.repeat(per_station, self.arrays.antenna_counts, axis=1), virtual])
 
     @property
     def n_real(self) -> int:
@@ -258,17 +246,17 @@ def build_bipartite(states: dict[str, SatelliteState], q: float, slot: int,
     backlog = np.array([states[sat_id].total_mb for sat_id in arrays.sat_ids])
     weight, dtil, di = _edge_terms(backlog[si], gi, rate, q, scenario, arrays)
     rows = table.slot_rows(slot)
-    return SlotGraph.from_edges(slot, arrays, table, np.arange(rows.start, rows.stop),
-                                weight, dtil, di, np.zeros(len(backlog)))
+    return SlotGraph.from_edges(arrays, table, np.arange(rows.start, rows.stop), weight, dtil, di,
+                                np.zeros(len(backlog)))
 
 
-def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
+def hungarian_min_matching(graph: SlotGraph) -> tuple[tuple[AssignmentTriple, ...], float]:
     """Minimum-weight left-perfect matching on the slot graph, with its total
     edge weight; the kernel sees only the block's contested satellites."""
     arrays, sat, gs, weight = graph.arrays, graph.edge_sat, graph.edge_gs, graph.edge_w
     gains = weight < graph.fallback[sat]
     if not gains.any():
-        return Assignment(slot=graph.slot, triples=()), 0.0
+        return (), 0.0
     is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
     is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
     k = np.flatnonzero(is_row[sat] & is_gs[gs])  # every edge inside the block
@@ -301,14 +289,14 @@ def hungarian_min_matching(graph: SlotGraph) -> tuple[Assignment, float]:
     for ek, antenna in map(pick.get, sorted(pick)):
         objective += weight.item(ek)
         triples.append(AssignmentTriple(graph.edge_row.item(ek), antenna, graph.edge_dc.item(ek)))
-    return Assignment(slot=graph.slot, triples=tuple(triples)), objective
+    return tuple(triples), objective
 
 
 def dump_weight_matrix(graph: SlotGraph, path: str) -> None:
     """Debug CSV of the slot's weight matrix (satellites x antenna columns)."""
     arrays = graph.arrays
-    cols = [f"{arrays.gs_ids[arrays.antenna_station[c]]}#{arrays.antenna_no[c]}"
-            for c in range(graph.n_real)]
+    cols = [f"{gs_id}#{a}" for gs_id, n in zip(arrays.gs_ids, arrays.antenna_counts.tolist())
+            for a in range(n)]
     cols += [f"virtual:{sid}" for sid in arrays.sat_ids]
     write_csv(path, ["satellite"] + cols,
               ([sid] + w for sid, w in zip(arrays.sat_ids, graph.weights.tolist())))
@@ -318,27 +306,27 @@ def dump_weight_matrix(graph: SlotGraph, path: str) -> None:
 # independent feasibility validator
 
 
-def check_assignment(assignment: Assignment, arrays: ScenarioArrays,
+def check_assignment(triples: tuple[AssignmentTriple, ...], t: int, arrays: ScenarioArrays,
                      table: ContactTable) -> list[str]:
-    """Violations of the per-slot constraints; empty when feasible.
+    """Violations of slot t's constraints; empty when feasible.
 
-    Checks: each triple's contact row is one of the slot's rows (so its
+    t is the slot that the caller runs, so a decision built for another slot
+    fails. Checks: each triple's contact row is one of slot t's rows (so its
     station is within view); each satellite appears in at most one row; the
     antenna exists at the row's station and is not double-booked; the data
     center exists. Negative positions are out of range, not counted from the
     end.
     """
     violations: list[str] = []
-    slot = assignment.slot
-    rows = table.slot_rows(slot) if 0 <= slot < table.n_slots else range(0)
+    rows = table.slot_rows(t)
     n_d = len(arrays.dc_ids)
     seen_sats: set[int] = set()
     used_antennas: set[tuple[int, int]] = set()
-    for tr in assignment.triples:
+    for tr in triples:
         k = tr.contact
         if k not in rows:
             violations.append(f"constraint(visibility): contact row {k} is not one of "
-                              f"slot {slot}'s rows [{rows.start}, {rows.stop})")
+                              f"slot {t}'s rows [{rows.start}, {rows.stop})")
             continue
         si, gi = int(table.sat[k]), int(table.gs[k])
         if si in seen_sats:

@@ -14,7 +14,7 @@ import numpy as np
 
 from skygs.model import Scenario
 from skygs.orbit import ContactTable
-from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays
+from skygs.scheduler import AssignmentTriple, ScenarioArrays
 
 BRUTE_FORCE_MAX_VISIBLE = 6
 BRUTE_FORCE_MAX_ANTENNAS = 6
@@ -46,10 +46,14 @@ def _triple_contribution(backlog: float, rate: float, gi: int, di: int,
 
 
 def brute_force_schedule(backlogs: dict[str, float], q: float, slot: int,
-                         scenario: Scenario, table: ContactTable) -> tuple[Assignment, float]:
-    """Exhaustive minimizer over all feasible assignments, with its objective;
-    `backlogs` holds each satellite's backlog in MB by id."""
+                         scenario: Scenario,
+                         table: ContactTable) -> tuple[tuple[AssignmentTriple, ...], float]:
+    """Exhaustive minimizer over all feasible assignments: its triples and its
+    objective; `backlogs` holds each satellite's backlog in MB by id."""
     arrays = ScenarioArrays.from_scenario(scenario)
+    # station and antenna within it of each real antenna column, from the counts
+    antenna_station = np.repeat(np.arange(len(arrays.gs_ids)), arrays.antenna_counts)
+    antenna_no = np.arange(len(antenna_station)) - arrays.station_col0[antenna_station]
     row_sat, row_gs, row_rate = (c.tolist() for c in table.slot_contacts(slot))
     visible = sorted(set(row_sat))
     n_real = arrays.n_real_antennas
@@ -86,7 +90,7 @@ def brute_force_schedule(backlogs: dict[str, float], q: float, slot: int,
         for ant_col, d_pos, rate, k in options[s]:
             if ant_col in used:
                 continue
-            gi = int(arrays.antenna_station[ant_col])
+            gi = int(antenna_station[ant_col])
             contrib = _triple_contribution(backlog, rate, gi, d_pos, q, scenario, arrays)
             used.add(ant_col)
             choice[s] = (ant_col, d_pos, rate, k)
@@ -98,6 +102,5 @@ def brute_force_schedule(backlogs: dict[str, float], q: float, slot: int,
 
     triples = []
     for s, (ant_col, d_pos, _, k) in sorted(best_choice.items()):
-        triples.append(AssignmentTriple(contact=k, antenna=int(arrays.antenna_no[ant_col]),
-                                        dc=d_pos))
-    return Assignment(slot=slot, triples=tuple(triples)), float(best_obj)
+        triples.append(AssignmentTriple(contact=k, antenna=int(antenna_no[ant_col]), dc=d_pos))
+    return tuple(triples), float(best_obj)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from skygs.scheduler import Assignment, AssignmentTriple
+from skygs.scheduler import AssignmentTriple
 
 
 def slot_bound(weight, fallback):
@@ -47,8 +47,9 @@ def reference_block(graph) -> np.ndarray:
     k = np.flatnonzero(is_row[sat] & is_gs[gs])
     edge_at = np.full((len(rows), np.count_nonzero(is_gs)), n_edges)
     edge_at[row_of[sat[k]], gs_of[gs[k]]] = k
-    real = np.flatnonzero(is_gs[arrays.antenna_station])
-    col_gs = gs_of[arrays.antenna_station[real]]
+    antenna_station = np.repeat(np.arange(len(arrays.gs_ids)), arrays.antenna_counts)
+    real = np.flatnonzero(is_gs[antenna_station])
+    col_gs = gs_of[antenna_station[real]]
     n_cols = len(real)
     cost = np.full((len(rows), n_cols + len(rows)), np.inf)
     cost[:, :n_cols] = np.append(graph.edge_w, np.inf)[edge_at[:, col_gs]]
@@ -56,14 +57,14 @@ def reference_block(graph) -> np.ndarray:
     return cost
 
 
-def reference_assignment(graph) -> tuple[Assignment, float]:
+def reference_assignment(graph) -> tuple[tuple[AssignmentTriple, ...], float]:
     """Minimum-weight left-perfect matching on the slot graph, with its total
     edge weight, from the dense kernel on the block of the satellites that can
     gain, with the slot's bound in place of each +inf cell."""
     arrays, sat, gs, weight = graph.arrays, graph.edge_sat, graph.edge_gs, graph.edge_w
     gains = weight < graph.fallback[sat]
     if not gains.any():
-        return Assignment(slot=graph.slot, triples=()), 0.0
+        return (), 0.0
     is_row = np.bincount(sat[gains], minlength=len(graph.fallback)) > 0
     is_gs = np.bincount(gs[gains], minlength=len(arrays.gs_ids)) > 0
     rows = np.flatnonzero(is_row)
@@ -92,7 +93,7 @@ def reference_assignment(graph) -> tuple[Assignment, float]:
             objective += float(weight[ek])
             triples.append(AssignmentTriple(contact=int(graph.edge_row[ek]),
                                             antenna=col - col0[g], dc=int(graph.edge_dc[ek])))
-    return Assignment(slot=graph.slot, triples=tuple(triples)), objective
+    return tuple(triples), objective
 
 
 def dense_min_cost_assignment(cost: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from skygs.model import validate_scenario
 from skygs.orbit import build_contact_table
 from skygs.queues import SatelliteState, advance_backlog
 from skygs.scenarios import desk_scenario, full_scale_scenario
-from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays, check_assignment
+from skygs.scheduler import AssignmentTriple, ScenarioArrays, check_assignment
 
 ALL_POLICIES = ("skygs", "sg", "bg", "br", "bwg", "ilp_hpq")
 
@@ -69,11 +69,11 @@ def test_criterion_2_feasibility(desk, tuned_v):
         for slot, recs in by_slot.items():
             # a record names no table row; a pair without a contact gets row -1,
             # which the validator reports as a visibility violation
-            assignment = Assignment(slot=slot, triples=tuple(
+            triples = tuple(
                 AssignmentTriple(contact_row(table, slot, r.satellite_id, r.ground_station_id),
                                  r.antenna, arrays.dc_ids.index(r.data_center_id))
-                for r in recs))
-            found = check_assignment(assignment, arrays, table)
+                for r in recs)
+            found = check_assignment(triples, slot, arrays, table)
             checked[(policy, seed, v) in grid] += 1
             if found:
                 violations.append((policy, seed, slot, found))
@@ -251,7 +251,7 @@ def test_criterion_10_performance(desk, tuned_v):
         for k in range(30):
             advance_backlog(st, float(rng.uniform(100, 2000)), -k)
         states[sat.id] = st
-    broker = SkyGSPolicy(scenario)
+    broker = SkyGSPolicy(scenario, arrays)
     broker.schedule(states, 0.0, 0, table)  # warm the kernel
     start = time.monotonic()
     broker.schedule(states, 123.0, 0, table)

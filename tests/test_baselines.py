@@ -3,7 +3,7 @@ import pytest
 
 from skygs.baselines import (_POLICY_CLASSES, BGPolicy, BRPolicy, BWGPolicy, IlpHpqPolicy,
                              SGPolicy, make_policy)
-from skygs.model import POLICIES, ScenarioError, validate_scenario
+from skygs.model import POLICIES, ScenarioError, validate_scenario, with_overrides
 from instances import contact_table, named
 from skygs.orbit import Contact
 from skygs.queues import SatelliteState, advance_backlog
@@ -35,6 +35,11 @@ def make_scenario(stations, n_sats=2, n_dcs=2, policy="bg", policy_params=None,
     })
 
 
+def build(cls, scenario):
+    """A policy of class `cls` on the scenario's arrays."""
+    return cls(scenario, ScenarioArrays.from_scenario(scenario))
+
+
 def table_for(scenario, contacts, slot=0):
     return contact_table(scenario, [Contact(slot, s, g, 45.0, rate) for s, g, rate in contacts])
 
@@ -57,29 +62,29 @@ class TestBG:
         sc = make_scenario([("gs-a", "p1", 1, 18.0), ("gs-b", "p1", 1, 26.0)], n_sats=1)
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-0", "gs-b", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        asg = BGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert named(asg.triples[0], table, sc).station == "gs-a"
+        triples = build(BGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert named(triples[0], table, sc).station == "gs-a"
 
     def test_zero_backlog_never_rents(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=1)
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)])
-        asg = BGPolicy(sc).schedule(states_for(sc, {}), 0.0, 0, table)
-        assert asg.triples == ()
+        triples = build(BGPolicy, sc).schedule(states_for(sc, {}), 0.0, 0, table)
+        assert triples == ()
 
     def test_larger_backlog_wins_contention(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=2)
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-1", "gs-a", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 900.0)]})
-        asg = BGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert len(asg.triples) == 1
-        assert named(asg.triples[0], table, sc).satellite == "sat-1"
+        triples = build(BGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert len(triples) == 1
+        assert named(triples[0], table, sc).satellite == "sat-1"
 
     def test_picks_cheapest_dc_per_mb(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1, n_dcs=3)
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        asg = BGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert named(asg.triples[0], table, sc).dc == "dc-0"  # lowest kappa * price
+        triples = build(BGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert named(triples[0], table, sc).dc == "dc-0"  # lowest kappa * price
 
 
 class TestSG:
@@ -89,9 +94,9 @@ class TestSG:
                            dc_providers=["p1", "p2"])
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-0", "gs-b", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        asg = SGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert named(asg.triples[0], table, sc).station == "gs-b"
-        assert named(asg.triples[0], table, sc).dc == "dc-1"
+        triples = build(SGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert named(triples[0], table, sc).station == "gs-b"
+        assert named(triples[0], table, sc).dc == "dc-1"
 
     def test_withholds_when_only_other_provider_visible(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=1, policy="sg",
@@ -99,16 +104,16 @@ class TestSG:
                            dc_providers=["p1", "p2"])
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        asg = SGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert asg.triples == ()
+        triples = build(SGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert triples == ()
 
     def test_single_provider_equals_bg(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0), ("gs-b", "p1", 2, 26.0)],
                            n_sats=2, policy="sg", policy_params={"provider": "p1"})
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-1", "gs-b", 800.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)], "sat-1": [(0, 700.0)]})
-        assert (SGPolicy(sc).schedule(states, 0.0, 0, table)
-                == BGPolicy(sc).schedule(states, 0.0, 0, table))
+        assert (build(SGPolicy, sc).schedule(states, 0.0, 0, table)
+                == build(BGPolicy, sc).schedule(states, 0.0, 0, table))
 
     def test_provider_without_stations_rejected(self):
         # p2 owns a data center but no station
@@ -122,22 +127,22 @@ class TestBWG:
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1)
         table = table_for(sc, [("sat-0", "gs-a", 12_000.0)])
         states = states_for(sc, {"sat-0": [(0, 5_000.0)]})
-        asg = BWGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert asg.triples == ()
+        triples = build(BWGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert triples == ()
 
     def test_downlinks_at_exact_capacity(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1)
         table = table_for(sc, [("sat-0", "gs-a", 12_000.0)])
         states = states_for(sc, {"sat-0": [(0, 12_000.0)]})
-        asg = BWGPolicy(sc).schedule(states, 0.0, 0, table)
-        assert len(asg.triples) == 1
-        assert table.rate_mb_per_min[asg.triples[0].contact] * sc.tau == pytest.approx(12_000.0)
+        triples = build(BWGPolicy, sc).schedule(states, 0.0, 0, table)
+        assert len(triples) == 1
+        assert table.rate_mb_per_min[triples[0].contact] * sc.tau == pytest.approx(12_000.0)
 
     def test_empty_backlog_withholds(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1)
         table = table_for(sc, [("sat-0", "gs-a", 12_000.0)])
-        asg = BWGPolicy(sc).schedule(states_for(sc, {}), 0.0, 0, table)
-        assert asg.triples == ()
+        triples = build(BWGPolicy, sc).schedule(states_for(sc, {}), 0.0, 0, table)
+        assert triples == ()
 
 
 class TestBR:
@@ -151,23 +156,23 @@ class TestBR:
         table = contact_table(sc, [Contact(t, s.id, g.id, 45.0, 1000.0) for t in range(n)
                                    for s in sc.satellites for g in sc.ground_stations])
         states = states_for(sc, {s.id: [(0, 100.0)] for s in sc.satellites})
-        return BRPolicy(sc), table, states
+        return build(BRPolicy, sc), table, states
 
     def test_no_contacts_empty(self):
         sc = make_scenario(TWO_PROVIDERS)
         table = table_for(sc, [])
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        asg = BRPolicy(sc).schedule(states, 0.0, 0, table)
-        assert asg.triples == ()
+        triples = build(BRPolicy, sc).schedule(states, 0.0, 0, table)
+        assert triples == ()
 
     def test_deterministic_given_seed(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=2)
         table = table_for(sc, [("sat-0", "gs-a", 1000.0), ("sat-0", "gs-b", 900.0),
                                ("sat-1", "gs-a", 800.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 200.0)]})
-        a = BRPolicy(sc).schedule(states_for(sc, {"sat-0": [(0, 100.0)],
+        a = build(BRPolicy, sc).schedule(states_for(sc, {"sat-0": [(0, 100.0)],
                                                   "sat-1": [(0, 200.0)]}), 0.0, 0, table)
-        b = BRPolicy(sc).schedule(states, 0.0, 0, table)
+        b = build(BRPolicy, sc).schedule(states, 0.0, 0, table)
         assert a == b
 
     def test_antenna_choice_uniform(self):
@@ -177,8 +182,8 @@ class TestBR:
         policy, table, states = self.every_slot([("gs-a", "p1", 2, 18.0)], 1, 2, n)
         counts = [0, 0]
         for t in range(n):
-            asg = policy.schedule(states, 0.0, t, table)
-            counts[asg.triples[0].antenna] += 1
+            triples = policy.schedule(states, 0.0, t, table)
+            counts[triples[0].antenna] += 1
         chi2 = sum((c - n / 2) ** 2 / (n / 2) for c in counts)
         assert chi2 < 6.635
 
@@ -188,7 +193,7 @@ class TestBR:
         policy, table, states = self.every_slot([("gs-a", "p1", 1, 18.0)], 1, 4, n)
         counts = [0] * 4
         for t in range(n):
-            counts[policy.schedule(states, 0.0, t, table).triples[0].dc] += 1
+            counts[policy.schedule(states, 0.0, t, table)[0].dc] += 1
         chi2 = sum((c - n / 4) ** 2 / (n / 4) for c in counts)
         assert chi2 < 11.345
 
@@ -199,7 +204,7 @@ class TestBR:
         policy, table, states = self.every_slot([("gs-a", "p1", 1, 18.0)], 2, 1, n)
         wins = [0, 0]
         for t in range(n):
-            [triple] = policy.schedule(states, 0.0, t, table).triples
+            [triple] = policy.schedule(states, 0.0, t, table)
             wins[table.sat[triple.contact]] += 1
         chi2 = sum((w - n / 2) ** 2 / (n / 2) for w in wins)
         assert chi2 < 6.635
@@ -220,30 +225,30 @@ class TestIlpHpq:
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1, policy="ilp_hpq")
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)], slot=50)
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        asg = IlpHpqPolicy(sc).schedule(states, 0.0, 50, table)
-        assert len(asg.triples) == 1
+        triples = build(IlpHpqPolicy, sc).schedule(states, 0.0, 50, table)
+        assert len(triples) == 1
 
     def test_below_trigger_withholds_when_costly(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1, policy="ilp_hpq")
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)], slot=10)
         states = states_for(sc, {"sat-0": [(10, 100.0)]})
-        asg = IlpHpqPolicy(sc).schedule(states, 0.0, 10, table)
-        assert asg.triples == ()
+        triples = build(IlpHpqPolicy, sc).schedule(states, 0.0, 10, table)
+        assert triples == ()
 
     def test_forced_even_at_max_cost(self):
         sc = make_scenario([("gs-a", "p1", 1, 999.0)], n_sats=1, policy="ilp_hpq")
         table = table_for(sc, [("sat-0", "gs-a", 1000.0)], slot=60)
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        asg = IlpHpqPolicy(sc).schedule(states, 0.0, 60, table)
-        assert len(asg.triples) == 1
+        triples = build(IlpHpqPolicy, sc).schedule(states, 0.0, 60, table)
+        assert len(triples) == 1
 
     def test_high_priority_without_visibility_stays_queued(self):
         sc = make_scenario([("gs-a", "p1", 1, 18.0)], n_sats=1, policy="ilp_hpq")
         table = table_for(sc, [], slot=60)
         states = states_for(sc, {"sat-0": [(0, 100.0)]})
-        policy = IlpHpqPolicy(sc)
-        asg = policy.schedule(states, 0.0, 60, table)
-        assert asg.triples == ()
+        policy = build(IlpHpqPolicy, sc)
+        triples = policy.schedule(states, 0.0, 60, table)
+        assert triples == ()
         assert policy.graph.edge_row.dtype == np.int64  # indexes table.sat, even when empty
 
     def test_serves_maximum_high_priority_coverage(self):
@@ -273,13 +278,13 @@ class TestIlpHpq:
             hp = {sid for sid, st in states.items()
                   if (oldest := st.oldest_arrival_slot()) is not None
                   and (slot - oldest) >= 0.8 * 60}
-            asg = IlpHpqPolicy(sc).schedule(states, 0.0, slot, table)
-            ids = [named(t, table, sc) for t in asg.triples]
+            triples = build(IlpHpqPolicy, sc).schedule(states, 0.0, slot, table)
+            ids = [named(t, table, sc) for t in triples]
             served = {n.satellite for n in ids}
             cost = sum(price[n.station] + per_mb[n.dc]
                        * min(table.rate_mb_per_min[t.contact] * sc.tau,
                              states[n.satellite].total_mb)
-                       for t, n in zip(asg.triples, ids))
+                       for t, n in zip(triples, ids))
 
             # least cost of the assignments serving each number of HP sats
             least: dict[int, float] = {}
@@ -324,21 +329,22 @@ class TestCommon:
                 if rng.random() < 0.8
             })
             for cls in (BGPolicy, BWGPolicy, BRPolicy, IlpHpqPolicy):
-                asg = cls(sc).schedule(states, 0.0, slot, table)
-                assert check_assignment(asg, arrays, table) == [], cls.__name__
+                triples = cls(with_overrides(sc, policy=cls.name), arrays).schedule(
+                    states, 0.0, slot, table)
+                assert check_assignment(triples, slot, arrays, table) == [], cls.__name__
 
     def test_sg_station_set_subset_of_bg(self):
         sc = make_scenario(TWO_PROVIDERS, n_sats=1, policy="sg",
                            policy_params={"provider": "p1"})
-        sg = SGPolicy(sc)
-        bg = BGPolicy(sc)
+        sg = build(SGPolicy, sc)
+        bg = build(BGPolicy, sc)
         assert sg.gs_allowed <= bg.gs_allowed
 
     def test_make_policy_dispatch(self):
         for policy in POLICIES:
             params = {"provider": "p1"} if policy == "sg" else {}
             sc = make_scenario(TWO_PROVIDERS, policy=policy, policy_params=params)
-            assert make_policy(sc).name == policy
+            assert make_policy(sc, ScenarioArrays.from_scenario(sc)).name == policy
 
     def test_registry_holds_every_scenario_policy(self):
         assert tuple(_POLICY_CLASSES) == POLICIES

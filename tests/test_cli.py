@@ -10,7 +10,7 @@ import skygs
 from skygs import engine
 from skygs.cli import main
 from skygs.scenarios import desk_scenario
-from skygs.scheduler import Assignment, AssignmentTriple
+from skygs.scheduler import AssignmentTriple
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
 
@@ -381,10 +381,9 @@ class TestExitCodes:
             name = "double"
 
             def schedule(self, states, q, slot, table):
-                return Assignment(slot, tuple(AssignmentTriple(k, 0, 0)
-                                              for k in table.slot_rows(slot)))
+                return tuple(AssignmentTriple(k, 0, 0) for k in table.slot_rows(slot))
 
-        monkeypatch.setattr(engine, "make_policy", lambda scenario: DoubleBooking())
+        monkeypatch.setattr(engine, "make_policy", lambda scenario, arrays: DoubleBooking())
         assert main(["simulate", "--scenario", str(path), "--out", str(out),
                      "--contacts", str(plan)]) == 2
         assert capsys.readouterr().err == (

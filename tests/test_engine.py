@@ -6,14 +6,14 @@ import pytest
 
 from conftest import total_arrivals
 from skygs import engine
-from skygs.baselines import make_policy
+from skygs.baselines import BGPolicy, make_policy
 from skygs.engine import InfeasibleAssignmentError, run
 from skygs.model import ScenarioError, validate_scenario, with_overrides
 from instances import contact_row, contact_table
 from skygs.orbit import Contact, ContactTable, build_contact_table
 from skygs.queues import ArrivalModel, SatelliteState
 from skygs.scenarios import desk_scenario
-from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays
+from skygs.scheduler import AssignmentTriple, ScenarioArrays
 
 
 def tiny_scenario(horizon=5, policy="skygs", v=0.0, contact_plan_path=None):
@@ -182,7 +182,7 @@ class TestBookedEqualsPriced:
     def test_record_rebuilds_the_edge_weight(self, world):
         sc, table = world()
         arrays = ScenarioArrays.from_scenario(sc)
-        policy = make_policy(sc)
+        policy = make_policy(sc, arrays)
         sim = engine.SimState(policy=sc.policy, seed=sc.seed, slot=0, q=0.0,
                               states={s.id: SatelliteState(s.id) for s in sc.satellites})
         arrivals = ArrivalModel(sc)
@@ -210,9 +210,9 @@ def test_scheduling_never_builds_the_dense_weight_matrix(policy):
     """A matching policy reads its slot graph's edges; the dense weight
     matrix is built only when a reader such as a weight dump asks for it."""
     sc, table = desk_world(5e4)
-    sc = replace(sc, policy=policy)
+    sc = with_overrides(sc, policy=policy)
     arrays = ScenarioArrays.from_scenario(sc)
-    policy_obj = make_policy(sc)
+    policy_obj = make_policy(sc, arrays)
     sim = engine.SimState(policy=sc.policy, seed=sc.seed, slot=0, q=0.0,
                           states={s.id: SatelliteState(s.id) for s in sc.satellites})
     arrivals = ArrivalModel(sc)
@@ -234,8 +234,7 @@ class TestInfeasiblePolicies:
             name = "broken"
 
             def schedule(self, states, q, slot, table):
-                return Assignment(slot=slot, triples=(
-                    AssignmentTriple(contact=0, antenna=0, dc=0),))
+                return (AssignmentTriple(contact=0, antenna=0, dc=0),)
 
         arrays = engine.ScenarioArrays.from_scenario(sc)
         arrivals = engine.ArrivalModel(sc)
@@ -243,6 +242,31 @@ class TestInfeasiblePolicies:
                               states={"sat-0": engine.SatelliteState("sat-0")}, q=0.0)
         with pytest.raises(InfeasibleAssignmentError, match="visibility"):
             engine.step(sim, BrokenPolicy(), sc, empty_table(3), arrivals, arrays)
+
+    def test_rejects_a_decision_built_for_the_next_slot(self, monkeypatch):
+        # the triples bg would choose at slot t + 1 name contact rows of slot
+        # t + 1; the engine checks them against the slot it runs, so the run
+        # stops at the first slot where the policy returns a triple
+        sc = validate_scenario(desk_scenario(seed=1, horizon=60, policy="bg"))
+        decided = []
+
+        class NextSlot:
+            name = "next-slot"
+
+            def __init__(self, scenario, arrays):
+                self.bg = BGPolicy(scenario, arrays)
+
+            def schedule(self, states, q, slot, table):
+                triples = self.bg.schedule(states, q, slot + 1, table)
+                decided.append((slot, len(triples)))
+                return triples
+
+        monkeypatch.setattr(engine, "make_policy", NextSlot)
+        with pytest.raises(InfeasibleAssignmentError,
+                           match=r"constraint\(visibility\): contact row") as failure:
+            run(sc)
+        first = next(slot for slot, n in decided if n)
+        assert failure.value.slot == first == decided[-1][0]
 
 
 def booked_arrivals(record):

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from typing import NamedTuple
 from unittest import mock
 
@@ -13,7 +12,7 @@ from reference_kernel import (dense_min_cost_assignment, reference_assignment, r
                               slot_bound)
 from skygs import baselines, engine, hungarian
 from skygs.hungarian import min_cost_assignment
-from skygs.model import validate_scenario
+from skygs.model import validate_scenario, with_overrides
 from skygs.orbit import ContactTable, build_contact_table
 from skygs.scenarios import desk_scenario, full_scale_scenario
 from skygs.scheduler import ScenarioArrays, SlotGraph, build_bipartite
@@ -159,15 +158,15 @@ def slot_graph(rng, n_sats, antennas, fallbacks, weights, groups=1, ties=False, 
     table = ContactTable(1, arrays.sat_ids, arrays.gs_ids, np.zeros(n), sat, gs,
                          np.full(n, 45.0), np.ones(n))
     row = rng.permutation(n) if shuffle else np.arange(n)
-    return SlotGraph.from_edges(0, arrays, table, row, weight[row], np.ones(n),
+    return SlotGraph.from_edges(arrays, table, row, weight[row], np.ones(n),
                                 np.zeros(n, dtype=np.int64), fallbacks)
 
 
-def graph_col4row(graph, assignment):
+def graph_col4row(graph, triples):
     """The matching's column per satellite row of graph.weights: the antenna
     column of each triple, the satellite's own virtual antenna otherwise."""
     cols = graph.n_real + np.arange(len(graph.fallback))
-    for tr in assignment.triples:
+    for tr in triples:
         k = int(np.nonzero(graph.edge_row == tr.contact)[0][0])
         cols[graph.edge_sat[k]] = graph.arrays.station_col0[graph.edge_gs[k]] + tr.antenna
     return cols
@@ -220,8 +219,8 @@ def test_paths_identical_on_slot_shaped_matrices(n_sats, antennas_per_station, g
     n_stations = int(rng.integers(1, 4))
     graph = slot_graph(rng, n_sats, [antennas_per_station] * n_stations, np.zeros(n_sats),
                        lambda: rng.uniform(-1e6, 1e3), groups)
-    assignment, objective = checked_match(graph)
-    pruned = graph_col4row(graph, assignment)
+    triples, objective = checked_match(graph)
+    pruned = graph_col4row(graph, triples)
     cost = graph.weights
     assert np.array_equal(pruned, min_cost_assignment(cost))
     assert_slot_matching(cost, pruned)
@@ -246,8 +245,8 @@ def test_pruned_matcher_reaches_the_minimum(n_sats, antennas, forced, ties, grou
     fallbacks = np.where(rng.random(n_sats) < 0.5, 5.0, 0.0) if forced else np.zeros(n_sats)
     graph = slot_graph(rng, n_sats, antennas, fallbacks, lambda: float(rng.choice(levels)),
                        groups, ties)
-    assignment, objective = checked_match(graph)
-    pruned = graph_col4row(graph, assignment)
+    triples, objective = checked_match(graph)
+    pruned = graph_col4row(graph, triples)
     cost = graph.weights
     assert_slot_matching(cost, pruned)
     assert_objective(graph, pruned, objective)
@@ -271,8 +270,8 @@ def test_gaining_rows_in_several_components():
         graph = slot_graph(rng, 9, [2, 1, 1, 2, 1, 3], np.zeros(9),
                            lambda: rng.uniform(-1e6, 1e3), groups=3)
         split += components(graph) >= 2
-        assignment, objective = checked_match(graph)
-        pruned = graph_col4row(graph, assignment)
+        triples, objective = checked_match(graph)
+        pruned = graph_col4row(graph, triples)
         cost = graph.weights
         assert np.array_equal(pruned, min_cost_assignment(cost))
         assert_objective(graph, pruned, objective)
@@ -309,8 +308,8 @@ def test_broker_reaches_the_minimum_on_the_all_backlogged_full_scale_slot():
     graph = build_bipartite(states, 123.0, 0, scenario, table,
                             ScenarioArrays.from_scenario(scenario))
     assert len(np.unique(graph.edge_sat[graph.edge_w < 0.0])) > 60  # kernel rows
-    assignment, objective = checked_match(graph)
-    cols = graph_col4row(graph, assignment)
+    triples, objective = checked_match(graph)
+    cols = graph_col4row(graph, triples)
     cost = graph.weights
     assert_slot_matching(cost, cols)
     assert_objective(graph, cols, objective)
@@ -329,7 +328,7 @@ class MatchCall(NamedTuple):
     reference: np.ndarray      # reference_block of the graph the matcher received
     bound: float               # slot_bound of that graph
     expected: tuple            # reference_assignment of that graph
-    result: tuple              # the matcher's (Assignment, objective)
+    result: tuple              # the matcher's (triples, objective)
     block: np.ndarray | None   # the block it handed the kernel, None without a call
 
 
@@ -444,8 +443,8 @@ def test_contested_and_uncontested_satellites_in_one_slot(n_private, n_shared, p
     calls the kernel on the contested part of the reference block only, and
     reaches scipy's minimum."""
     graph = mixed_slot_graph(np.random.default_rng(seed), n_private, n_shared, pool, forced)
-    assignment, _objective = checked_match(graph)
-    cols = graph_col4row(graph, assignment)
+    triples, _objective = checked_match(graph)
+    cols = graph_col4row(graph, triples)
     cost = graph.weights
     assert_slot_matching(cost, cols)
     rows_s, cols_s = scipy_opt.linear_sum_assignment(cost)
@@ -483,7 +482,7 @@ def full_scale_world():
 
 
 def desk_world(policy):
-    scenario = replace(validate_scenario(desk_scenario(1)), policy=policy)
+    scenario = with_overrides(validate_scenario(desk_scenario(1)), policy=policy)
     return scenario, build_contact_table(scenario)
 
 

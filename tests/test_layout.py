@@ -14,6 +14,10 @@ ContactTable.from_contacts: the plan reader and the helpers it calls hold no
 Every random number is drawn by address through rng.uniform_at, so no module
 names numpy's generators (`np.random`, `numpy.random`).
 
+A run's ScenarioArrays are built once, by engine.run, which hands them to
+the run's policy and to the validator; no other module calls
+ScenarioArrays.from_scenario.
+
 engine.py reaches actual_downlink and advance_backlog only as attributes of
 the queues module, where the benchmark's tracer wraps them and a test of its
 FIFO replay check patches one: a name imported from queues would keep the
@@ -108,6 +112,13 @@ def test_engine_reaches_the_backlog_through_the_queues_module():
             if name.rsplit(".", 1)[-1] in backlog | {"*"}] == []
 
 
+def test_only_the_engine_builds_scenario_arrays():
+    calls = [f"{path.name}: {ast.unparse(node)}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and called_name(node) == "from_scenario"]
+    assert calls == ["engine.py: ScenarioArrays.from_scenario(scenario)"]
+
+
 def test_accounting_does_not_import_queues():
     names = imported_names(SRC / "accounting.py")
     assert [name for name in names if "queues" in name.split(".")] == []
@@ -118,5 +129,4 @@ def test_oracle_imports_only_the_types_it_checks():
     assert [name for name in names
             if {"accounting", "queues"} & set(name.split("."))] == []
     assert sorted(name for name in names if name.startswith("skygs.scheduler.")) == [
-        "skygs.scheduler.Assignment", "skygs.scheduler.AssignmentTriple",
-        "skygs.scheduler.ScenarioArrays"]
+        "skygs.scheduler.AssignmentTriple", "skygs.scheduler.ScenarioArrays"]

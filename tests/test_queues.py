@@ -7,7 +7,7 @@ from skygs.model import validate_scenario
 from skygs.orbit import Contact, ContactTable
 from skygs.queues import (ArrivalModel, DataChunk, SatelliteState, actual_downlink,
                           advance_backlog, queuing_latency, update_virtual_queue)
-from skygs.scheduler import Assignment, AssignmentTriple, ScenarioArrays
+from skygs.scheduler import AssignmentTriple, ScenarioArrays
 
 
 def state_with(chunks):
@@ -35,7 +35,7 @@ def downlinked(rate, tau, backlog_mb):
         name = "downlink"
 
         def schedule(self, states, q, slot, table):
-            return Assignment(slot, (AssignmentTriple(contact=0, antenna=0, dc=0),))
+            return (AssignmentTriple(contact=0, antenna=0, dc=0),)
 
     sim = engine.SimState(policy="downlink", seed=1, slot=0,
                           states={"sat-a": state_with([(0, backlog_mb)])}, q=0.0)
@@ -93,8 +93,7 @@ class TestActualDownlink:
 @pytest.mark.parametrize("cls, kwargs", [
     (DataChunk, {"arrival_slot": 0, "size_mb": 5.0}),
     (AssignmentTriple, {"contact": 4, "antenna": 1, "dc": 2}),
-    (Assignment, {"slot": 3, "triples": (AssignmentTriple(contact=4, antenna=1, dc=2),)}),
-], ids=["DataChunk", "AssignmentTriple", "Assignment"])
+], ids=["DataChunk", "AssignmentTriple"])
 def test_event_values_are_immutable_and_compare_by_value(cls, kwargs):
     """The values the slot loop makes per chunk and per decision: built by
     keyword or by position in field order, equal when their fields are,

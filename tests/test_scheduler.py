@@ -8,9 +8,10 @@ from instances import (backlogs_of, contact_table, make_scenario, named, oracle_
 from oracle import InstanceTooLargeError, _triple_contribution, brute_force_schedule
 from skygs import hungarian
 from skygs.baselines import IlpHpqPolicy
+from skygs.model import with_overrides
 from skygs.orbit import Contact
-from skygs.scheduler import (Assignment, AssignmentTriple, ScenarioArrays, build_bipartite,
-                             check_assignment, hungarian_min_matching)
+from skygs.scheduler import (AssignmentTriple, ScenarioArrays, build_bipartite, check_assignment,
+                             hungarian_min_matching)
 
 
 def edge(sc, table, states, q, si=0, gi=0):
@@ -71,8 +72,8 @@ class TestBuildBipartite:
         graph = build_bipartite(states_for(sc, {}), 0.0, 0, sc, table,
                                 ScenarioArrays.from_scenario(sc))
         assert graph.edge_row.dtype == np.int64  # indexes table.sat, even when empty
-        assignment, objective = hungarian_min_matching(graph)
-        assert assignment.triples == ()
+        triples, objective = hungarian_min_matching(graph)
+        assert triples == ()
         assert objective == 0.0
 
     def test_antenna_copies_share_weight(self):
@@ -99,17 +100,17 @@ class TestMatching:
         sc = make_scenario(n_sats=2, stations=((1, 22.0),), v=0.0)
         table = table_for(sc, [("sat-0", "gs-0", 12_000.0), ("sat-1", "gs-0", 12_000.0)])
         states = states_for(sc, {"sat-0": [(0, 100.0)], "sat-1": [(0, 70.0)]})
-        assignment, _ = schedule_slot(states, 0.0, 0, sc, table)
-        assert len(assignment.triples) == 1
-        assert named(assignment.triples[0], table, sc).satellite == "sat-0"
+        triples, _ = schedule_slot(states, 0.0, 0, sc, table)
+        assert len(triples) == 1
+        assert named(triples[0], table, sc).satellite == "sat-0"
 
     def test_assignments_satisfy_constraints(self):
         sc = make_scenario(n_sats=3, stations=((1, 22.0), (2, 18.0)))
         table = table_for(sc, [("sat-0", "gs-0", 5000.0), ("sat-1", "gs-0", 5000.0),
                                ("sat-1", "gs-1", 3000.0), ("sat-2", "gs-1", 1000.0)])
         states = states_for(sc, {s.id: [(0, 4000.0)] for s in sc.satellites})
-        assignment, _ = schedule_slot(states, 0.0, 0, sc, table)
-        assert check_assignment(assignment, ScenarioArrays.from_scenario(sc), table) == []
+        triples, _ = schedule_slot(states, 0.0, 0, sc, table)
+        assert check_assignment(triples, 0, ScenarioArrays.from_scenario(sc), table) == []
 
 
 def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
@@ -131,10 +132,10 @@ def test_kernel_sees_only_satellites_that_can_gain(monkeypatch):
     n_real = graph.n_real
     gains = (graph.weights[:, :n_real] < 0.0).any(axis=1)
     assert gains.tolist() == [True, True, False, False]
-    assignment, _ = hungarian_min_matching(graph)
+    triples, _ = hungarian_min_matching(graph)
     # two rows; the three gs-0/gs-1 antennas both rows can use, and their fallbacks
     assert seen == [(2, 3 + 2)]
-    assert [named(tr, table, sc).satellite for tr in assignment.triples] == ["sat-0", "sat-1"]
+    assert [named(tr, table, sc).satellite for tr in triples] == ["sat-0", "sat-1"]
 
 
 class TestSkip:
@@ -156,8 +157,8 @@ class TestSkip:
 
     def assert_skipped(self, graph, kernel_calls):
         scipy_opt = pytest.importorskip("scipy.optimize")
-        assignment, objective = hungarian_min_matching(graph)
-        assert assignment == Assignment(graph.slot, ())
+        triples, objective = hungarian_min_matching(graph)
+        assert triples == ()
         assert objective == 0.0
         assert kernel_calls == []
         rows, cols = scipy_opt.linear_sum_assignment(graph.weights)
@@ -186,8 +187,8 @@ class TestSkip:
         sc = make_scenario(n_sats=2, stations=((1, 22.0),), v=1.0)
         table = table_for(sc, [("sat-0", "gs-0", 5000.0), ("sat-1", "gs-0", 3000.0)])
         states = states_for(sc, {"sat-0": [(0, 400.0)], "sat-1": [(0, 200.0)]})
-        policy = IlpHpqPolicy(sc)
-        assert policy.schedule(states, 0.0, 0, table) == Assignment(0, ())
+        policy = IlpHpqPolicy(with_overrides(sc, policy="ilp_hpq"), ScenarioArrays.from_scenario(sc))
+        assert policy.schedule(states, 0.0, 0, table) == ()
         graph = policy.graph
         assert (graph.fallback == 0.0).all() and (graph.edge_w > 0.0).all()
         self.assert_skipped(graph, kernel_calls)
@@ -195,8 +196,8 @@ class TestSkip:
 
 def check(scenario, table, *triples, slot=0):
     """check_assignment's violations of the slot's triples (contact, antenna, dc)."""
-    assignment = Assignment(slot=slot, triples=tuple(AssignmentTriple(*t) for t in triples))
-    return check_assignment(assignment, ScenarioArrays.from_scenario(scenario), table)
+    return check_assignment(tuple(AssignmentTriple(*t) for t in triples), slot,
+                            ScenarioArrays.from_scenario(scenario), table)
 
 
 class TestValidator:
@@ -245,14 +246,14 @@ class TestBruteForce:
     def test_empty_instance(self):
         sc = make_scenario(n_sats=1)
         table = table_for(sc, [])
-        assignment, objective = brute_force_schedule({"sat-0": 0.0}, 0.0, 0, sc, table)
-        assert assignment.triples == () and objective == 0.0
+        triples, objective = brute_force_schedule({"sat-0": 0.0}, 0.0, 0, sc, table)
+        assert triples == () and objective == 0.0
 
     def test_three_way_enumeration(self):
         sc = make_scenario(n_sats=1, stations=((1, 22.0),), n_dcs=2, v=1.0)
         table = table_for(sc, [("sat-0", "gs-0", 1000.0)])
         states = states_for(sc, {"sat-0": [(0, 500.0)]})
-        assignment, objective = brute_force_schedule(backlogs_of(states), 0.0, 0, sc, table)
+        triples, objective = brute_force_schedule(backlogs_of(states), 0.0, 0, sc, table)
         # oracle must match the matcher exactly on this trivial instance
         _, matched = schedule_slot(states, 0.0, 0, sc, table)
         assert objective == pytest.approx(matched, rel=1e-12)
@@ -275,9 +276,11 @@ def _station_level(graph, cols):
     """Matching as satellite -> station/virtual (antenna copies are interchangeable)."""
     out = []
     n_real = graph.n_real
+    arrays = graph.arrays
+    antenna_station = np.repeat(np.arange(len(arrays.gs_ids)), arrays.antenna_counts)
     for si, col in enumerate(cols.tolist()):
         out.append(("virtual", si) if col >= n_real
-                   else ("real", int(graph.arrays.antenna_station[col])))
+                   else ("real", int(antenna_station[col])))
     return out
 
 
@@ -350,11 +353,11 @@ def test_q_dominant_limit_matches_oracle():
     table = table_for(sc, [("sat-0", "gs-0", 500.0), ("sat-1", "gs-0", 1000.0)],
                       slot=50)
     states = states_for(sc, {"sat-0": [(0, 900.0)], "sat-1": [(49, 900.0)]})
-    assignment, fast = schedule_slot(states, 1e9, 50, sc, table)
-    oracle_assignment, exact = brute_force_schedule(backlogs_of(states), 1e9, 50, sc, table)
+    triples, fast = schedule_slot(states, 1e9, 50, sc, table)
+    oracle_triples, exact = brute_force_schedule(backlogs_of(states), 1e9, 50, sc, table)
     assert fast == pytest.approx(exact, rel=1e-9)
-    assert named(assignment.triples[0], table, sc).satellite == "sat-1"
-    assert named(oracle_assignment.triples[0], table, sc).satellite == "sat-1"
+    assert named(triples[0], table, sc).satellite == "sat-1"
+    assert named(oracle_triples[0], table, sc).satellite == "sat-1"
 
 
 @pytest.mark.parametrize("q", [1e7, 1e9, 1e12])
@@ -366,9 +369,9 @@ def test_large_q_downlinks_backlog_older_than_threshold(q):
     sc = make_scenario(n_sats=1, stations=((1, 22.0),), v=1e6)
     table = table_for(sc, [("sat-0", "gs-0", 1000.0)], slot=200)
     states = states_for(sc, {"sat-0": [(0, 600.0), (10, 300.0)]})
-    assert schedule_slot(states, 0.0, 200, sc, table)[0].triples == ()
-    assignment, _ = schedule_slot(states, q, 200, sc, table)
-    assert [named(tr, table, sc).satellite for tr in assignment.triples] == ["sat-0"]
-    assert assignment.triples[0].contact == 0
+    assert schedule_slot(states, 0.0, 200, sc, table)[0] == ()
+    triples, _ = schedule_slot(states, q, 200, sc, table)
+    assert [named(tr, table, sc).satellite for tr in triples] == ["sat-0"]
+    assert triples[0].contact == 0
     graph = build_bipartite(states, q, 200, sc, table, ScenarioArrays.from_scenario(sc))
     assert graph.candidates[(0, 0)].dtil_mb == 900.0
