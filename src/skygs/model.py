@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 MB_PER_MIN_PER_GBPS = 7500.0  # 1e9 bits/s / 8 / 1e6 bytes-per-MB * 60 s/min
 
@@ -282,12 +282,17 @@ def _validate_data_center(raw: Mapping[str, Any]) -> DataCenter:
                       intensity_min_per_mb=intensity)
 
 
-def _unique_ids(items: list, what: str) -> None:
-    seen: set[str] = set()
-    for item in items:
-        if item.id in seen:
-            raise ScenarioError(f"duplicate {what} id {item.id!r}")
-        seen.add(item.id)
+def _records(raw: Mapping[str, Any], key: str, validate: Callable[[Mapping], Any]) -> list:
+    """The records listed under `key`, none when it is absent, each validated;
+    a value that is not a list of objects, or an id given twice, is refused."""
+    items = raw.get(key, [])
+    _require(isinstance(items, list) and all(isinstance(i, Mapping) for i in items),
+             f"{key}: expected a list of objects")
+    records, seen = [validate(item) for item in items], set()
+    for record in records:
+        _require(record.id not in seen, f"duplicate {key[:-1].replace('_', ' ')} id {record.id!r}")
+        seen.add(record.id)
+    return records
 
 
 def _sim_fields(sim: Mapping[str, Any], ground_stations: Sequence[GroundStation],
@@ -386,9 +391,8 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     if not isinstance(sim, Mapping):
         raise ScenarioError("scenario: missing 'sim' section")
 
-    data_centers = [_validate_data_center(d) for d in raw.get("data_centers", [])]
+    data_centers = _records(raw, "data_centers", _validate_data_center)
     _require(bool(data_centers), "data_centers: scheduling requires at least one data center")
-    _unique_ids(data_centers, "data center")
     dc_ids = [d.id for d in data_centers]
 
     default_backhaul = sim.get("backhaul_rate")
@@ -397,11 +401,9 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
 
     # station prices are per slot, so tau is read before the other sim fields
     tau = _tau(sim)
-    stations = [_validate_station(g, tau, dc_ids, default_backhaul)
-                for g in raw.get("ground_stations", [])]
-    _unique_ids(stations, "ground station")
-    satellites = [_validate_satellite(s) for s in raw.get("satellites", [])]
-    _unique_ids(satellites, "satellite")
+    stations = _records(raw, "ground_stations",
+                        lambda g: _validate_station(g, tau, dc_ids, default_backhaul))
+    satellites = _records(raw, "satellites", _validate_satellite)
 
     return Scenario(satellites=tuple(satellites), ground_stations=tuple(stations),
                     data_centers=tuple(data_centers),

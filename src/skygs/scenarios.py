@@ -1,82 +1,38 @@
 """Ready-made scenario documents.
 
-desk_scenario is the small reference world used by the test suite and the
-committed example file: 10 sun-synchronous satellites, 6 stations across
-three providers, 8 data centers. full_scale_scenario builds a large world
-(153 satellites, 48 stations, 109 data centers) for performance checks.
-Both return raw dicts; run them through validate_scenario.
+desk_scenario reads the small reference world, the checkout's
+scenarios/desk.json: 10 sun-synchronous satellites, 6 stations across three
+providers, 8 data centers. Its three near-polar stations per hemisphere sit
+at 120-degree longitude spacing, so every polar crossing of a sun-synchronous
+orbit is a usable pass for every satellite (the nearest station is at most
+~60 degrees of longitude away), which keeps per-satellite contact gaps near
+the half-orbit period. Each provider owns one northern and one southern
+station, so the single-provider baseline sees only a third of the crossings.
+
+full_scale_scenario builds a large world (153 satellites, 48 stations, 109
+data centers) for performance checks. Both return raw dicts; run them through
+validate_scenario. They serve the tests and the benchmark, which run from a
+checkout; no module of the package imports them.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any
 
+DESK = Path(__file__).resolve().parents[2] / "scenarios" / "desk.json"
 SSO_INCLINATION_DEG = 97.4
 SSO_ALTITUDE_KM = 475.0
 
 
 def desk_scenario(seed: int = 1, *, policy: str = "skygs", v: float = 5e4,
                   horizon: int = 1440) -> dict[str, Any]:
-    satellites = [
-        {
-            "id": f"sat-{k:02d}",
-            "altitude_km": SSO_ALTITUDE_KM,
-            "inclination_deg": SSO_INCLINATION_DEG,
-            "raan_deg": (k % 5) * 72.0,
-            "phase_deg": k * 36.0,
-            "daily_volume_mb": [160_000, 200_000],
-            "duty_cycle": 1.0,
-        }
-        for k in range(10)
-    ]
-    # Three near-polar stations per hemisphere at 120-degree longitude spacing:
-    # every polar crossing of a sun-synchronous orbit is then a usable pass for
-    # every satellite (the nearest station is at most ~60 degrees of longitude
-    # away), which keeps per-satellite contact gaps near the half-orbit period.
-    # Each provider owns one northern and one southern station, so the
-    # single-provider baseline sees only a third of the crossings.
-    stations = [
-        {"id": "gs-n0", "provider": "provider-a", "lat_deg": 83.0, "lon_deg": 0.0,
-         "antennas": 3, "price": "18 $/min"},
-        {"id": "gs-s1", "provider": "provider-a", "lat_deg": -83.0, "lon_deg": 180.0 - 360.0,
-         "antennas": 2, "price": "18 $/min"},
-        {"id": "gs-n1", "provider": "provider-b", "lat_deg": 83.0, "lon_deg": 120.0,
-         "antennas": 2, "price": "22 $/min"},
-        {"id": "gs-s2", "provider": "provider-b", "lat_deg": -83.0, "lon_deg": -60.0,
-         "antennas": 3, "price": "22 $/min"},
-        {"id": "gs-n2", "provider": "provider-c", "lat_deg": 83.0, "lon_deg": -120.0,
-         "antennas": 2, "price": "26 $/min"},
-        {"id": "gs-s0", "provider": "provider-c", "lat_deg": -83.0, "lon_deg": 60.0,
-         "antennas": 3, "price": "26 $/min"},
-    ]
-    providers = ["provider-a", "provider-b", "provider-c"]
-    data_centers = [
-        {
-            "id": f"dc-{k:02d}",
-            "provider": providers[k % 3],
-            "price": f"{0.5 + 0.5 * k / 7:.4f} $/h",
-            "intensity": f"{0.1 + 0.1 * ((k * 3) % 8) / 7:.4f} h/GB",
-        }
-        for k in range(8)
-    ]
-    return {
-        "satellites": satellites,
-        "ground_stations": stations,
-        "data_centers": data_centers,
-        "sim": {
-            "tau": 1.0,
-            "horizon": horizon,
-            "xi": 60.0,
-            "v": v,
-            "seed": seed,
-            "policy": policy,
-            "policy_params": {"provider": "provider-a"},
-            "elevation_mask_deg": 10.0,
-            "r_max": 3500.0,
-            "noise": [0.9, 1.1],
-            "backhaul_rate": "1 Gbps",
-        },
-    }
+    """A fresh copy of the desk file with these four sim values set in place,
+    which keeps the file's key order."""
+    raw = json.loads(DESK.read_text(encoding="utf-8"))
+    raw["sim"].update(seed=seed, policy=policy, v=v, horizon=horizon)
+    return raw
 
 
 def full_scale_scenario(seed: int = 1, *, horizon: int = 1,

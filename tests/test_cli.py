@@ -68,6 +68,14 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "error: data_centers: scheduling requires at least one data center\n")
 
+    def test_an_entity_list_of_non_objects_exits_one(self, tmp_path, capsys):
+        raw = desk_scenario(seed=1, horizon=60)
+        raw["ground_stations"] = [None]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == "error: ground_stations: expected a list of objects\n"
+
     def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys):
         # json reads 1 followed by 400 zeros as an int that float() overflows
         text = json.dumps(desk_scenario(seed=1, horizon=60))

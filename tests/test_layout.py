@@ -23,6 +23,9 @@ the queues module, where the benchmark's tracer wraps them and a test of its
 FIFO replay check patches one: a name imported from queues would keep the
 unwrapped function.
 
+No module of the package imports skygs.scenarios: its world helpers serve
+the tests and the benchmark, and desk_scenario reads a file of the checkout.
+
 The brute-force oracle in tests/oracle.py re-derives the broker's slot
 objective on its own: it reads the scenario's arrays and the assignment types
 from scheduler, and imports neither accounting nor queues, the modules that
@@ -122,6 +125,13 @@ def test_only_the_engine_builds_scenario_arrays():
 def test_accounting_does_not_import_queues():
     names = imported_names(SRC / "accounting.py")
     assert [name for name in names if "queues" in name.split(".")] == []
+
+
+def test_no_module_imports_the_scenario_helpers():
+    names = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in imported_names(path)
+             if "scenarios" in name.split(".")]
+    assert names == []
 
 
 def test_oracle_imports_only_the_types_it_checks():

@@ -286,3 +286,17 @@ class TestValidation:
 def test_desk_file_is_the_desk_builder():
     # the CLI, the README and the benchmark run the file; tier-1 runs the builder
     assert json.loads(DESK.read_text()) == desk_scenario()
+
+
+MALFORMED_LISTS = [("satellites", None), ("satellites", [1]), ("satellites", "abc"),
+                   ("data_centers", {"a": 1}), ("ground_stations", [None]),
+                   ("ground_stations", [["x"]])]
+
+
+@pytest.mark.parametrize("key, value", MALFORMED_LISTS,
+                         ids=[f"{key}={json.dumps(value)}" for key, value in MALFORMED_LISTS])
+def test_an_entity_list_that_is_not_a_list_of_objects_is_refused(key, value):
+    raw = {**json.loads(DESK.read_text()), key: value}
+    with pytest.raises(ScenarioError) as exc:
+        validate_scenario(raw)
+    assert str(exc.value) == f"{key}: expected a list of objects"

@@ -6,11 +6,12 @@ before it wrote: the desk seed-1 contact plan, a 48-slot full-scale plan at
 seed 1 with the skygs, bg and ilp_hpq records and summaries of that world,
 whose slots give the matching kernel many rows in many components (ilp_hpq
 once more at rho = 0.25, since at the default rho no backlog in 48 slots ages
-to rho * xi and that run downlinks nothing), the desk seed-1 records and
-summary of every policy, and those of
-skygs and ilp_hpq in a desk world whose backhaul rate varies by station and
-data center, so that the broker's data-center choice turns on the backhaul
-latency. The desk file's `compare --seeds 1,2` and
+to rho * xi and that run downlinks nothing), the records and summary of a
+96-slot full-scale skygs run at V = 1e8, the one pinned full-scale run in
+which Q turns positive (in 37 slots, each row's q_after pins it), the desk
+seed-1 records and summary of every policy, and those of skygs and ilp_hpq
+in a desk world whose backhaul rate varies by station and data center, so
+that the broker's data-center choice turns on the backhaul latency. The desk file's `compare --seeds 1,2` and
 `sweep-v --v-list 0,1e4,1e7 --xi 50` CSVs, the skygs weight dumps of a
 48-slot desk run at V = 1e7 (over the sorted file names and bytes), and the
 records of a 3-slot desk world with no satellites pin every CSV writer,
@@ -126,6 +127,10 @@ PINNED = {
         "5d615967b12082be128017cd2bc2c929b0320a066c5c1828fb1fdc089daa0e3a",
     "no_satellites/records_skygs_seed1.csv":
         "d436f413aa9443769ae079e45c9bba747d878af8980ef79ab3e26ec3e91afbf9",
+    "pressured/records_skygs_seed1.csv":
+        "6ca6adb28b61af04918f2f7a0c616a56778649ed723bae64ae69f9eea580de5c",
+    "pressured/summary_skygs_seed1.json":
+        "7ccab21fe851d49bf85ae22ce8243c2d8268651fe01bc5b0d4dc6e76af1e35f7",
 }
 
 
@@ -138,6 +143,8 @@ def outputs(tmp_path_factory):
     raw = full_scale_scenario(1, horizon=48)
     raw["sim"]["policy_params"] = {"rho": 0.25}
     full_rho.write_text(json.dumps(raw), encoding="utf-8")
+    pressured = out / "full_scale_96_pressured.json"
+    pressured.write_text(json.dumps(full_scale_scenario(1, horizon=96, v=1e8)), encoding="utf-8")
     backhaul = out / "desk_backhaul.json"
     backhaul.write_text(json.dumps(varied_backhaul_desk()), encoding="utf-8")
     desk_48 = out / "desk_48.json"
@@ -152,6 +159,7 @@ def outputs(tmp_path_factory):
              "--out", str(out / "full_scale_48_rho")]]
     runs += [["simulate", "--scenario", str(full), "--policy", policy, "--seed", "1",
               "--out", str(out / "full_scale_48")] for policy in ("skygs", "bg", "ilp_hpq")]
+    runs += [["simulate", "--scenario", str(pressured), "--out", str(out / "pressured")]]
     runs += [["simulate", "--scenario", str(DESK), "--policy", policy, "--seed", "1",
               "--out", str(out)] for policy in POLICIES]
     runs += [["simulate", "--scenario", str(backhaul), "--policy", policy,

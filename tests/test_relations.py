@@ -8,7 +8,10 @@ c_total, which are exactly 4 times as large.
 
 Non-anticipation: a slot's decision reads only what the run knows at the
 start of that slot, so a shorter run, with its own propagated contact table,
-is the exact prefix of the full day.
+is the exact prefix of the full day. It is checked twice: on the desk world,
+and on the desk world with every satellite's duty_cycle at 0.5, whose
+arrivals differ from slot to slot, so that an arrival read from another slot
+breaks the prefix (at duty 1 every slot of a satellite collects the same MB).
 """
 
 from dataclasses import replace
@@ -46,14 +49,35 @@ def test_price_scaling_scales_only_the_costs(desk, policy):
     assert scaled_metrics.total_cost == 4 * base_metrics.total_cost
 
 
+def half_duty(horizon=1440):
+    """The desk world at SEED with every satellite's duty_cycle 0.5."""
+    raw = desk_scenario(seed=SEED, horizon=horizon)
+    for sat in raw["satellites"]:
+        sat["duty_cycle"] = 0.5
+    return validate_scenario(raw)
+
+
+def assert_prefix(day, short, horizon, policy):
+    """The horizon-slot run `short` is the exact prefix of the run `day`."""
+    assert len(day.q_trace) > horizon
+    assert short.records, policy
+    assert short.records == [r for r in day.records if r.slot < horizon]
+    assert short.q_trace == day.q_trace[:horizon]
+    assert short.backlog_trace == day.backlog_trace[:horizon]
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_a_shorter_run_is_a_prefix_of_the_day(desk, policy):
     day, _ = desk.run(policy, SEED)
     horizon = 500
     short, _ = engine.run(validate_scenario(desk_scenario(seed=SEED, horizon=horizon)),
                           policy=policy)
-    assert len(day.q_trace) > horizon
-    assert short.records, policy
-    assert short.records == [r for r in day.records if r.slot < horizon]
-    assert short.q_trace == day.q_trace[:horizon]
-    assert short.backlog_trace == day.backlog_trace[:horizon]
+    assert_prefix(day, short, horizon, policy)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_shorter_run_is_a_prefix_of_the_day_at_half_duty(policy):
+    day, _ = engine.run(half_duty(), policy=policy)
+    horizon = 500
+    short, _ = engine.run(half_duty(horizon), policy=policy)
+    assert_prefix(day, short, horizon, policy)
