@@ -121,13 +121,13 @@ class ContactTable:
                  elevation: np.ndarray, rate: np.ndarray):
         """Contacts as columns in any row order, `sat` and `gs` being positions in
         the sorted `sat_ids` and `gs_ids`. Raises ValueError on a slot outside
-        [0, n_slots), a rate that is not finite and positive, or a second row
+        [0, n_slots), a position outside its ids, a slot or position that is
+        not an integer, a rate that is not finite and positive, or a second row
         for one (slot, satellite, station)."""
-        slot, sat, gs = (np.asarray(c, dtype=np.int64) for c in (slot, sat, gs))
+        slot = _index_column("slot", slot, n_slots)
+        sat = _index_column("satellite position", sat, len(sat_ids))
+        gs = _index_column("station position", gs, len(gs_ids))
         rate = np.asarray(rate, dtype=float)
-        outside = (slot < 0) | (slot >= n_slots)
-        if outside.any():
-            raise ValueError(f"slot {slot[outside][0]} outside [0, {n_slots})")
         bad = ~(np.isfinite(rate) & (rate > 0))
         if bad.any():
             raise ValueError(f"rate {rate[bad][0]} is not finite and positive")
@@ -190,6 +190,19 @@ class ContactTable:
     def all_contacts(self) -> list[Contact]:
         """Every row as a Contact, in (slot, satellite, station) order."""
         return list(map(Contact._make, self.rows(0, len(self.sat))))
+
+
+def _index_column(name: str, values: np.ndarray, n: int) -> np.ndarray:
+    """The values as int64, or ValueError on the first that is not an integer in [0, n)."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "biu":
+        whole = np.isfinite(given) & (np.floor(given) == given)
+        if not whole.all():
+            raise ValueError(f"{name} {given[~whole][0]} is not an integer in [0, {n})")
+    outside = (given < 0) | (given >= n)
+    if outside.any():
+        raise ValueError(f"{name} {given[outside][0]} outside [0, {n})")
+    return given.astype(np.int64, copy=False)
 
 
 def scenario_ids(scenario: Scenario) -> tuple[tuple[str, ...], tuple[str, ...]]:

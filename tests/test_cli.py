@@ -13,6 +13,7 @@ from skygs.scenarios import desk_scenario
 from skygs.scheduler import AssignmentTriple
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
+WORLDS = sorted(DESK.parent.glob("*.json"))
 
 
 @pytest.fixture()
@@ -41,6 +42,11 @@ class TestValidate:
     def test_ok(self, scenario_file, capsys):
         assert main(["validate", "--scenario", scenario_file]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("world", WORLDS, ids=[path.name for path in WORLDS])
+    def test_every_committed_world_is_valid(self, world, capsys):
+        assert main(["validate", "--scenario", str(world)]) == 0
+        assert capsys.readouterr().out == "OK\n"
 
     def test_missing_xi_exits_one(self, tmp_path, capsys):
         raw = desk_scenario(seed=1, horizon=60)

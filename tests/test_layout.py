@@ -24,7 +24,7 @@ FIFO replay check patches one: a name imported from queues would keep the
 unwrapped function.
 
 No module of the package imports skygs.scenarios: its world helpers serve
-the tests and the benchmark, and desk_scenario reads a file of the checkout.
+the tests and the benchmark, and both read world files of the checkout.
 
 The brute-force oracle in tests/oracle.py re-derives the broker's slot
 objective on its own: it reads the scenario's arrays and the assignment types

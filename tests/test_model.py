@@ -8,9 +8,10 @@ import pytest
 
 from skygs.model import (DEFAULT_RHO, ScenarioError, load_scenario, parse_intensity,
                          parse_price_per_min, parse_rate, validate_scenario, with_overrides)
-from skygs.scenarios import desk_scenario
+from skygs.scenarios import desk_scenario, full_scale_scenario
 
 DESK = Path(__file__).resolve().parents[1] / "scenarios" / "desk.json"
+FULL_SCALE = DESK.with_name("full_scale.json")
 MISSING = object()  # a field to delete rather than set
 
 
@@ -286,6 +287,24 @@ class TestValidation:
 def test_desk_file_is_the_desk_builder():
     # the CLI, the README and the benchmark run the file; tier-1 runs the builder
     assert json.loads(DESK.read_text()) == desk_scenario()
+
+
+def test_full_scale_file_is_the_full_scale_builder():
+    # the helper's world is the file's, with only its four sim values set, in place
+    raw = json.loads(FULL_SCALE.read_text())
+    raw["sim"].update(seed=7, horizon=240, policy="bg", v=1e8)
+    assert json.dumps(full_scale_scenario(7, horizon=240, policy="bg", v=1e8)) == json.dumps(raw)
+    raw["sim"].update(seed=1, horizon=1, policy="skygs", v=5e6)
+    assert json.dumps(full_scale_scenario()) == json.dumps(raw)
+
+
+@pytest.mark.parametrize("helper", [desk_scenario, full_scale_scenario])
+def test_each_call_returns_a_fresh_world(helper):
+    first, expected = helper(), json.dumps(helper())
+    first["satellites"].clear()
+    first["ground_stations"][0]["antennas"] = 99
+    first["sim"]["noise"][0] = 0.0
+    assert json.dumps(helper()) == expected
 
 
 MALFORMED_LISTS = [("satellites", None), ("satellites", [1]), ("satellites", "abc"),

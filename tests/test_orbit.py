@@ -610,6 +610,29 @@ class TestCallerBuiltTable:
         assert table.all_contacts() == sorted(rows)
         assert [c.tolist() for c in table.slot_contacts(2)] == [[0, 1], [1, 0], [1.0, 3.0]]
 
+    # (slot, satellite position, station position) of one row of a 2-slot table for
+    # satellites a, b and station x; unchecked, each would land in another cell
+    UNHOLDABLE = [(0, 2, 0, "satellite position 2 outside [0, 2)"),
+                  (1, -1, 0, "satellite position -1 outside [0, 2)"),
+                  (0, 0, 5, "station position 5 outside [0, 1)"),
+                  (0, 0, -1, "station position -1 outside [0, 1)"),
+                  (1.7, 0, 0, "slot 1.7 is not an integer in [0, 2)"),
+                  (math.nan, 0, 0, "slot nan is not an integer in [0, 2)"),
+                  (0, 0.5, 0, "satellite position 0.5 is not an integer in [0, 2)"),
+                  (0, 0, 0.25, "station position 0.25 is not an integer in [0, 1)")]
+
+    @pytest.mark.parametrize("slot, sat, gs, message", UNHOLDABLE,
+                             ids=[message for *_, message in UNHOLDABLE])
+    def test_position_the_table_cannot_hold_rejected(self, slot, sat, gs, message):
+        with pytest.raises(ValueError) as exc:
+            ContactTable(2, ("a", "b"), ("x",), [slot], [sat], [gs], [30.0], [100.0])
+        assert str(exc.value) == message
+
+    def test_integral_floats_are_positions(self):
+        table = ContactTable(2, ("a", "b"), ("x",), [1.0], [1.0], [0.0], [30.0], [100.0])
+        assert table.slot_ptr.tolist() == [0, 0, 1]
+        assert table.all_contacts() == [Contact(1, "b", "x", 30.0, 100.0)]
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
     def test_rate_not_finite_and_positive_rejected(self, rate):
         rows = [Contact(0, "s", "g", 45.0, 500.0), Contact(1, "s", "g", 45.0, rate)]
