@@ -29,8 +29,8 @@ def _best_dc_by_cost(arrays: ScenarioArrays, dc_positions: list[int]) -> int:
 
 def _slot_links(table: ContactTable, slot: int) -> dict[int, list[tuple[int, float, int]]]:
     """Satellite position -> [(station position, rate, table row)] of the slot's
-    contacts, in station id order. A desk slot has too few contacts for numpy
-    to pay."""
+    contacts, satellites and then stations in id order. A desk slot has too few
+    contacts for numpy to pay."""
     links: dict[int, list[tuple[int, float, int]]] = {}
     columns = (c.tolist() for c in table.slot_contacts(slot))
     for k, s, g, rate in zip(table.slot_rows(slot), *columns):
@@ -60,29 +60,32 @@ class _GreedyCore:
             dc_positions = [i for i, p in enumerate(self.arrays.provider_dc)
                             if p in providers]
         self.best_dc = _best_dc_by_cost(self.arrays, dc_positions)
+        # Python scalars: a slot prices each of its contacts one at a time
+        self.price_slot = arrays.price_slot.tolist()
+        self.antenna_counts = arrays.antenna_counts.tolist()
+        self.dc = arrays.dc_price[self.best_dc].item(), arrays.dc_kappa[self.best_dc].item()
 
     def schedule(self, states: dict[str, SatelliteState], q: float, slot: int,
                  table: ContactTable) -> tuple[AssignmentTriple, ...]:
-        arrays = self.arrays
         tau = self.scenario.tau
-        free = {g_pos: list(range(n)) for g_pos, n in enumerate(arrays.antenna_counts.tolist())}
-        backlog = [states[sat_id].total_mb for sat_id in arrays.sat_ids]
-        # a stable sort of positions in id order: ties go to the lowest id
-        ordered = sorted((si for si, mb in enumerate(backlog) if mb > 0),
-                         key=lambda si: -backlog[si])
         links = _slot_links(table, slot)
-        dc = arrays.dc_price[self.best_dc], arrays.dc_kappa[self.best_dc]
+        # satellites with a contact, in id order, and then a stable sort by backlog:
+        # ties go to the lowest id
+        backlog = {si: states[self.arrays.sat_ids[si]].total_mb for si in links}
+        ordered = sorted((si for si, mb in backlog.items() if mb > 0),
+                         key=lambda si: -backlog[si])
+        given = [0] * len(self.antenna_counts)  # antennas of each station given so far
         triples: list[AssignmentTriple] = []
         for si in ordered:
             best = None  # (cost per MB, g_pos, table row)
-            for g_pos, rate, k in links.get(si, ()):
-                if g_pos not in self.gs_allowed or not free[g_pos]:
+            for g_pos, rate, k in links[si]:
+                if g_pos not in self.gs_allowed or given[g_pos] == self.antenna_counts[g_pos]:
                     continue
                 capacity = rate * tau
                 if self.require_full_slot and backlog[si] < capacity:
                     continue
                 dtil = min(capacity, backlog[si])
-                cr, cc = accounting.downlink_cost(dtil, arrays.price_slot[g_pos], *dc)
+                cr, cc = accounting.downlink_cost(dtil, self.price_slot[g_pos], *self.dc)
                 per_mb = (cr + cc) / dtil
                 # station positions follow the ids, so ties go to the lowest id
                 if best is None or (per_mb, g_pos) < best[:2]:
@@ -90,8 +93,8 @@ class _GreedyCore:
             if best is None:
                 continue
             _, g_pos, k = best
-            triples.append(AssignmentTriple(contact=k, antenna=free[g_pos].pop(0),
-                                            dc=self.best_dc))
+            triples.append(AssignmentTriple(contact=k, antenna=given[g_pos], dc=self.best_dc))
+            given[g_pos] += 1
         # rows follow the satellite ids within a slot, and no two triples share a row
         return tuple(sorted(triples))
 

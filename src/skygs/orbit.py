@@ -24,9 +24,12 @@ Larson, Space Mission Analysis and Design, 3rd ed., sec. 5.2). A cell is a
 candidate when the dot product of the two unit vectors is at least
 cos(lambda_max) - CONE_MARGIN. The margin dwarfs the rounding of either test,
 so the elevation test on the candidates picks exactly the contacts that
-testing every cell would. Contact plans are written from the columns in blocks,
-and a plan's rows stream into typed columns through ContactTable.from_contacts,
-the one place where ids become positions, so no path holds an object per contact.
+testing every cell would. Contact plans are written from the columns in blocks.
+numpy parses a plan's body as columns in one pass; a plan that it might read
+otherwise than the csv module, or that fails a check, is read again row by row,
+and that reader reports the bad line. Ids become positions in one place, by
+sorted search in ContactTable._positions, for plan columns and for a caller's
+rows alike, so no path holds an object per contact.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ EARTH_ROT_DEG_PER_MIN = 360.0 / 1436.0
 # still has its elevation evaluated, so rounding never drops a contact
 CONE_MARGIN = 1e-9
 PLAN_BLOCK = 1024          # contact-plan rows written per block
+PLAN_SCAN_BLOCK = 1 << 16  # contact-plan bytes scanned per block before numpy parses it
+# a NUL, which numpy drops from the end of an id, and the separators \x1c-\x1f,
+# which numpy skips around a number and int() and float() refuse
+_MISREAD_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 CONTACT_PLAN_HEADER = ["slot", "satellite_id", "ground_station_id", "elevation_deg",
                        "rate_mb_per_min"]
@@ -156,19 +163,49 @@ class ContactTable:
         (satellites first, the least id first), and then the constructor's."""
         sat_ids, gs_ids = tuple(sorted(sat_ids)), tuple(sorted(gs_ids))
         slot, sat, gs, elevation, rate = (array(code) for code in "qqqdd")
-        sat_index, gs_index = (dict(zip(ids, range(len(ids)))) for ids in (sat_ids, gs_ids))
+        # each id is coded in order of first use; the codes become positions below
+        sat_code: dict[str, int] = {}
+        gs_code: dict[str, int] = {}
         for t, s, g, el, r in contacts:
-            slot.append(t)
-            # an unknown id takes the next free position, to be reported below
-            sat.append(sat_index.setdefault(s, len(sat_index)))
-            gs.append(gs_index.setdefault(g, len(gs_index)))
+            try:
+                slot.append(t)
+            except TypeError:  # a float slot: the constructor checks a float column
+                slot = array("d", slot)
+                slot.append(t)
+            sat.append(sat_code.setdefault(s, len(sat_code)))
+            gs.append(gs_code.setdefault(g, len(gs_code)))
             elevation.append(el)
             rate.append(r)
-        for kind, ids, index in (("satellite", sat_ids, sat_index),
-                                 ("ground station", gs_ids, gs_index)):
-            if len(index) > len(ids):
-                raise ValueError(f"unknown {kind} {min(list(index)[len(ids):])!r}")
+        # the ids as objects, so that one ending in a NUL stays itself
+        sat_pos = cls._positions("satellite", sat_ids, np.array(list(sat_code), dtype=object))
+        gs_pos = cls._positions("ground station", gs_ids, np.array(list(gs_code), dtype=object))
+        return cls(n_slots, sat_ids, gs_ids, slot, sat_pos[np.asarray(sat)],
+                   gs_pos[np.asarray(gs)], elevation, rate)
+
+    @classmethod
+    def from_id_columns(cls, n_slots: int, sat_ids: Iterable[str], gs_ids: Iterable[str],
+                        slot: np.ndarray, sat: np.ndarray, gs: np.ndarray,
+                        elevation: np.ndarray, rate: np.ndarray) -> "ContactTable":
+        """The table of these columns, `sat` and `gs` holding ids as numpy strings,
+        which cannot end in a NUL. Raises ValueError on an id not among the ids
+        (satellites first, the least id first), and then the constructor's."""
+        sat_ids, gs_ids = tuple(sorted(sat_ids)), tuple(sorted(gs_ids))
+        sat = cls._positions("satellite", sat_ids, sat)
+        gs = cls._positions("ground station", gs_ids, gs)
         return cls(n_slots, sat_ids, gs_ids, slot, sat, gs, elevation, rate)
+
+    @staticmethod
+    def _positions(kind: str, ids: tuple[str, ...], names: np.ndarray) -> np.ndarray:
+        """Positions of the names in the sorted ids, by sorted search and an equality
+        check: the one place where ids become positions. Raises ValueError on the
+        least name that is not an id."""
+        sorted_ids = np.array(ids, dtype=object if names.dtype == object else str)
+        pos = np.searchsorted(sorted_ids, names)
+        known = pos < len(ids)
+        known[known] = sorted_ids[pos[known]] == names[known]
+        if not known.all():
+            raise ValueError(f"unknown {kind} {min(names[~known].tolist())!r}")
+        return pos
 
     def slot_rows(self, slot: int) -> range:
         """The table rows of the slot's contacts, for a slot in [0, n_slots)."""
@@ -268,8 +305,12 @@ def write_contact_plan(table: ContactTable, path: str) -> None:
 
 
 def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
-    """Load and validate a contact-plan CSV against the scenario: the earliest bad
-    line is reported, then unknown ids, then the table's own checks."""
+    """Load and validate a contact-plan CSV against the scenario. numpy parses it
+    as columns; a plan that it does not take whole is read row by row, which
+    reports the earliest bad line, then unknown ids, then the table's own checks."""
+    table = _plan_columns(path, scenario)
+    if table is not None:
+        return table
     try:
         return ContactTable.from_contacts(scenario.horizon, *scenario_ids(scenario),
                                           _plan_rows(path, scenario))
@@ -277,6 +318,56 @@ def read_contact_plan(path: str, scenario: Scenario) -> ContactTable:
         raise
     except ValueError as exc:  # unknown ids, slots outside the horizon, duplicates
         raise ContactPlanError(f"{path}: {exc}") from None
+
+
+def _plan_columns(path: str, scenario: Scenario) -> ContactTable | None:
+    """The plan's table, its body parsed by numpy in one pass and checked as
+    columns; None when an id holds a NUL or a quote, the plan is not plain or
+    has no row, or any check fails, so that every table or error is the row
+    reader's."""
+    sat_ids, gs_ids = scenario_ids(scenario)
+    if any("\0" in i or '"' in i for i in sat_ids + gs_ids):
+        return None
+    # a longer id is cut to this width, and so is unknown
+    width = max(map(len, sat_ids + gs_ids), default=0) + 1
+    columns = np.dtype([("slot", "i8"), ("sat", f"U{width}"), ("gs", f"U{width}"),
+                        ("elevation", "f8"), ("rate", "f8")])
+    try:
+        if not _plan_is_plain(path):
+            return None
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            if next(fh, "").rstrip("\r\n") != ",".join(CONTACT_PLAN_HEADER):
+                return None
+            # numpy warns on a body of blank lines only
+            first = next((line for line in fh if line.rstrip("\r\n")), None)
+            if first is None:
+                return None
+            # quotes are text: a quoted field, one that spans lines included, fails
+            # to parse or names no id, and so the row reader reads it
+            plan = np.loadtxt(chain([first], fh), dtype=columns, delimiter=",",
+                              quotechar=None, comments=None, ndmin=1)
+        el, rate = plan["elevation"], plan["rate"]
+        if not ((scenario.elevation_mask_deg <= el) & (el <= 90.0) & (rate > 0)
+                & (rate <= scenario.r_max * scenario.noise[1])).all():
+            return None
+        return ContactTable.from_id_columns(scenario.horizon, sat_ids, gs_ids, plan["slot"],
+                                            plan["sat"], plan["gs"], el, rate)
+    except (OSError, ValueError):  # the row reader reports it
+        return None
+
+
+def _plan_is_plain(path: str) -> bool:
+    """Whether numpy reads the file's fields as the row reader does: no block of it
+    holds a byte of _MISREAD_BYTES, a run of 2,048 zeros (int() refuses a slot
+    of more than 4,300 digits) or no line end (the csv reader refuses a field
+    of more than 131,072 characters, and such a line fills a whole block)."""
+    with open(path, "rb") as fh:
+        while block := fh.read(PLAN_SCAN_BLOCK):
+            if (any(b in block for b in _MISREAD_BYTES) or b"0" * 2048 in block
+                    or len(block) == PLAN_SCAN_BLOCK and b"\n" not in block
+                    and b"\r" not in block):
+                return False
+    return True
 
 
 def _plan_rows(path: str, scenario: Scenario) -> Iterator[tuple[int, str, str, float, float]]:

@@ -328,12 +328,12 @@ def check_assignment(triples: tuple[AssignmentTriple, ...], t: int, arrays: Scen
             violations.append(f"constraint(visibility): contact row {k} is not one of "
                               f"slot {t}'s rows [{rows.start}, {rows.stop})")
             continue
-        si, gi = int(table.sat[k]), int(table.gs[k])
+        si, gi = table.sat.item(k), table.gs.item(k)
         if si in seen_sats:
             violations.append(f"constraint(single-selection): satellite "
                               f"{table.sat_ids[si]!r} assigned twice")
         seen_sats.add(si)
-        if not 0 <= tr.antenna < arrays.antenna_counts[gi]:
+        if not 0 <= tr.antenna < arrays.antenna_counts.item(gi):
             violations.append(f"constraint(antenna-count): station {table.gs_ids[gi]!r} "
                               f"has no antenna {tr.antenna}")
         elif (gi, tr.antenna) in used_antennas:

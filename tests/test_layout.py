@@ -7,9 +7,10 @@ advance_backlog, actual_downlink, queuing_latency and
 SatelliteState.oldest_arrival_slot read them, and accounting.py does not
 import queues.
 
-Contact rows named by id become table positions only in
-ContactTable.from_contacts: the plan reader and the helpers it calls hold no
-{id: position} dict (`setdefault`) and build no column (`array(...)`).
+Ids become table positions only inside ContactTable, whose _positions finds
+them by sorted search: the plan reader and the helpers it calls hold no
+{id: position} dict (`setdefault`), search no sorted ids (`searchsorted`) and
+build no column (`array(...)`); numpy parses the plan's columns for them.
 
 Every random number is drawn by address through rng.uniform_at, so no module
 names numpy's generators (`np.random`, `numpy.random`).
@@ -84,10 +85,10 @@ def called_name(call):
 
 def test_plan_reader_maps_no_id_and_builds_no_column():
     reached = functions_reached(SRC / "orbit.py", "read_contact_plan")
-    assert len(reached) > 1  # the reader and the helper that reads the lines
+    assert len(reached) > 1  # the reader and the helpers that read the lines
     assert [f"{name}: {ast.unparse(node)}" for name, function in sorted(reached.items())
             for node in ast.walk(function) if isinstance(node, ast.Call)
-            and called_name(node) in ("setdefault", "array")] == []
+            and called_name(node) in ("setdefault", "searchsorted", "array")] == []
 
 
 def imported_names(path):

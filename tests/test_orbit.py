@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -584,6 +585,131 @@ class TestContactPlanErrorOrder:
         assert got == "duplicate contact (2, 'sat-a', 'gs-a')"
 
 
+PLAN_WORLD = validate_scenario(scenario_raw([sat_raw("sat-a"), sat_raw("sat-bb")],
+                                            [gs_raw("gs-a"), gs_raw("gs-b")], horizon=10))
+PLAN_RATE_CAP = PLAN_WORLD.r_max * PLAN_WORLD.noise[1]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def faulty_field(draw, fault, field, value):
+    """The field's value with the fault injected."""
+    cut = draw(st.integers(0, len(value)))
+    return {"nul": lambda: value[:cut] + "\0" + value[cut:],
+            "nul at the end": lambda: value + "\0",
+            "quoted": lambda: f'"{value}"',
+            "quoted comma": lambda: f'"{value[:cut]},{value[cut:]}"',
+            "too long": lambda: value + "x" * draw(st.integers(1, 4)),
+            "unknown": lambda: "ghost",
+            "underscore": lambda: value[:1] + "_" + value[1:] if value[:1].isdigit() else value,
+            "non-ascii digit": lambda: value.translate(ARABIC_INDIC),
+            "separator": lambda: value + draw(st.sampled_from("\x1c\x1d\x1e\x1f\x0b\x0c \t")),
+            "leading zeros": lambda: "0" * 4300 + value,
+            "outside": lambda: str(draw(st.sampled_from([10, -1, 2 ** 63 - 1, 2 ** 63]))),
+            }[fault]()
+
+
+# the field each field fault is injected into: 0 slot, 1-2 ids, 3-4 numbers
+FIELD_FAULTS = {"nul": (1, 2, 3), "nul at the end": (1, 2), "quoted": (1, 2, 4),
+                "quoted comma": (1, 2), "too long": (1, 2), "unknown": (1, 2),
+                "underscore": (0, 3), "non-ascii digit": (0, 4), "separator": (0, 3, 4),
+                "leading zeros": (0,), "outside": (0,)}
+LINE_FAULTS = ["cr only", "bom", "hash", "spaces", "blank", "duplicate", "no rows"]
+
+
+@st.composite
+def perturbed_plans(draw):
+    """The text of a valid plan for PLAN_WORLD, with zero to three faults injected."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.sampled_from(["sat-a", "sat-bb"]),
+                                    st.sampled_from(["gs-a", "gs-b"])), unique=True, max_size=6))
+    rows = [[str(t), s, g, repr(draw(st.floats(PLAN_WORLD.elevation_mask_deg, 90.0))),
+             repr(draw(st.floats(0.0, PLAN_RATE_CAP, exclude_min=True)))] for t, s, g in cells]
+    lines = [",".join(CONTACT_PLAN_HEADER)]
+    end = "\r\n"
+    faults = draw(st.lists(st.sampled_from(sorted(FIELD_FAULTS) + LINE_FAULTS), max_size=3))
+    for fault in faults:
+        if fault in FIELD_FAULTS and rows:
+            row = draw(st.sampled_from(rows))
+            field = draw(st.sampled_from(FIELD_FAULTS[fault]))
+            row[field] = faulty_field(draw, fault, field, row[field])
+    lines += [",".join(row) for row in rows]
+    for fault in faults:
+        at = draw(st.integers(1, len(lines)))
+        if fault == "cr only":
+            end = "\r"
+        elif fault == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        elif fault == "hash" and at < len(lines):
+            lines[at] = "#" + lines[at]
+        elif fault in ("spaces", "blank"):
+            lines.insert(at, " " * draw(st.integers(1, 3)) if fault == "spaces" else "")
+        elif fault == "duplicate" and at < len(lines):
+            lines.insert(at, lines[at])
+        elif fault == "no rows":
+            del lines[1:]
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def plan_outcome(path, world=PLAN_WORLD):
+    """The table read from the plan, as ids and column bytes, or the error's type and text."""
+    try:
+        table = read_contact_plan(str(path), world)
+    except Exception as exc:  # the row reader's csv module raises its own error type
+        return f"{type(exc).__name__}: {exc}"
+    return table.sat_ids, table.gs_ids, table_bytes(table)
+
+
+class TestColumnReaderMatchesRowReader:
+    """read_contact_plan gives what reading every plan row by row gives: the same
+    table bytes, or the same error of the same type."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_plans())
+    @example(PLAN_HEADER + "3,sat-a\0,gs-a,45.0,500\n")
+    @example(PLAN_HEADER + "3,sat-a,gs-a,45.0\x1c,500\n")
+    @example(PLAN_HEADER + "0" * 4300 + "3,sat-a,gs-a,45.0,500\n")
+    @example(PLAN_HEADER + "3,sat-a,gs-a," + " " * 140_000 + "45.0,500\n")
+    @example(PLAN_HEADER + '3,sat-a,gs-a,"' + "\n" * 140_000 + '45.0",500\n')
+    @example(PLAN_HEADER + "\n\r\n")
+    def test_the_table_or_the_error_is_the_row_readers(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "perturbed_plan.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = plan_outcome(path)
+        with mock.patch.object(orbit, "_plan_columns", lambda path, scenario: None):
+            assert got == plan_outcome(path)
+
+    @pytest.mark.parametrize("body", ["", GOOD_ROW])
+    def test_a_world_without_satellites_or_stations(self, tmp_path, body):
+        world = validate_scenario(scenario_raw([], [], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text(PLAN_HEADER + body)
+        got = plan_outcome(path, world)
+        with mock.patch.object(orbit, "_plan_columns", lambda path, scenario: None):
+            assert got == plan_outcome(path, world)
+
+    def test_an_id_ending_in_a_nul_is_not_the_id_without_it(self, tmp_path):
+        sc = validate_scenario(scenario_raw([sat_raw("sat-a\0")], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text(PLAN_HEADER + GOOD_ROW)
+        with pytest.raises(ContactPlanError) as exc:
+            read_contact_plan(str(path), sc)
+        assert str(exc.value) == f"{path}: unknown satellite 'sat-a'"
+
+    def test_an_id_opening_with_a_quote_is_read_as_the_csv_module_reads_it(self, tmp_path):
+        # the csv module reads the rest of the file as one quoted field
+        sc = validate_scenario(scenario_raw([sat_raw('"sat-a')], [gs_raw()], horizon=10))
+        path = tmp_path / "plan.csv"
+        path.write_text(PLAN_HEADER + '3,"sat-a,gs-a,45.0,500\n')
+        with pytest.raises(ContactPlanError) as exc:
+            read_contact_plan(str(path), sc)
+        assert str(exc.value) == f"{path}: line 2: expected 5 fields, got 2"
+
+    def test_a_plain_plan_is_read_as_columns(self, tmp_path):
+        sc = validate_scenario(FULL_SCALE_48)
+        path = str(tmp_path / "plan.csv")
+        write_contact_plan(build_contact_table(sc), path)
+        assert orbit._plan_columns(path, sc) is not None
+
+
 class TestCallerBuiltTable:
     """The constructor checks a caller's rows the way the plan reader's are checked."""
 
@@ -632,6 +758,18 @@ class TestCallerBuiltTable:
         table = ContactTable(2, ("a", "b"), ("x",), [1.0], [1.0], [0.0], [30.0], [100.0])
         assert table.slot_ptr.tolist() == [0, 0, 1]
         assert table.all_contacts() == [Contact(1, "b", "x", 30.0, 100.0)]
+
+    def test_a_row_with_an_integral_float_slot_is_in_that_slot(self):
+        rows = [(0, "a", "x", 40.0, 200.0), (1.0, "a", "x", 30.0, 100.0)]
+        table = ContactTable.from_contacts(2, ["a"], ["x"], rows)
+        assert table.slot_ptr.tolist() == [0, 1, 2]
+        assert table.all_contacts() == [Contact(0, "a", "x", 40.0, 200.0),
+                                        Contact(1, "a", "x", 30.0, 100.0)]
+
+    def test_a_row_with_a_fractional_slot_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            ContactTable.from_contacts(2, ["a"], ["x"], [(1.7, "a", "x", 30.0, 100.0)])
+        assert str(exc.value) == "slot 1.7 is not an integer in [0, 2)"
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
     def test_rate_not_finite_and_positive_rejected(self, rate):
