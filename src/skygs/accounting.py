@@ -2,7 +2,7 @@
 
 Latency is accounted in unit-minutes: every MB is charged its own queuing
 wait, 1/R transmission time on each hop, and kappa minutes of processing.
-The queuing wait comes from queues.queuing_latency, beside the FIFO it reads.
+The queuing wait comes from queues.actual_downlink, as it drains the FIFO.
 Propagation delay is excluded (negligible at LEO altitudes). Antenna rental
 is charged per antenna-slot whenever an antenna is assigned, independent of
 how many MB actually move.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -49,7 +50,7 @@ class SimState:
     policy: str
     seed: int
     slot: int
-    states: dict[str, SatelliteState]
+    states: dict[str, SatelliteState]  # in the scenario's satellite order
     q: float
     records: list[DownlinkRecord] = field(default_factory=list)
     q_trace: list[float] = field(default_factory=list)        # Q(t+1) per slot
@@ -75,8 +76,10 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
     for k, antenna, di in triples:
         sat_id, gi = arrays.sat_ids[table.sat.item(k)], table.gs.item(k)
         rate, kappa = table.rate_mb_per_min.item(k), arrays.dc_kappa.item(di)
-        moved, popped = queues.actual_downlink(sim.states[sat_id], rate * scenario.tau)
-        lq = queues.queuing_latency(popped, t, scenario.tau)
+        moved, terms = queues.actual_downlink(sim.states[sat_id], rate * scenario.tau,
+                                              t, scenario.tau)
+        # a left fold from 0.0, as a running total; sum() compensates from Python 3.12
+        lq = functools.reduce(operator.add, terms, 0.0)
         lt1, lt2, lc = accounting.service_latency(moved, rate, arrays.backhaul.item(gi, di), kappa)
         cr, cc = accounting.downlink_cost(moved, arrays.price_slot.item(gi),
                                           arrays.dc_price.item(di), kappa)
@@ -88,8 +91,9 @@ def step(sim: SimState, policy, scenario: Scenario, table: ContactTable,
                                      moved, lq, lt1, lt2, lc, l_total, cr, cc, c_total, phi_s)))
 
     arrived = 0.0
-    for sat, amount in zip(scenario.satellites, arrivals.mb[:, t].tolist()):
-        queues.advance_backlog(sim.states[sat.id], amount, t)
+    advance = queues.advance_backlog
+    for state, amount in zip(sim.states.values(), arrivals.mb[:, t].tolist()):
+        advance(state, amount, t)
         arrived += amount
     backlog = sum([s.total_mb for s in sim.states.values()], 0.0)  # 0.0 with no satellites
     sim.q = queues.update_virtual_queue(

@@ -370,6 +370,15 @@ def _plan_is_plain(path: str) -> bool:
     return True
 
 
+def _csv_rows(path: str, fh) -> Iterator[list[str]]:
+    """The rows of an open plan; the csv module's error names its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ContactPlanError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _plan_rows(path: str, scenario: Scenario) -> Iterator[tuple[int, str, str, float, float]]:
     """(slot, satellite id, station id, elevation, rate) of each checked plan line."""
     rate_cap = scenario.r_max * scenario.noise[1]
@@ -378,7 +387,7 @@ def _plan_rows(path: str, scenario: Scenario) -> Iterator[tuple[int, str, str, f
     except OSError as exc:
         raise ContactPlanError(f"{path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if header != CONTACT_PLAN_HEADER:
             raise ContactPlanError(

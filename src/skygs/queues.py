@@ -1,19 +1,16 @@
 """Onboard backlog dynamics and the latency virtual queue.
 
-Backlogs are FIFO sequences of chunks, each chunk aggregating the data that
-arrived in one slot. A chunk is a NamedTuple of its arrival slot and MB, so a
-slot's arrival or a split on a partial downlink costs one tuple. Aggregation
-is exact for latency accounting because every MB in a chunk shares the same
-arrival slot; splitting a chunk on a partial downlink keeps the remainder at
-the head with its original arrival slot.
-Only this module reads the chunks: others fill a backlog with advance_backlog,
-drain it with actual_downlink, and read queuing_latency and oldest_arrival_slot.
+A backlog is a FIFO over its arrivals, the cumulative arrival curve of
+Le Boudec & Thiran, *Network Calculus* (2001), ch. 1: parallel lists of each
+positive arrival's slot and MB, and a head index at the oldest MB onboard. A
+partial downlink splits the head arrival in place, so latency is exact per
+arrival, and the drained prefix goes once it reaches TRIM_AT and half the lists.
+Only this module reads the lists: advance_backlog fills them, actual_downlink
+drains them and prices the wait, and oldest_arrival_slot and onboard read them.
 """
 
 from __future__ import annotations
 
-import functools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +20,7 @@ from skygs import rng
 from skygs.model import Scenario
 
 MINUTES_PER_DAY = 1440.0
+TRIM_AT = 64
 
 
 class DataChunk(NamedTuple):
@@ -30,63 +28,51 @@ class DataChunk(NamedTuple):
     size_mb: float
 
 
-# DataChunk((arrival_slot, size_mb)) without NamedTuple's Python-level __new__:
-# the slot loop builds one per arrival and one per split
-_chunk = functools.partial(tuple.__new__, DataChunk)
-
-
 @dataclass
 class SatelliteState:
-    """FIFO backlog for one satellite, compared by value."""
+    """FIFO backlog for one satellite: its arrivals from `head` on are onboard."""
 
     satellite_id: str
-    chunks: deque[DataChunk] = field(default_factory=deque, init=False)
+    arrival_slots: list[int] = field(default_factory=list, init=False, repr=False)
+    arrival_mb: list[float] = field(default_factory=list, init=False, repr=False)
+    head: int = field(default=0, init=False)
     total_mb: float = field(default=0.0, init=False)
 
-    def __repr__(self) -> str:
-        return f"SatelliteState({self.satellite_id!r}, total={self.total_mb:.1f} MB)"
-
     def oldest_arrival_slot(self) -> int | None:
-        return self.chunks[0].arrival_slot if self.chunks else None
+        return self.arrival_slots[self.head] if self.head < len(self.arrival_slots) else None
+
+    def onboard(self) -> list[DataChunk]:
+        """The backlog's chunks in FIFO order, the head's remainder first."""
+        return list(map(DataChunk, self.arrival_slots[self.head:], self.arrival_mb[self.head:]))
 
 
-def actual_downlink(state: SatelliteState, capacity_mb: float) -> tuple[float, list[DataChunk]]:
-    """Pop min(capacity, backlog) from the FIFO head.
-
-    Returns the amount moved and the popped chunks (with their arrival slots,
-    for latency accounting). A partially-consumed chunk is split; the
-    remainder stays at the head.
-    """
+def actual_downlink(state: SatelliteState, capacity_mb: float, slot: int,
+                    tau: float) -> tuple[float, list[float]]:
+    """Move min(capacity, backlog) from the FIFO head at `slot`: the MB moved and each
+    drained arrival's queuing latency, size * (slot - arrival slot) * tau, in FIFO order.
+    A part-drained arrival's rest stays at the head; a later arrival raises ValueError."""
     if capacity_mb < 0:
         raise ValueError("capacity must be >= 0")
-    moved = 0.0
-    popped: list[DataChunk] = []
-    remaining, chunks = min(capacity_mb, state.total_mb), state.chunks
-    while remaining > 0 and chunks:
-        head = chunks[0]
-        arrival, size_mb = head
-        if size_mb <= remaining:
-            chunks.popleft()
-            popped.append(head)
-            moved += size_mb
-            remaining -= size_mb
-        else:
-            popped.append(_chunk((arrival, remaining)))
-            chunks[0] = _chunk((arrival, size_mb - remaining))
-            moved += remaining
-            remaining = 0.0
-    state.total_mb = max(state.total_mb - moved, 0.0) if chunks else 0.0
-    return moved, popped
-
-
-def queuing_latency(popped: list[DataChunk], slot: int, tau: float) -> float:
-    """Sum over popped chunks of size * (slot - arrival_slot) * tau."""
-    total = 0.0
-    for arrival, size_mb in popped:
+    slots, sizes, i, n = state.arrival_slots, state.arrival_mb, state.head, len(state.arrival_mb)
+    moved, terms, remaining = 0.0, [], min(capacity_mb, state.total_mb)
+    while remaining > 0 and i < n:
+        arrival, size_mb = slots[i], sizes[i]
         if arrival > slot:
             raise ValueError(f"chunk arrived at slot {arrival}, popped at earlier slot {slot}")
-        total += size_mb * (slot - arrival) * tau
-    return total
+        if size_mb <= remaining:
+            i += 1
+            remaining -= size_mb
+        else:
+            sizes[i] = size_mb - remaining
+            size_mb, remaining = remaining, 0.0
+        moved += size_mb
+        terms.append(size_mb * (slot - arrival) * tau)
+    state.total_mb = max(state.total_mb - moved, 0.0) if i < n else 0.0
+    if i == n or i >= TRIM_AT and 2 * i >= n:
+        del slots[:i], sizes[:i]
+        i = 0
+    state.head = i
+    return moved, terms
 
 
 def advance_backlog(state: SatelliteState, arrivals_mb: float, slot: int) -> None:
@@ -94,7 +80,8 @@ def advance_backlog(state: SatelliteState, arrivals_mb: float, slot: int) -> Non
     if arrivals_mb < 0:
         raise ValueError("arrivals must be >= 0")
     if arrivals_mb > 0:
-        state.chunks.append(_chunk((slot, arrivals_mb)))
+        state.arrival_slots.append(slot)
+        state.arrival_mb.append(arrivals_mb)
         state.total_mb += arrivals_mb
 
 

@@ -172,6 +172,21 @@ class TestSimulate:
         assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
                      "--contacts", str(plan)]) == 0
 
+    def test_plan_field_past_the_csv_limit_exits_one(self, scenario_file, tmp_path, capsys):
+        # 140,000 spaces before the elevation: past the csv module's 131,072-character
+        # field limit, so the row reader reads the plan and the csv module refuses it
+        raw = json.loads(Path(scenario_file).read_text())
+        sat, gs = raw["satellites"][0]["id"], raw["ground_stations"][0]["id"]
+        plan = tmp_path / "plan.csv"
+        plan.write_text("slot,satellite_id,ground_station_id,elevation_deg,rate_mb_per_min\n"
+                        f"0,{sat},{gs},{' ' * 140_000}45.0,100.0\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scenario_file, "--out", str(out),
+                     "--contacts", str(plan)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {plan}: line 2: field larger than field limit (131072)\n")
+        assert not out.exists()
+
     def test_dump_weights(self, tmp_path):
         raw = desk_scenario(seed=1, horizon=3, v=5e4)
         path = tmp_path / "s.json"

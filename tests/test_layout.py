@@ -2,10 +2,10 @@
 
 A contact table's CSR index `slot_ptr` is named only in orbit.py, where
 ContactTable.slot_rows and slot_contacts read it for everyone else. A
-backlog's chunks (`DataChunk`, `.chunks`) are named only in queues.py, where
-advance_backlog, actual_downlink, queuing_latency and
-SatelliteState.oldest_arrival_slot read them, and accounting.py does not
-import queues.
+backlog's arrival lists and head index (`.arrival_slots`, `.arrival_mb`,
+`.head`) and its chunk type (`DataChunk`) are named only in queues.py, where
+advance_backlog, actual_downlink and SatelliteState's oldest_arrival_slot and
+onboard read them, and accounting.py does not import queues.
 
 Ids become table positions only inside ContactTable, whose _positions finds
 them by sorted search: the plan reader and the helpers it calls hold no
@@ -43,7 +43,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "skygs"
 
 OWNED = [(r"\bslot_ptr\b", "orbit.py"), (r"\bDataChunk\b", "queues.py"),
-         (r"\.chunks\b", "queues.py")]
+         (r"\.(arrival_slots|arrival_mb|head)\b", "queues.py")]
 
 
 def lines_naming(pattern, owner=None):
@@ -54,7 +54,7 @@ def lines_naming(pattern, owner=None):
             if re.search(pattern, line)]
 
 
-@pytest.mark.parametrize("pattern, owner", OWNED, ids=["slot_ptr", "DataChunk", ".chunks"])
+@pytest.mark.parametrize("pattern, owner", OWNED, ids=["slot_ptr", "DataChunk", "arrival_lists"])
 def test_layout_is_named_only_in_its_module(pattern, owner):
     assert lines_naming(pattern, owner) == []
 

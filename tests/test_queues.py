@@ -1,12 +1,15 @@
+from collections import deque
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skygs import engine
+from skygs import engine, queues
 from skygs.model import validate_scenario
 from skygs.orbit import Contact, ContactTable
 from skygs.queues import (ArrivalModel, DataChunk, SatelliteState, actual_downlink,
-                          advance_backlog, queuing_latency, update_virtual_queue)
+                          advance_backlog, update_virtual_queue)
 from skygs.scheduler import AssignmentTriple, ScenarioArrays
 
 
@@ -60,34 +63,35 @@ class TestCapacity:
 class TestActualDownlink:
     def test_backlog_limited(self):
         s = state_with([(0, 5000.0)])
-        moved, popped = actual_downlink(s, 12_000.0)
+        moved, terms = actual_downlink(s, 12_000.0, 2, 1.0)
         assert moved == 5000.0
         assert s.total_mb == 0.0
-        assert not s.chunks
-        assert popped == [DataChunk(0, 5000.0)]
+        assert s.onboard() == []
+        assert terms == [10_000.0]
 
     def test_capacity_limited_splits_chunk(self):
         s = state_with([(0, 20_000.0)])
-        moved, popped = actual_downlink(s, 12_000.0)
+        moved, terms = actual_downlink(s, 12_000.0, 1, 1.0)
         assert moved == 12_000.0
         assert s.total_mb == pytest.approx(8_000.0)
         # remainder keeps its original arrival slot at the head
-        assert s.chunks[0] == DataChunk(0, 8_000.0)
-        assert popped == [DataChunk(0, 12_000.0)]
+        assert s.onboard() == [DataChunk(0, 8_000.0)]
+        assert terms == [12_000.0]
 
     def test_zero_capacity(self):
         s = state_with([(0, 100.0)])
-        moved, popped = actual_downlink(s, 0.0)
-        assert moved == 0.0 and popped == []
+        moved, terms = actual_downlink(s, 0.0, 1, 1.0)
+        assert moved == 0.0 and terms == []
         assert s.total_mb == 100.0
 
     def test_fifo_across_chunks(self):
         s = state_with([(0, 10.0), (1, 20.0), (2, 30.0)])
-        moved, popped = actual_downlink(s, 25.0)
+        moved, terms = actual_downlink(s, 25.0, 3, 1.0)
         assert moved == 25.0
-        assert [c.arrival_slot for c in popped] == [0, 1]
-        assert popped[1].size_mb == 15.0
-        assert s.chunks[0] == DataChunk(1, 5.0)
+        # all 10 MB of slot 0's arrival waited 3 slots, 15 MB of slot 1's 2
+        assert terms == [30.0, 30.0]
+        assert s.onboard() == [DataChunk(1, 5.0), DataChunk(2, 30.0)]
+        assert s.oldest_arrival_slot() == 1
 
 
 @pytest.mark.parametrize("cls, kwargs", [
@@ -109,33 +113,37 @@ def test_event_values_are_immutable_and_compare_by_value(cls, kwargs):
 
 
 class TestQueuingLatency:
+    """actual_downlink's terms: each drained arrival's size * (slot - arrival slot) * tau."""
+
     def test_single_chunk(self):
-        assert queuing_latency([DataChunk(0, 100.0)], 5, 1.0) == 500.0
+        assert actual_downlink(state_with([(0, 100.0)]), 100.0, 5, 1.0)[1] == [500.0]
 
     def test_same_slot_pop_is_zero(self):
-        assert queuing_latency([DataChunk(5, 100.0)], 5, 1.0) == 0.0
+        assert actual_downlink(state_with([(5, 100.0)]), 100.0, 5, 1.0)[1] == [0.0]
 
     def test_two_chunks(self):
-        popped = [DataChunk(7, 10.0), DataChunk(9, 20.0)]
-        assert queuing_latency(popped, 10, 1.0) == 50.0
+        s = state_with([(7, 10.0), (9, 20.0)])
+        assert actual_downlink(s, 30.0, 10, 1.0)[1] == [30.0, 20.0]
 
     def test_future_chunk_rejected(self):
+        s = state_with([(6, 1.0)])
         with pytest.raises(ValueError):
-            queuing_latency([DataChunk(6, 1.0)], 5, 1.0)
+            actual_downlink(s, 1.0, 5, 1.0)
+        assert s.onboard() == [DataChunk(6, 1.0)] and s.total_mb == 1.0
 
 
 class TestAdvanceBacklog:
     def test_dynamics_identity(self):
         # after a 100 MB drain, 694 MB of arrivals yields exactly 694
         s = state_with([(0, 100.0)])
-        actual_downlink(s, 100.0)
+        actual_downlink(s, 100.0, 1, 1.0)
         advance_backlog(s, 694.0, 1)
         assert s.total_mb == 694.0
 
     def test_zero_arrivals_noop(self):
         s = state_with([(0, 5.0)])
         advance_backlog(s, 0.0, 3)
-        assert len(s.chunks) == 1
+        assert s.onboard() == [DataChunk(0, 5.0)]
 
     def test_from_empty(self):
         s = SatelliteState("s")
@@ -163,23 +171,107 @@ class TestVirtualQueue:
 @given(st.lists(st.tuples(st.floats(0.0, 5000.0), st.floats(0.0, 6000.0)),
                 min_size=1, max_size=60))
 def test_conservation_and_fifo(ops):
-    """Arrivals = downlinked + residual, and pops are FIFO-ordered."""
+    """Arrivals = downlinked + residual, and a downlink takes the oldest arrivals."""
     s = SatelliteState("s")
     total_in = 0.0
     total_out = 0.0
-    last_pop_slot = -1
     for slot, (arrival, capacity) in enumerate(ops):
         if capacity > 0:
-            moved, popped = actual_downlink(s, capacity)
+            before = [c.arrival_slot for c in s.onboard()]
+            moved, _ = actual_downlink(s, capacity, slot, 1.0)
             total_out += moved
-            for c in popped:
-                assert c.arrival_slot >= last_pop_slot
-                last_pop_slot = c.arrival_slot
+            after = [c.arrival_slot for c in s.onboard()]
+            assert after == before[len(before) - len(after):]
         if arrival > 0:
             advance_backlog(s, arrival, slot)
             total_in += arrival
     assert total_in == pytest.approx(total_out + s.total_mb, rel=1e-9, abs=1e-6)
-    assert s.total_mb == pytest.approx(sum(c.size_mb for c in s.chunks), rel=1e-9, abs=1e-6)
+    assert s.total_mb == pytest.approx(sum(c.size_mb for c in s.onboard()), rel=1e-9, abs=1e-6)
+
+
+class DequeFifo:
+    """The backlog as a deque of DataChunks, popped from the left: the FIFO
+    that the arrival lists replaced, and the reference they must match."""
+
+    def __init__(self):
+        self.fifo = deque()
+        self.total_mb = 0.0
+
+    def advance(self, arrivals_mb, slot):
+        if arrivals_mb > 0:
+            self.fifo.append(DataChunk(slot, arrivals_mb))
+            self.total_mb += arrivals_mb
+
+    def downlink(self, capacity_mb, slot, tau):
+        moved, popped = 0.0, []
+        remaining = min(capacity_mb, self.total_mb)
+        while remaining > 0 and self.fifo:
+            arrival, size_mb = self.fifo[0]
+            if size_mb <= remaining:
+                popped.append(self.fifo.popleft())
+                moved += size_mb
+                remaining -= size_mb
+            else:
+                popped.append(DataChunk(arrival, remaining))
+                self.fifo[0] = DataChunk(arrival, size_mb - remaining)
+                moved += remaining
+                remaining = 0.0
+        self.total_mb = max(self.total_mb - moved, 0.0) if self.fifo else 0.0
+        return moved, [size_mb * (slot - arrival) * tau for arrival, size_mb in popped]
+
+
+def capacity(fifo, kind, fraction):
+    """A capacity that splits the head, drains the first chunks exactly, overshoots
+    the backlog or is zero."""
+    if kind == "split":
+        return fifo.total_mb * fraction
+    if kind == "exact":
+        return sum([c.size_mb for c in list(fifo.fifo)[:round(fraction * len(fifo.fifo))]],
+                   0.0)
+    return fifo.total_mb * (1.0 + fraction) + fraction if kind == "over" else 0.0
+
+
+ARRIVAL = st.tuples(st.just("arrive"), st.integers(0, 3),
+                    st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 694.0]),
+                              st.floats(1e-3, 5000.0)),
+                    st.integers(0, 40))
+DOWNLINK = st.tuples(st.just("downlink"), st.integers(0, 3),
+                     st.sampled_from(["split", "exact", "over", "zero"]),
+                     st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(-100, 5), tau=st.sampled_from([1.0, 0.5, 3.0, 0.1]),
+       trim_at=st.sampled_from([1, 2, 5, queues.TRIM_AT]),
+       ops=st.lists(st.one_of(ARRIVAL, DOWNLINK), max_size=400))
+@example(start=-30, tau=1.0, trim_at=queues.TRIM_AT,
+         ops=[("arrive", 1, 10.0 + k % 7, k % 3) for k in range(300)]
+         + [("downlink", 1, "split", 0.1)] * 40 + [("downlink", 1, "exact", 0.5)] * 5
+         + [("arrive", 0, 3.0, 0)] * 200 + [("downlink", 0, "over", 0.5)])
+def test_arrival_lists_match_the_deque_fifo(start, tau, trim_at, ops):
+    """Bit for bit, whatever the drained prefix's length: what moved, each drained
+    arrival's latency term, the total, the oldest slot and the chunks onboard.
+    The clock advances by the op's step from a slot that may be negative, and
+    an arrival lands up to 40 slots before it, so slots are sparse, negative
+    and out of order, as criterion 10's backlogs are."""
+    state, ref = SatelliteState("s"), DequeFifo()
+    t = start
+    with mock.patch.object(queues, "TRIM_AT", trim_at):
+        for op, step, *args in ops:
+            t += step
+            if op == "arrive":
+                mb, back = args
+                advance_backlog(state, mb, t - back)
+                ref.advance(mb, t - back)
+            else:
+                cap = capacity(ref, *args)
+                got = actual_downlink(state, cap, t, tau)
+                assert repr(got) == repr(ref.downlink(cap, t, tau))
+            assert repr(state.total_mb) == repr(ref.total_mb)
+            assert state.oldest_arrival_slot() == (ref.fifo[0].arrival_slot if ref.fifo else None)
+            assert repr(state.onboard()) == repr(list(ref.fifo))
+            # the drained prefix is trimmed once it reaches trim_at and half the lists
+            assert state.head < trim_at or 2 * state.head < len(state.arrival_mb)
 
 
 def arrivals_scenario(duty, horizon=1440, volume=(1_000_000.0, 1_000_000.0)):

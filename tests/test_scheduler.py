@@ -8,7 +8,7 @@ from instances import (backlogs_of, contact_table, make_scenario, named, oracle_
 from oracle import InstanceTooLargeError, _triple_contribution, brute_force_schedule
 from skygs import hungarian
 from skygs.baselines import IlpHpqPolicy
-from skygs.model import with_overrides
+from skygs.model import validate_scenario, with_overrides
 from skygs.orbit import Contact
 from skygs.scheduler import (AssignmentTriple, ScenarioArrays, build_bipartite, check_assignment,
                              hungarian_min_matching)
@@ -375,3 +375,51 @@ def test_large_q_downlinks_backlog_older_than_threshold(q):
     assert triples[0].contact == 0
     graph = build_bipartite(states, q, 200, sc, table, ScenarioArrays.from_scenario(sc))
     assert graph.candidates[(0, 0)].dtil_mb == 900.0
+
+
+def dyadic(top, scale):
+    """Multiples of 1/scale from 0 to top/scale: exact floats whose sums and
+    products stay exact, so that equal scores tie exactly."""
+    return st.integers(0, top).map(lambda k: k / scale)
+
+
+@st.composite
+def dc_worlds(draw):
+    """A validated world of 1-3 stations and 1-5 data centers, each entity list
+    in a shuffled file order, with dyadic prices, intensities and backhaul rates."""
+    dc_ids = [f"dc-{k}" for k in range(draw(st.integers(1, 5)))]
+    data_centers = [{"id": d, "provider": "p", "price_per_min": draw(dyadic(8, 4)),
+                     "intensity_min_per_mb": draw(st.integers(1, 8)) / 8}
+                    for d in draw(st.permutations(dc_ids))]
+    stations = [{"id": f"gs-{j}", "provider": "p", "lat_deg": 0.0, "lon_deg": 0.0,
+                 "antennas": 1, "price_per_slot": 1.0,
+                 "backhaul_mb_per_min": {d: 2.0 ** draw(st.integers(-3, 3)) for d in dc_ids}}
+                for j in draw(st.permutations(range(draw(st.integers(1, 3)))))]
+    return validate_scenario({
+        "satellites": [{"id": "sat-0", "altitude_km": 475.0, "daily_volume_mb": 1.0}],
+        "ground_stations": stations, "data_centers": data_centers,
+        "sim": {"tau": 1.0, "horizon": 1, "xi": 60.0, "v": 0.0, "seed": 1, "policy": "skygs"},
+    })
+
+
+WEIGHTS = st.one_of(st.just(0.0), dyadic(64, 8), st.just(2.0 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dc_worlds(), st.lists(st.tuples(WEIGHTS, WEIGHTS), min_size=1, max_size=3))
+@example(make_scenario(n_dcs=3, dc_prices=[1.0, 0.5, 0.5], dc_kappas=[0.5, 0.5, 0.5]),
+         [(1.0, 0.0), (1.0, 2.0 ** 30), (0.0, 0.0)])
+def test_best_data_center_is_the_brute_force_argmin(scenario, weights):
+    """For each station, the data center minimizing
+    v * price * kappa + qw * (1 / backhaul + kappa), read from the scenario's
+    own objects by id, ties going to the lowest id; (v, qw) runs from qw = 0
+    to qw far above v, and changes between calls on one set of arrays."""
+    arrays = ScenarioArrays.from_scenario(scenario)
+    stations = {g.id: g for g in scenario.ground_stations}
+    for v, qw in weights:
+        want = [min(scenario.data_centers,
+                    key=lambda d: (v * d.price_per_min * d.intensity_min_per_mb
+                                   + qw * (1.0 / stations[gs_id].backhaul_mb_per_min[d.id]
+                                           + d.intensity_min_per_mb), d.id)).id
+                for gs_id in arrays.gs_ids]
+        assert [arrays.dc_ids[di] for di in arrays.best_dc_per_station(v, qw)] == want
